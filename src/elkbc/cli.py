@@ -2,8 +2,7 @@
 
 Commands: ``normalize``, ``classify``, ``closure``, ``train``, ``eval``,
 ``sample-check``, ``toy-demo``.  Global flags: ``--seed`` (overrides config
-seeds), ``--threads`` (accepted for interface stability; computation is
-single-process) and ``--config``.  The ``ELKBC_CACHE_DIR`` environment
+seeds) and ``--config``.  The ``ELKBC_CACHE_DIR`` environment
 variable supplies the default output directory for commands that write one.
 
 Config files are flat ``key=value`` text (``#`` comments) or a JSON object
@@ -26,7 +25,6 @@ import numpy as np
 
 from .closure import ClosureCapError, compute_closure
 from .core import (
-    AXIOM_TAGS,
     BOT_ID,
     ParseError,
     Theory,
@@ -34,9 +32,8 @@ from .core import (
     axiom_tag,
     format_axiom,
     load_theory,
-    parse_theory,
+    parse_axiom,
     save_theory,
-    serialize_theory,
     signature_stats,
 )
 from .evaluation import RankingTask, filter_test_set, score_and_rank
@@ -88,8 +85,6 @@ _TRAIN_KEYS = {
     "validation_file": "in_path",
     "checkpoint": "out_path",
     "log_file": "out_path",
-    "closure_mode": str,
-    "closure_cap": int,
 }
 
 _EVAL_KEYS = {
@@ -102,8 +97,6 @@ _EVAL_KEYS = {
     "filter": str,  # none | train | train+closure
     "filter_entailed_test": bool,
     "micro_over_signature": bool,
-    "closure_mode": str,
-    "closure_cap": int,
 }
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
@@ -170,11 +163,10 @@ def _default_out_dir() -> Path:
     return Path(os.environ.get("ELKBC_CACHE_DIR", "."))
 
 
-def _build_closure(theory: Theory, mode: str, cap: int):
+def _build_closure(theory: Theory):
+    """A query-only closure: train, eval and sample-check never enumerate."""
     index, hierarchy, _ = classify(theory)
-    if mode == "auto":
-        mode = "materialized" if theory.n_concepts**3 <= cap else "oracle"
-    return compute_closure(theory, index, hierarchy, mode=mode, materialize_cap=cap)
+    return compute_closure(theory, index, hierarchy, mode="oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -207,24 +199,12 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _parse_axiom_line(theory: Theory, line: str):
-    tokens = line.split()
-    if not tokens or tokens[0] not in AXIOM_TAGS:
-        raise CliError(f"not an axiom line: {line!r}")
-    probe = parse_theory(serialize_theory(theory) + line + "\n")
-    if probe.signature.concepts.names() != theory.signature.concepts.names() or (
-        probe.signature.roles.names() != theory.signature.roles.names()
-    ):
-        raise CliError(f"axiom uses names outside the theory signature: {line!r}")
-    return probe.axioms[-1]
-
-
 def cmd_closure(args) -> int:
     theory = load_theory(args.theory)
     index, hierarchy, _ = classify(theory)
     if args.query:
         dc = compute_closure(theory, index, hierarchy, mode="oracle")
-        ax = _parse_axiom_line(theory, args.query)
+        ax = parse_axiom(args.query, theory.signature)
         print("true" if dc.entails(ax) else "false")
         return 0
     try:
@@ -295,9 +275,7 @@ def cmd_train(args) -> int:
     )
     dc = None
     if sampler.mode in ("filtered", "biased"):
-        dc = _build_closure(
-            theory, cfg.get("closure_mode", "auto"), cfg.get("closure_cap", 10**8)
-        )
+        dc = _build_closure(theory)
     model, log = train(theory, train_cfg, dc)
     checkpoint = cfg.get("checkpoint", str(_default_out_dir() / "model.ckpt"))
     save_checkpoint(model, checkpoint, sig_hash=signature_hash(theory),
@@ -330,9 +308,7 @@ def cmd_eval(args) -> int:
     if filter_mode not in ("none", "train", "train+closure"):
         raise CliError(f"unknown filter mode {filter_mode!r}")
     if filter_mode == "train+closure" or cfg.get("filter_entailed_test", False):
-        dc = _build_closure(
-            train_theory, cfg.get("closure_mode", "auto"), cfg.get("closure_cap", 10**8)
-        )
+        dc = _build_closure(train_theory)
         if filter_mode == "train+closure":
             closures = (dc,)
         if cfg.get("filter_entailed_test", False):
@@ -365,7 +341,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sample_check(args) -> int:
     theory = load_theory(args.theory)
-    dc = _build_closure(theory, "auto", args.cap)
+    dc = _build_closure(theory)
     axioms = [ax for ax in theory.axioms if axiom_tag(ax) in LOSS_VARIANTS]
     if args.variant:
         axioms = [ax for ax in axioms if axiom_tag(ax) == args.variant]
@@ -447,12 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         "embedding training and knowledge-base-completion evaluation.",
     )
     parser.add_argument("--seed", type=int, default=None, help="override configured seeds")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface stability; computation is single-process",
-    )
     parser.add_argument("--config", default=None, help="config file for train/eval")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -486,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bias", type=float, default=0.0)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--variant", default=None, choices=list(LOSS_VARIANTS))
-    p.add_argument("--cap", type=int, default=10**8)
     p.set_defaults(func=cmd_sample_check)
 
     p = sub.add_parser("toy-demo", help="train the 2D toy ontology under four regimes")

@@ -21,20 +21,33 @@ The rule set is sound but deliberately incomplete.  Conjunctions are treated
 as unordered: ``A n B`` and ``B n A`` name the same axiom, and pair slots are
 canonicalized to (lower id, higher id).
 
-Closures come in two modes.  ``materialized`` holds explicit per-variant sets
-(refused above a configurable |C|^3 cap, and signature-quantified rules are
-kept analytic above an ``analytic_threshold`` so huge signatures stay
-tractable); ``oracle`` answers ``entails`` by scanning the asserted axioms of
-the relevant variant through the same premise patterns.  The two modes agree
-exactly.  ``entails`` is read-only and safe for concurrent callers.
+Every question goes through one query path: premise indexes over the asserted
+axioms (GCI1/GCI1_BOT by left conjunct, GCI2 by subject, GCI3/GCI3_BOT by
+filler, each built on first use) feed a per-key memo of filler rows:
+
+* pair {A, B}: every E with ``A n B [= E`` (Bot included when the pair is
+  disjoint, in which case the row is every concept);
+* subject A: role -> every B with ``A [= Er.B`` (chain-saturated when the
+  theory has role chains);
+* (r, A): every E with ``Er.A [= E`` (Bot included for ``Er.A [= Bot``).
+
+``entails`` is one lookup in one row and ``entailed_fillers`` answers a whole
+slot.  The two modes answer identically; ``materialized`` additionally
+enumerates the closure (``counts``, ``iter_variant`` and the per-variant
+``gci1`` .. ``gci3_bot`` views, built from the rows on first access) and is
+refused above a |C|^3 cap.  Rows are built lazily and published only when
+complete, so concurrent readers at worst build the same row twice.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
+    AXIOM_TAGS,
     BOT_ID,
     GCI0,
     GCI0Bot,
@@ -46,6 +59,7 @@ from .core import (
     NormalizedAxiom,
     TOP_ID,
     Theory,
+    concept_slots,
 )
 from .reasoner import RoleHierarchy, SubsumptionIndex
 
@@ -64,211 +78,124 @@ class DeductiveClosure:
     index: SubsumptionIndex
     hierarchy: RoleHierarchy
     materialized: bool
-    analytic_quantified: bool = False
-    # materialized per-variant sets (empty in oracle mode)
-    gci1: dict[tuple[int, int], set[int]] = field(default_factory=dict)
-    gci1_bot: set[tuple[int, int]] = field(default_factory=set)
-    gci2: dict[tuple[int, int], set[int]] = field(default_factory=dict)
-    gci3: dict[tuple[int, int], set[int]] = field(default_factory=dict)
-    gci3_bot: set[tuple[int, int]] = field(default_factory=set)
 
     def __post_init__(self):
-        th = self.theory
-        self._asserted_gci1 = th.axioms_of(GCI1)
-        self._asserted_gci1_bot = th.axioms_of(GCI1Bot)
-        self._asserted_gci2 = th.axioms_of(GCI2)
-        self._asserted_gci3 = th.axioms_of(GCI3)
-        self._asserted_gci3_bot = th.axioms_of(GCI3Bot)
-        self._chain_edges_cache: dict[int, dict[int, set[int]]] | None = None
-
-    # -- shared analytic pieces ---------------------------------------------
+        self._pairs: dict[tuple[int, int], frozenset[int]] = {}
+        self._subjects: dict[int, dict[int, frozenset[int]]] = {}
+        self._existentials: dict[tuple[int, int], frozenset[int]] = {}
+        self._slot_sets: dict[tuple[NormalizedAxiom, str], frozenset[int]] = {}
 
     def _unsat(self, a: int) -> bool:
         return BOT_ID in self.index.sup[a]
 
-    def _check_concept(self, a: int) -> None:
-        if not 0 <= a < self.theory.n_concepts:
-            raise KeyError(f"unknown concept id {a}")
+    def _check(self, *concepts: int, role: int | None = None) -> None:
+        for a in concepts:
+            if not 0 <= a < self.theory.n_concepts:
+                raise KeyError(f"unknown concept id {a}")
+        if role is not None and not 0 <= role < self.theory.n_roles:
+            raise KeyError(f"unknown role id {role}")
 
-    def _check_role(self, r: int) -> None:
-        if not 0 <= r < self.theory.n_roles:
-            raise KeyError(f"unknown role id {r}")
+    # -- premise indexes over asserted axioms ----------------------------------
 
-    # -- entailment ----------------------------------------------------------
+    @cached_property
+    def _gci1_by_left(self) -> dict[int, list[tuple[int, int]]]:
+        """Asserted ``l n r [= s`` as l -> [(r, s)]; GCI1_BOT has s = Bot."""
+        by_left = defaultdict(list)
+        for ax in self.theory.axioms:
+            if isinstance(ax, GCI1):
+                by_left[ax.left].append((ax.right, ax.sup))
+            elif isinstance(ax, GCI1Bot):
+                by_left[ax.left].append((ax.right, BOT_ID))
+        return by_left
 
-    def entails(self, ax: NormalizedAxiom) -> bool:
-        if isinstance(ax, GCI0):
-            return self.index.is_subclass(ax.sub, ax.sup)
-        if isinstance(ax, GCI0Bot):
-            self._check_concept(ax.sub)
-            return self._unsat(ax.sub)
-        if isinstance(ax, GCI1):
-            if ax.sup == BOT_ID:
-                return self.entails(GCI1Bot(ax.left, ax.right))
-            return self._entails_gci1(ax.left, ax.right, ax.sup)
-        if isinstance(ax, GCI1Bot):
-            return self._entails_gci1_bot(ax.left, ax.right)
-        if isinstance(ax, GCI2):
-            return self._entails_gci2(ax.sub, ax.role, ax.filler)
-        if isinstance(ax, GCI3):
-            if ax.sup == BOT_ID:
-                return self.entails(GCI3Bot(ax.role, ax.filler))
-            return self._entails_gci3(ax.role, ax.filler, ax.sup)
-        if isinstance(ax, GCI3Bot):
-            return self._entails_gci3_bot(ax.role, ax.filler)
-        raise ValueError(f"role-inclusion axioms are outside the closure's scope: {ax!r}")
+    @cached_property
+    def _gci2_by_subject(self) -> dict[int, list[tuple[int, int]]]:
+        """Asserted ``x [= Eq.f`` as x -> [(q, f)]."""
+        by_subject = defaultdict(list)
+        for ax in self.theory.axioms_of(GCI2):
+            by_subject[ax.sub].append((ax.role, ax.filler))
+        return by_subject
 
-    def _entails_gci1(self, a: int, b: int, e: int) -> bool:
-        for x in (a, b, e):
-            self._check_concept(x)
-        if self.materialized and not self.analytic_quantified:
-            return e in self.gci1.get(_canon(a, b), ())
-        if self.materialized and e in self.gci1.get(_canon(a, b), ()):
-            return True
-        return self._a2_gci1(a, b, e) or self._alg1_gci1(a, b, e)
+    @cached_property
+    def _gci3_by_filler(self) -> dict[int, list[tuple[int, int | None]]]:
+        """Asserted ``Eq.f [= s`` as f -> [(q, s)]; GCI3_BOT has s = None (it
+        yields Bot alone, unlike an asserted GCI3 with superclass Bot)."""
+        by_filler = defaultdict(list)
+        for ax in self.theory.axioms:
+            if isinstance(ax, GCI3):
+                by_filler[ax.filler].append((ax.role, ax.sup))
+            elif isinstance(ax, GCI3Bot):
+                by_filler[ax.filler].append((ax.role, None))
+        return by_filler
 
-    def _entails_gci1_bot(self, a: int, b: int) -> bool:
-        self._check_concept(a)
-        self._check_concept(b)
-        if self.materialized and not self.analytic_quantified:
-            return _canon(a, b) in self.gci1_bot
-        if self.materialized and _canon(a, b) in self.gci1_bot:
-            return True
-        return self._a2_gci1_bot(a, b) or self._alg1_gci1_bot(a, b)
+    @cached_property
+    def _everything(self) -> frozenset[int]:
+        return frozenset(range(self.theory.n_concepts))
 
-    def _entails_gci2(self, a: int, r: int, b: int) -> bool:
-        self._check_concept(a)
-        self._check_concept(b)
-        self._check_role(r)
-        if self.materialized and not self.analytic_quantified:
-            return b in self.gci2.get((a, r), ())
-        if self.materialized and b in self.gci2.get((a, r), ()):
-            return True
-        if self._a2_gci2(a, r, b) or self._alg1_gci2(a, r, b):
-            return True
-        if self.hierarchy.chains:
-            return b in self._chain_edges(a).get(r, ())
-        return False
+    # -- rows -----------------------------------------------------------------
 
-    def _entails_gci3(self, r: int, a: int, b: int) -> bool:
-        self._check_concept(a)
-        self._check_concept(b)
-        self._check_role(r)
-        if self.materialized and not self.analytic_quantified:
-            return b in self.gci3.get((r, a), ())
-        if self.materialized and b in self.gci3.get((r, a), ()):
-            return True
-        return self._a2_gci3(r, a, b) or self._alg1_gci3(r, a, b)
+    def _pair_row(self, a: int, b: int) -> frozenset[int]:
+        key = _canon(a, b)
+        row = self._pairs.get(key)
+        if row is None:
+            sup = self.index.sup
+            found = set(sup[a]) | sup[b]
+            if BOT_ID not in found:
+                for x, y in ((sup[a], sup[b]), (sup[b], sup[a])):
+                    for left in x:
+                        for right, s in self._gci1_by_left.get(left, ()):
+                            if right in y:
+                                found |= sup[s]
+            row = self._everything if BOT_ID in found else frozenset(found)
+            self._pairs[key] = row
+        return row
 
-    def _entails_gci3_bot(self, r: int, a: int) -> bool:
-        self._check_concept(a)
-        self._check_role(r)
-        if self.materialized and not self.analytic_quantified:
-            return (r, a) in self.gci3_bot
-        if self.materialized and (r, a) in self.gci3_bot:
-            return True
-        return self._alg1_gci3_bot(r, a)
+    def _subject_row(self, a: int) -> dict[int, frozenset[int]]:
+        row = self._subjects.get(a)
+        if row is None:
+            if self.hierarchy.chains:
+                return self._chain_edges(a)
+            row = {r: frozenset(fs) for r, fs in self._base_gci2_edges(a).items()}
+            self._subjects[a] = row
+        return row
 
-    # -- signature-level rules, answered by pattern --------------------------
-
-    def _a2_gci1(self, a: int, b: int, e: int) -> bool:
-        sup = self.index.sup
-        if BOT_ID in (a, b) or self._unsat(a) or self._unsat(b):
-            return True
-        if e in sup[a] or e in sup[b]:
-            return True
-        return self._entails_gci1_bot(a, b)
-
-    def _a2_gci1_bot(self, a: int, b: int) -> bool:
-        return BOT_ID in (a, b) or self._unsat(a) or self._unsat(b)
-
-    def _a2_gci2(self, a: int, r: int, b: int) -> bool:
-        return b != BOT_ID and (a == BOT_ID or self._unsat(a))
-
-    def _a2_gci3(self, r: int, a: int, b: int) -> bool:
-        return b == TOP_ID and a != BOT_ID
-
-    # -- one-shot premise scans over asserted axioms --------------------------
-
-    def _alg1_gci1(self, a: int, b: int, e: int) -> bool:
-        sup = self.index.sup
-        for ax in self._asserted_gci1:
-            if e in sup[ax.sup]:
-                if (ax.left in sup[a] and ax.right in sup[b]) or (
-                    ax.left in sup[b] and ax.right in sup[a]
-                ):
-                    return True
-        return False
-
-    def _alg1_gci1_bot(self, a: int, b: int) -> bool:
-        sup = self.index.sup
-        for ax in self._asserted_gci1_bot:
-            if (ax.left in sup[a] and ax.right in sup[b]) or (
-                ax.left in sup[b] and ax.right in sup[a]
-            ):
-                return True
-        for ax in self._asserted_gci1:
-            if self._unsat(ax.sup):
-                if (ax.left in sup[a] and ax.right in sup[b]) or (
-                    ax.left in sup[b] and ax.right in sup[a]
-                ):
-                    return True
-        return False
-
-    def _alg1_gci2(self, a: int, r: int, b: int) -> bool:
-        sup = self.index.sup
-        rsup = self.hierarchy.rsup
-        for ax in self._asserted_gci2:
-            if ax.sub in sup[a] and b in sup[ax.filler] and r in rsup[ax.role]:
-                return True
-        return False
-
-    def _alg1_gci3(self, r: int, a: int, b: int) -> bool:
-        sup = self.index.sup
-        rsup = self.hierarchy.rsup
-        for ax in self._asserted_gci3:
-            if ax.filler in sup[a] and b in sup[ax.sup] and ax.role in rsup[r]:
-                return True
-        return False
-
-    def _alg1_gci3_bot(self, r: int, a: int) -> bool:
-        sup = self.index.sup
-        rsup = self.hierarchy.rsup
-        for ax in self._asserted_gci3_bot:
-            if ax.filler in sup[a] and ax.role in rsup[r]:
-                return True
-        for ax in self._asserted_gci3:
-            if self._unsat(ax.sup) and ax.filler in sup[a] and ax.role in rsup[r]:
-                return True
-        return False
-
-    # -- existential composition, query-driven --------------------------------
+    def _existential_row(self, r: int, a: int) -> frozenset[int]:
+        row = self._existentials.get((r, a))
+        if row is None:
+            sup = self.index.sup
+            supers = self.hierarchy.rsup[r]
+            found = set() if a == BOT_ID else {TOP_ID}
+            for f in sup[a]:
+                for q, s in self._gci3_by_filler.get(f, ()):
+                    if q in supers:
+                        if s is None:
+                            found.add(BOT_ID)
+                        else:
+                            found |= sup[s]
+            row = frozenset(found)
+            self._existentials[(r, a)] = row
+        return row
 
     def _base_gci2_edges(self, a: int) -> dict[int, set[int]]:
         """Non-chain entailed (r -> fillers) for subject ``a``."""
         sup = self.index.sup
         rsup = self.hierarchy.rsup
         edges: dict[int, set[int]] = defaultdict(set)
-        for ax in self._asserted_gci2:
-            if ax.sub in sup[a]:
-                fillers = sup[ax.filler]
-                for r in rsup[ax.role]:
+        for x in sup[a]:
+            for q, f in self._gci2_by_subject.get(x, ()):
+                fillers = sup[f]
+                for r in rsup[q]:
                     edges[r].update(fillers)
-        if a == BOT_ID or self._unsat(a):
-            non_bot = set(range(self.theory.n_concepts)) - {BOT_ID}
+        if self._unsat(a):
+            non_bot = self._everything - {BOT_ID}
             for r in range(self.theory.n_roles):
                 edges[r].update(non_bot)
         return edges
 
-    def _chain_edges(self, a: int) -> dict[int, set[int]]:
+    def _chain_edges(self, a: int) -> dict[int, frozenset[int]]:
         """Chain-saturated GCI2 edges from ``a``, expanded over every subject
-        the saturation can reach (fillers become composable subjects)."""
-        if self._chain_edges_cache is None:
-            self._chain_edges_cache = {}
-        cache = self._chain_edges_cache
-        if a in cache:
-            return cache[a]
-
+        the saturation can reach (fillers become composable subjects); every
+        subject of the saturated universe gets its row published."""
         universe: dict[int, dict[int, set[int]]] = {}
 
         def expand(start: int) -> None:
@@ -307,35 +234,125 @@ class DeductiveClosure:
                             expand(m)
                             changed = True
         for x, edges in universe.items():
-            cache[x] = edges
-        return cache[a]
+            if x not in self._subjects:
+                self._subjects[x] = {r: frozenset(fs) for r, fs in edges.items()}
+        return self._subjects[a]
 
-    # -- enumeration helpers ---------------------------------------------------
+    # -- queries ----------------------------------------------------------------
 
-    def entailed_fillers(self, ax: NormalizedAxiom) -> frozenset[int]:
-        """Values of the rightmost concept slot (E for GCI1) whose substitution
-        is entailed; used by biased negative sampling."""
-        n_c = self.theory.n_concepts
-        if isinstance(ax, GCI1):
-            return frozenset(e for e in range(n_c) if self.entails(GCI1(ax.left, ax.right, e)))
+    def entails(self, ax: NormalizedAxiom) -> bool:
         if isinstance(ax, GCI0):
-            return frozenset(b for b in range(n_c) if self.index.is_subclass(ax.sub, b))
-        if isinstance(ax, GCI2):
-            return frozenset(b for b in range(n_c) if self._entails_gci2(ax.sub, ax.role, b))
-        if isinstance(ax, GCI3):
-            return frozenset(b for b in range(n_c) if self.entails(GCI3(ax.role, ax.filler, b)))
-        if isinstance(ax, GCI1Bot):
-            return frozenset(b for b in range(n_c) if self._entails_gci1_bot(ax.left, b))
+            return self.index.is_subclass(ax.sub, ax.sup)
         if isinstance(ax, GCI0Bot):
-            return frozenset(a for a in range(n_c) if self._unsat(a))
+            self._check(ax.sub)
+            return self._unsat(ax.sub)
+        if isinstance(ax, GCI1):
+            self._check(ax.left, ax.right, ax.sup)
+            return ax.sup in self._pair_row(ax.left, ax.right)
+        if isinstance(ax, GCI1Bot):
+            self._check(ax.left, ax.right)
+            return BOT_ID in self._pair_row(ax.left, ax.right)
+        if isinstance(ax, GCI2):
+            self._check(ax.sub, ax.filler, role=ax.role)
+            if ax.filler != BOT_ID and self._unsat(ax.sub):
+                return True  # Bot and unsatisfiable subjects reach every filler
+            return ax.filler in self._subject_row(ax.sub).get(ax.role, ())
+        if isinstance(ax, GCI3):
+            self._check(ax.filler, ax.sup, role=ax.role)
+            return ax.sup in self._existential_row(ax.role, ax.filler)
         if isinstance(ax, GCI3Bot):
-            return frozenset(a for a in range(n_c) if self._entails_gci3_bot(ax.role, a))
-        raise ValueError(f"no corruptible concept slot on {ax!r}")
+            self._check(ax.filler, role=ax.role)
+            return BOT_ID in self._existential_row(ax.role, ax.filler)
+        raise ValueError(f"role-inclusion axioms are outside the closure's scope: {ax!r}")
+
+    def entailed_fillers(self, ax: NormalizedAxiom, slot: str | None = None) -> frozenset[int]:
+        """Every concept v such that ``ax`` with ``slot`` set to v is entailed.
+
+        ``slot`` names a concept slot and defaults to the rightmost one (E for
+        GCI1).  The rightmost slot of GCI0-GCI3 is one row; any other slot asks
+        ``entails`` once per concept and is memoized per fixed remainder.
+        Biased negative sampling and filtered ranking both use this query.
+        """
+        slots = concept_slots(ax)
+        if not slots:
+            raise ValueError(f"no corruptible concept slot on {ax!r}")
+        slot = slot or slots[-1]
+        if slot not in slots:
+            raise ValueError(f"{slot!r} is not a concept slot of {ax!r}")
+        if slot == slots[-1]:
+            if isinstance(ax, GCI0):
+                self._check(ax.sub)
+                return self._everything if self._unsat(ax.sub) else self.index.sup[ax.sub]
+            if isinstance(ax, GCI1):
+                self._check(ax.left, ax.right)
+                return self._pair_row(ax.left, ax.right)
+            if isinstance(ax, GCI2):
+                self._check(ax.sub, role=ax.role)
+                return self._subject_row(ax.sub).get(ax.role, frozenset())
+            if isinstance(ax, GCI3):
+                self._check(ax.filler, role=ax.role)
+                return self._existential_row(ax.role, ax.filler)
+        key = (dataclasses.replace(ax, **{slot: -1}), slot)
+        hit = self._slot_sets.get(key)
+        if hit is None:
+            hit = frozenset(
+                v
+                for v in range(self.theory.n_concepts)
+                if self.entails(dataclasses.replace(ax, **{slot: v}))
+            )
+            self._slot_sets[key] = hit
+        return hit
+
+    # -- enumeration (materialized mode) ---------------------------------------
+
+    def _enumerable(self) -> None:
+        if not self.materialized:
+            raise ValueError("enumeration requires a materialized closure")
+
+    def _all_pair_rows(self) -> dict[tuple[int, int], frozenset[int]]:
+        self._enumerable()
+        n_c = self.theory.n_concepts
+        return {(a, b): self._pair_row(a, b) for a in range(n_c) for b in range(a, n_c)}
+
+    def _all_existential_rows(self) -> dict[tuple[int, int], frozenset[int]]:
+        self._enumerable()
+        return {
+            (r, a): self._existential_row(r, a)
+            for r in range(self.theory.n_roles)
+            for a in range(self.theory.n_concepts)
+        }
+
+    @cached_property
+    def gci1(self) -> dict[tuple[int, int], frozenset[int]]:
+        rows = self._all_pair_rows().items()
+        return {pair: rest for pair, row in rows if (rest := row - {BOT_ID})}
+
+    @cached_property
+    def gci1_bot(self) -> set[tuple[int, int]]:
+        return {pair for pair, row in self._all_pair_rows().items() if BOT_ID in row}
+
+    @cached_property
+    def gci2(self) -> dict[tuple[int, int], frozenset[int]]:
+        self._enumerable()
+        return {
+            (a, r): fillers
+            for a in range(self.theory.n_concepts)
+            for r, fillers in self._subject_row(a).items()
+            if fillers
+        }
+
+    @cached_property
+    def gci3(self) -> dict[tuple[int, int], frozenset[int]]:
+        rows = self._all_existential_rows().items()
+        return {key: rest for key, row in rows if (rest := row - {BOT_ID})}
+
+    @cached_property
+    def gci3_bot(self) -> set[tuple[int, int]]:
+        return {key for key, row in self._all_existential_rows().items() if BOT_ID in row}
 
     def counts(self) -> dict[str, int]:
         """Materialized axiom count per variant (GCI0 family from the index)."""
-        if not self.materialized:
-            raise ValueError("counts require a materialized closure")
+        self._enumerable()
         return {
             "GCI0": sum(len(s) for s in self.index.sup),
             "GCI1": sum(len(s) for s in self.gci1.values()),
@@ -348,8 +365,7 @@ class DeductiveClosure:
 
     def iter_variant(self, tag: str):
         """Materialized axioms of one variant, id-sorted, pairs canonical."""
-        if not self.materialized:
-            raise ValueError("iteration requires a materialized closure")
+        self._enumerable()
         if tag == "GCI0":
             for a in range(self.theory.n_concepts):
                 for b in sorted(self.index.sup[a]):
@@ -358,24 +374,14 @@ class DeductiveClosure:
             for a in range(self.theory.n_concepts):
                 if self._unsat(a):
                     yield GCI0Bot(a)
-        elif tag == "GCI1":
-            for (a, b) in sorted(self.gci1):
-                for e in sorted(self.gci1[(a, b)]):
-                    yield GCI1(a, b, e)
-        elif tag == "GCI1_BOT":
-            for (a, b) in sorted(self.gci1_bot):
-                yield GCI1Bot(a, b)
-        elif tag == "GCI2":
-            for (a, r) in sorted(self.gci2):
-                for b in sorted(self.gci2[(a, r)]):
-                    yield GCI2(a, r, b)
-        elif tag == "GCI3":
-            for (r, a) in sorted(self.gci3):
-                for b in sorted(self.gci3[(r, a)]):
-                    yield GCI3(r, a, b)
-        elif tag == "GCI3_BOT":
-            for (r, a) in sorted(self.gci3_bot):
-                yield GCI3Bot(r, a)
+        elif tag in ("GCI1", "GCI2", "GCI3"):
+            view = getattr(self, tag.lower())
+            for key in sorted(view):
+                for v in sorted(view[key]):
+                    yield AXIOM_TAGS[tag](*key, v)
+        elif tag in ("GCI1_BOT", "GCI3_BOT"):
+            for key in sorted(getattr(self, tag.lower())):
+                yield AXIOM_TAGS[tag](*key)
         else:
             raise ValueError(f"unknown variant {tag!r}")
 
@@ -386,129 +392,19 @@ def compute_closure(
     hierarchy: RoleHierarchy,
     mode: str = "materialized",
     materialize_cap: int = 10**8,
-    analytic_threshold: int = 2000,
 ) -> DeductiveClosure:
-    """Build the per-variant closure.
+    """The per-variant closure of a classified theory.
 
-    ``mode`` is ``"materialized"`` or ``"oracle"``.  Materialization raises
-    ClosureCapError when |C|^3 exceeds ``materialize_cap``; above
-    ``analytic_threshold`` concepts the signature-quantified rules stay
-    analytic (``entails`` still answers them, the sets just omit them).
+    ``mode`` is ``"materialized"`` (queries plus enumeration; raises
+    ClosureCapError when |C|^3 exceeds ``materialize_cap``) or ``"oracle"``
+    (queries only).  Rows are built on demand in both modes.
     """
     if mode not in ("materialized", "oracle"):
         raise ValueError(f"unknown closure mode {mode!r}")
-    if mode == "oracle":
-        return DeductiveClosure(theory, index, hierarchy, materialized=False)
-
     n_c = theory.n_concepts
-    if n_c**3 > materialize_cap:
+    if mode == "materialized" and n_c**3 > materialize_cap:
         raise ClosureCapError(
             f"|C|^3 = {n_c**3} exceeds the materialization cap {materialize_cap}; "
             "use oracle mode"
         )
-    analytic_quantified = n_c > analytic_threshold
-
-    dc = DeductiveClosure(
-        theory, index, hierarchy, materialized=True, analytic_quantified=analytic_quantified
-    )
-    sup = index.sup
-    sub = index.sub
-    rsup = hierarchy.rsup
-    n_r = theory.n_roles
-
-    def add_gci1(a: int, b: int, e: int) -> None:
-        if e == BOT_ID:
-            dc.gci1_bot.add(_canon(a, b))
-        else:
-            dc.gci1.setdefault(_canon(a, b), set()).add(e)
-
-    def add_gci3(r: int, a: int, b: int) -> None:
-        if b == BOT_ID:
-            dc.gci3_bot.add((r, a))
-        else:
-            dc.gci3.setdefault((r, a), set()).add(b)
-
-    # one-shot expansion of asserted axioms
-    for ax in theory.axioms_of(GCI1):
-        for a in sub[ax.left]:
-            for b in sub[ax.right]:
-                for e in sup[ax.sup]:
-                    add_gci1(a, b, e)
-    for ax in theory.axioms_of(GCI1Bot):
-        for a in sub[ax.left]:
-            for b in sub[ax.right]:
-                dc.gci1_bot.add(_canon(a, b))
-    for ax in theory.axioms_of(GCI2):
-        for a in sub[ax.sub]:
-            for r in rsup[ax.role]:
-                dest = dc.gci2.setdefault((a, r), set())
-                dest.update(sup[ax.filler])
-    for ax in theory.axioms_of(GCI3):
-        for r in range(n_r):
-            if ax.role not in rsup[r]:
-                continue
-            for a in sub[ax.filler]:
-                for b in sup[ax.sup]:
-                    add_gci3(r, a, b)
-    for ax in theory.axioms_of(GCI3Bot):
-        for r in range(n_r):
-            if ax.role not in rsup[r]:
-                continue
-            for a in sub[ax.filler]:
-                dc.gci3_bot.add((r, a))
-
-    if not analytic_quantified:
-        unsat = [a for a in range(n_c) if BOT_ID in sup[a]]
-        all_non_bot = [e for e in range(n_c) if e != BOT_ID]
-        # anything conjoined with Bot or an unsatisfiable concept is below
-        # everything (also yields the GCI1_BOT pair)
-        for b in unsat:
-            for a in range(n_c):
-                pair = _canon(a, b)
-                dc.gci1_bot.add(pair)
-        # A n E [= E' whenever E [= E' (subsumes the common-superclass and
-        # conjunction-with-Top rules)
-        for e in range(n_c):
-            sups_e = sup[e]
-            for a in range(n_c):
-                pair = _canon(a, e)
-                dest = dc.gci1.setdefault(pair, set())
-                dest.update(sups_e - {BOT_ID})
-                if BOT_ID in sups_e:
-                    dc.gci1_bot.add(pair)
-        # every provably-disjoint pair is below everything
-        for pair in dc.gci1_bot:
-            dc.gci1.setdefault(pair, set()).update(all_non_bot)
-        # Bot (or anything unsatisfiable) has every existential superclass
-        for a in unsat:
-            for r in range(n_r):
-                dc.gci2.setdefault((a, r), set()).update(all_non_bot)
-        # Er.A [= Top for satisfiable A
-        for r in range(n_r):
-            for a in all_non_bot:
-                dc.gci3.setdefault((r, a), set()).add(TOP_ID)
-
-    # existential composition iterated to fixpoint (it feeds itself)
-    if hierarchy.chains:
-        by_subject: dict[int, dict[int, set[int]]] = defaultdict(dict)
-        for (a, r), fillers in dc.gci2.items():
-            by_subject[a][r] = fillers
-        changed = True
-        while changed:
-            changed = False
-            for ch in hierarchy.chains:
-                for a in list(by_subject):
-                    firsts = by_subject[a].get(ch.first)
-                    if not firsts:
-                        continue
-                    for m in list(firsts):
-                        seconds = by_subject.get(m, {}).get(ch.second)
-                        if not seconds:
-                            continue
-                        dest = dc.gci2.setdefault((a, ch.sup), set())
-                        before = len(dest)
-                        dest.update(seconds)
-                        if len(dest) != before:
-                            by_subject[a][ch.sup] = dest
-                            changed = True
-    return dc
+    return DeductiveClosure(theory, index, hierarchy, materialized=mode == "materialized")

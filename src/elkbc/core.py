@@ -32,8 +32,8 @@ resolved or validated.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Union
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, Union
 
 TOP = "owl:Thing"
 BOT = "owl:Nothing"
@@ -199,6 +199,12 @@ def axiom_slots(ax: NormalizedAxiom) -> tuple[int, ...]:
     raise TypeError(f"not a normalized axiom: {ax!r}")
 
 
+def concept_slots(ax: NormalizedAxiom) -> tuple[str, ...]:
+    """Field names of the concept slots, in `.nf` token order."""
+    kinds = _SLOT_KINDS[axiom_tag(ax)]
+    return tuple(f.name for f, kind in zip(fields(ax), kinds) if kind == "c")
+
+
 class Signature:
     """Concept, role and individual interners for one theory."""
 
@@ -295,26 +301,51 @@ def parse_theory(text: str) -> Theory:
                 }[directive]
                 interner.intern(tokens[1])
             continue
-        tokens = line.split()
-        tag = tokens[0]
-        if tag not in AXIOM_TAGS:
-            raise ParseError(line_no, f"unknown axiom tag {tag!r}")
-        kinds = _SLOT_KINDS[tag]
-        if len(tokens) - 1 != len(kinds):
-            raise ParseError(
-                line_no,
-                f"{tag} expects {len(kinds)} names, got {len(tokens) - 1} ({line!r})",
-            )
-        ids = []
-        for kind, name in zip(kinds, tokens[1:]):
-            interner = sig.concepts if kind == "c" else sig.roles
-            ids.append(interner.intern(name))
-        if tag in ("GCI0_BOT", "GCI1_BOT", "GCI3_BOT") and BOT_ID in [
-            i for k, i in zip(kinds, ids) if k == "c"
-        ]:
-            raise ParseError(line_no, f"{tag} must not name {BOT} explicitly")
-        axioms.append(AXIOM_TAGS[tag](*ids))
+        axioms.append(_axiom_from_line(line, line_no, sig.concepts.intern, sig.roles.intern))
     return Theory(sig, axioms)
+
+
+def _axiom_from_line(
+    line: str,
+    line_no: int,
+    concept_id: Callable[[str], int],
+    role_id: Callable[[str], int],
+) -> NormalizedAxiom:
+    """The axiom on one stripped, non-comment `.nf` line; names resolve
+    through ``concept_id`` / ``role_id``."""
+    tokens = line.split()
+    tag = tokens[0]
+    if tag not in AXIOM_TAGS:
+        raise ParseError(line_no, f"unknown axiom tag {tag!r}")
+    kinds = _SLOT_KINDS[tag]
+    if len(tokens) - 1 != len(kinds):
+        raise ParseError(
+            line_no,
+            f"{tag} expects {len(kinds)} names, got {len(tokens) - 1} ({line!r})",
+        )
+    ids = [
+        (concept_id if kind == "c" else role_id)(name) for kind, name in zip(kinds, tokens[1:])
+    ]
+    if tag in ("GCI0_BOT", "GCI1_BOT", "GCI3_BOT") and BOT_ID in [
+        i for k, i in zip(kinds, ids) if k == "c"
+    ]:
+        raise ParseError(line_no, f"{tag} must not name {BOT} explicitly")
+    return AXIOM_TAGS[tag](*ids)
+
+
+def parse_axiom(line: str, sig: Signature) -> NormalizedAxiom:
+    """One `.nf` axiom line whose names must already be in ``sig``.
+
+    Raises ParseError for blank or comment lines, unknown tags, arity
+    mismatches and names outside the signature.
+    """
+    line = line.strip()
+    if not line or line.startswith("#"):
+        raise ParseError(1, f"not an axiom line: {line!r}")
+    try:
+        return _axiom_from_line(line, 1, sig.concepts.id_of, sig.roles.id_of)
+    except KeyError as exc:
+        raise ParseError(1, f"{exc.args[0]} (not in the theory signature)") from None
 
 
 def format_axiom(sig: Signature, ax: NormalizedAxiom) -> str:

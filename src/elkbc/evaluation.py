@@ -9,7 +9,9 @@ mid-rank tie convention::
 
 Filtered ranks additionally drop every non-true candidate whose axiom occurs
 in the train set or is entailed by any supplied deductive closure; the true
-axiom itself is never dropped.  Per-axiom AUC is the rank-derived ROC AUC
+axiom itself is never dropped; the dropped candidates form one mask per test
+axiom, read off a train-set filler index and each closure's
+``entailed_fillers``.  Per-axiom AUC is the rank-derived ROC AUC
 ``1 - (rank - 1) / (pool - 1)``.
 
 Macro aggregates average over test axioms; micro aggregates first average per
@@ -22,9 +24,9 @@ at or above n.  Scoring is read-only over the model and order-independent.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -102,18 +104,19 @@ def _rank_auc(rank: int, pool: int) -> float:
     return 1.0 - (rank - 1) / (pool - 1)
 
 
-def _candidate_axiom(ax: NormalizedAxiom, value: int) -> NormalizedAxiom:
+def _candidate_axioms(ax: NormalizedAxiom, values: list[int]) -> list[NormalizedAxiom]:
     if isinstance(ax, GCI0):
-        return dataclasses.replace(ax, sup=value)
-    return dataclasses.replace(ax, filler=value)
+        return [GCI0(ax.sub, v) for v in values]
+    return [GCI2(ax.sub, ax.role, v) for v in values]
+
+
+def _fixed_slots(ax: NormalizedAxiom) -> tuple:
+    """What every candidate of a test axiom shares: all but the ranked slot."""
+    return (GCI0, ax.sub) if isinstance(ax, GCI0) else (GCI2, ax.sub, ax.role)
 
 
 def _true_value(ax: NormalizedAxiom) -> int:
     return ax.sup if isinstance(ax, GCI0) else ax.filler
-
-
-def _subject(ax: NormalizedAxiom) -> int:
-    return ax.sub
 
 
 def _rank_from_scores(scores: np.ndarray, true_idx: int, keep: np.ndarray) -> tuple[int, int]:
@@ -127,6 +130,11 @@ def _rank_from_scores(scores: np.ndarray, true_idx: int, keep: np.ndarray) -> tu
 
 def score_and_rank(model: GeometricModel, task: RankingTask) -> RankingReport:
     candidates = np.asarray(list(task.candidates), dtype=np.int64)
+    values = candidates.tolist()
+    train_fillers: dict[tuple, set[int]] = defaultdict(set)
+    for ax in task.train_axioms:
+        if isinstance(ax, (GCI0, GCI2)):
+            train_fillers[_fixed_slots(ax)].add(_true_value(ax))
     rankings: list[AxiomRanking] = []
     for ax in task.axioms:
         true_val = _true_value(ax)
@@ -134,21 +142,15 @@ def score_and_rank(model: GeometricModel, task: RankingTask) -> RankingReport:
         if len(positions) == 0:
             raise ValueError(f"true candidate of {ax!r} is not in the pool")
         true_idx = int(positions[0])
-        cand_axioms = [_candidate_axiom(ax, int(c)) for c in candidates]
-        scores = batch_losses(model, axiom_tag(ax), "positive", cand_axioms)
+        scores = batch_losses(model, axiom_tag(ax), "positive", _candidate_axioms(ax, values))
+        raw_rank, pool = _rank_from_scores(scores, true_idx, np.ones(len(values), dtype=bool))
 
-        keep_all = np.ones(len(candidates), dtype=bool)
-        raw_rank, pool = _rank_from_scores(scores, true_idx, keep_all)
-
-        keep = keep_all.copy()
-        if task.train_axioms or task.closures:
-            for i, cand_ax in enumerate(cand_axioms):
-                if i == true_idx:
-                    continue
-                if cand_ax in task.train_axioms or any(
-                    dc.entails(cand_ax) for dc in task.closures
-                ):
-                    keep[i] = False
+        # one mask: candidates known from the train set or entailed by a closure
+        blocked = set(train_fillers.get(_fixed_slots(ax), ()))
+        for dc in task.closures:
+            blocked |= dc.entailed_fillers(ax)
+        keep = ~np.isin(candidates, np.fromiter(blocked, dtype=np.int64, count=len(blocked)))
+        keep[true_idx] = True
         if not keep.any():
             raise ValueError("empty candidate pool after filtering")
         filtered_rank, filtered_pool = _rank_from_scores(scores, true_idx, keep)
@@ -167,7 +169,7 @@ def _aggregate(rankings, task: RankingTask, model: GeometricModel) -> dict[str, 
     def micro(values: np.ndarray) -> float:
         by_subject: dict[int, list[float]] = {}
         for r, v in zip(rankings, values):
-            by_subject.setdefault(_subject(r.axiom), []).append(float(v))
+            by_subject.setdefault(r.axiom.sub, []).append(float(v))
         means = [float(np.mean(vs)) for vs in by_subject.values()]
         if task.micro_over_signature:
             return float(np.sum(means) / model.n_concepts)

@@ -15,9 +15,9 @@ Modes:
                    redrawn (up to ``retry_limit``), so no emitted negative is
                    provable;
 * ``biased``    -- with probability ``bias_p`` the replacement is drawn
-                   uniformly from the closure axioms sharing the uncorrupted
-                   slots (an entailed negative on purpose), otherwise as in
-                   ``random``.
+                   uniformly from the closure's ``entailed_fillers`` of the
+                   slot, in ascending id order (an entailed negative on
+                   purpose), otherwise as in ``random``.
 
 Randomness comes from numpy's PCG64, which is seedable and platform-stable;
 ``sample_batch`` derives one child stream per input axiom from
@@ -30,7 +30,6 @@ instead of failing.
 from __future__ import annotations
 
 import dataclasses
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -128,7 +127,7 @@ def corrupt(
         raise SampleExhausted("empty candidate pool")
 
     if cfg.mode == "biased" and rng.random() < cfg.bias_p:
-        entailed = [v for v in _entailed_candidates(ax, slot, dc) if v != current]
+        entailed = [v for v in sorted(dc.entailed_fillers(ax, slot)) if v != current]
         if entailed:
             return _replace_slot(ax, slot, entailed[rng.integers(len(entailed))])
         # nothing entailed to draw: fall through to a random draw
@@ -142,24 +141,6 @@ def corrupt(
             continue
         return result
     raise SampleExhausted(f"no admissible corruption of {ax!r} within {cfg.retry_limit} tries")
-
-
-#: per-closure memo of provable slot replacements, for biased draws
-_ENTAILED_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _entailed_candidates(ax: NormalizedAxiom, slot: str, dc: DeductiveClosure) -> list[int]:
-    per_dc = _ENTAILED_CACHE.setdefault(dc, {})
-    key = (_replace_slot(ax, slot, -1), slot)
-    hit = per_dc.get(key)
-    if hit is None:
-        hit = [
-            v
-            for v in range(dc.theory.n_concepts)
-            if dc.entails(_replace_slot(ax, slot, v))
-        ]
-        per_dc[key] = hit
-    return hit
 
 
 def sample_batch(

@@ -35,6 +35,7 @@ from .closure import DeductiveClosure
 from .core import NormalizedAxiom, Theory, axiom_tag
 from .losses import (
     LOSS_VARIANTS,
+    PARAM_LAYOUT,
     GeometricModel,
     Gradient,
     LossRequest,
@@ -124,8 +125,11 @@ def init_model(
     )
 
 
-def gradient(model: GeometricModel, batch: list[LossRequest]) -> Gradient:
-    """Gradient of ``total_loss`` over the batch; rejects non-finite values."""
+def _checked_loss_and_gradient(
+    model: GeometricModel, batch: list[LossRequest]
+) -> tuple[float, Gradient]:
+    """``total_loss`` over the batch and its gradient; raises TrainingError
+    when the loss or any gradient block is not finite."""
     grad = zero_gradient(model)
     loss = total_loss(model, batch, grad=grad)
     if not math.isfinite(loss):
@@ -133,7 +137,12 @@ def gradient(model: GeometricModel, batch: list[LossRequest]) -> Gradient:
     for name, arr in grad.items():
         if not np.all(np.isfinite(arr)):
             raise TrainingError(f"non-finite gradient in block {name}")
-    return grad
+    return loss, grad
+
+
+def gradient(model: GeometricModel, batch: list[LossRequest]) -> Gradient:
+    """Gradient of ``total_loss`` over the batch; rejects non-finite values."""
+    return _checked_loss_and_gradient(model, batch)[1]
 
 
 class _Adam:
@@ -252,10 +261,7 @@ def train(
                         n_concepts=theory.n_concepts,
                     )
                     requests.extend(LossRequest(ax, "negative") for ax in negatives)
-                grad = zero_gradient(model)
-                loss = total_loss(model, requests, grad=grad)
-                if not math.isfinite(loss):
-                    raise TrainingError(f"non-finite loss at epoch {epoch}")
+                loss, grad = _checked_loss_and_gradient(model, requests)
                 adam.step(model.params, grad, lr)
                 _clamp(model)
                 epoch_loss += loss
@@ -330,18 +336,34 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[GeometricModel, dict]:
+    """Read a checkpoint; raises ValueError for a bad magic, truncated data,
+    trailing bytes, or blocks that disagree with ``param_shapes``."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CHECKPOINT_MAGIC:
-            raise ValueError(f"not a model checkpoint: {path}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        params = {}
-        for block in header["blocks"]:
-            shape = tuple(block["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
-            params[block["name"]] = data.astype(np.float64).copy()
+        blob = fh.read()
+    if blob[:4] != _CHECKPOINT_MAGIC:
+        raise ValueError(f"not a model checkpoint: {path}")
+    hlen = struct.unpack_from("<I", blob, 4)[0] if len(blob) >= 8 else None
+    if hlen is None or len(blob) < 8 + hlen:
+        raise ValueError(f"{path}: checkpoint truncated inside its header")
+    offset = 8 + hlen
+    header = json.loads(blob[8:offset].decode("utf-8"))
+    if header["model"] not in PARAM_LAYOUT:
+        raise ValueError(f"{path}: unknown model tag {header['model']!r}")
+    sizes = {key: header[key] for key in ("n_concepts", "n_roles", "dim")}
+    expected = param_shapes(header["model"], **sizes)
+    found = {block["name"]: tuple(block["shape"]) for block in header["blocks"]}
+    if found != expected:
+        raise ValueError(f"{path}: parameter blocks {found} disagree with {expected} for {sizes}")
+    params = {}
+    for name, shape in found.items():
+        count = int(np.prod(shape))
+        if len(blob) < offset + 8 * count:
+            raise ValueError(f"{path}: checkpoint truncated inside block {name}")
+        data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        params[name] = data.reshape(shape).astype(np.float64)
+        offset += 8 * count
+    if offset != len(blob):
+        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after the last block")
     model = GeometricModel(
         tag=header["model"],
         dim=header["dim"],

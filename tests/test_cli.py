@@ -1,6 +1,7 @@
 """Command-line surface, end to end on small fixtures."""
 
 import json
+import struct
 
 import pytest
 
@@ -105,6 +106,21 @@ def test_closure_query(golden_file, capsys):
     assert capsys.readouterr().out.strip() == "true"
     assert main(["closure", str(golden_file), "--query", "GCI2 {P} has_function {GO2}"]) == 0
     assert capsys.readouterr().out.strip() == "false"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "GCI0 {P} Unknown",  # name outside the signature
+        "GCI2 {P} no_such_role {GO1}",  # role outside the signature
+        "GCI9 {P} B",  # unknown tag
+        "GCI0 {P}",  # wrong arity
+        "GCI0 {P} B A",  # wrong arity
+    ],
+)
+def test_closure_query_rejects_bad_lines(golden_file, capsys, line):
+    assert main(["closure", str(golden_file), "--query", line]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_closure_cap_exit_code(golden_file, capsys):
@@ -226,3 +242,29 @@ def test_toy_demo_outputs(tmp_path, capsys):
     assert len(csv_lines) == 1 + 16  # header + one row per concept
     assertions = json.loads((out_dir / "all-filtered" / "assertions.json").read_text())
     assert all(a["passed"] for a in assertions)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "trailing", "shape"])
+def test_eval_damaged_checkpoint_exits_1(tmp_path, golden_file, capsys, damage):
+    cfg_path, _ = _write_train_config(tmp_path, golden_file, epochs=1)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    ckpt = tmp_path / "model.ckpt"
+    blob = ckpt.read_bytes()
+    if damage == "truncated":
+        blob = blob[:-8]
+    elif damage == "trailing":
+        blob = blob + b"\0"
+    else:
+        (hlen,) = struct.unpack_from("<I", blob, 4)
+        header = json.loads(blob[8 : 8 + hlen])
+        header["dim"] += 1
+        new = json.dumps(header).encode("utf-8")
+        blob = blob[:4] + struct.pack("<I", len(new)) + new + blob[8 + hlen :]
+    ckpt.write_bytes(blob)
+    eval_cfg = tmp_path / "eval.cfg"
+    eval_cfg.write_text(
+        f"checkpoint={ckpt}\ntrain_file={golden_file}\ntest_file={golden_file}\n",
+        encoding="utf-8",
+    )
+    assert main(["eval", "--config", str(eval_cfg)]) == 1
+    assert "error:" in capsys.readouterr().err

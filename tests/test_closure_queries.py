@@ -1,0 +1,177 @@
+"""Randomized equivalence of the closure query path against its references:
+point queries against the naive closure oracle, slot-set queries against
+point queries, and mask-filtered ranking against a per-candidate filter."""
+
+import dataclasses
+import itertools
+import sys
+import threading
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from elkbc.closure import compute_closure
+from elkbc.core import (
+    BOT_ID,
+    GCI0,
+    GCI0Bot,
+    GCI1,
+    GCI1Bot,
+    GCI2,
+    GCI3,
+    GCI3Bot,
+    axiom_tag,
+    parse_theory,
+)
+from elkbc.evaluation import RankingTask, score_and_rank
+from elkbc.losses import batch_losses
+from elkbc.reasoner import classify
+from elkbc.sampling import SLOT_POLICIES
+from elkbc.training import init_model
+from oracles import naive_closure, naive_rank, random_theory
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _theory(seed, **kw):
+    theory = random_theory(np.random.default_rng(seed), **kw)
+    index, hierarchy, _ = classify(theory)
+    return theory, index, hierarchy
+
+
+def _every_axiom(n_c, n_r):
+    """Every GCI axiom over the signature, one per slot assignment."""
+    concepts, roles = range(n_c), range(n_r)
+    for a in concepts:
+        yield GCI0Bot(a)
+        for b in concepts:
+            yield GCI0(a, b)
+            yield GCI1Bot(a, b)
+            for e in concepts:
+                yield GCI1(a, b, e)
+        for r in roles:
+            yield GCI3Bot(r, a)
+            for b in concepts:
+                yield GCI2(a, r, b)
+                yield GCI3(r, a, b)
+
+
+def _in_naive(ref, ax) -> bool:
+    pair = lambda a, b: (min(a, b), max(a, b))  # noqa: E731
+    if isinstance(ax, GCI0):
+        # an unsatisfiable subclass is below everything
+        return (ax.sub, ax.sup) in ref["GCI0"] or ax.sub in ref["GCI0_BOT"]
+    if isinstance(ax, GCI0Bot):
+        return ax.sub in ref["GCI0_BOT"]
+    if isinstance(ax, GCI1):
+        if ax.sup == BOT_ID:
+            return pair(ax.left, ax.right) in ref["GCI1_BOT"]
+        return ax.sup in ref["GCI1"].get(pair(ax.left, ax.right), ())
+    if isinstance(ax, GCI1Bot):
+        return pair(ax.left, ax.right) in ref["GCI1_BOT"]
+    if isinstance(ax, GCI2):
+        return ax.filler in ref["GCI2"].get((ax.sub, ax.role), ())
+    if isinstance(ax, GCI3):
+        if ax.sup == BOT_ID:
+            return (ax.role, ax.filler) in ref["GCI3_BOT"]
+        return ax.sup in ref["GCI3"].get((ax.role, ax.filler), ())
+    return (ax.role, ax.filler) in ref["GCI3_BOT"]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(SEEDS)
+def test_entails_matches_naive_closure_in_both_modes(seed):
+    theory, index, hierarchy = _theory(seed, max_concepts=6, max_roles=2, max_axioms=12)
+    ref = naive_closure(theory)
+    for mode in ("materialized", "oracle"):
+        dc = compute_closure(theory, index, hierarchy, mode=mode)
+        for ax in _every_axiom(theory.n_concepts, theory.n_roles):
+            assert dc.entails(ax) == _in_naive(ref, ax), (mode, theory.axioms, ax)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(SEEDS, st.sampled_from(["materialized", "oracle"]))
+def test_entailed_fillers_equal_point_queries(seed, mode):
+    theory, index, hierarchy = _theory(seed, max_concepts=6, max_roles=2, max_axioms=12)
+    dc = compute_closure(theory, index, hierarchy, mode=mode)
+    values = range(theory.n_concepts)
+    for ax in _every_axiom(theory.n_concepts, theory.n_roles):
+        for slot in SLOT_POLICIES[axiom_tag(ax)][1]:
+            expected = {
+                v for v in values if dc.entails(dataclasses.replace(ax, **{slot: v}))
+            }
+            assert dc.entailed_fillers(ax, slot) == expected, (theory.axioms, ax, slot)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(SEEDS, st.sampled_from(["elem", "elbe", "box2el"]), st.booleans())
+def test_filtered_ranks_equal_per_candidate_reference(seed, tag, with_train):
+    theory, index, hierarchy = _theory(seed, max_concepts=8, max_roles=2, max_axioms=15)
+    dc = compute_closure(theory, index, hierarchy, mode="oracle")
+    rng = np.random.default_rng(seed)
+    n_c, n_r = theory.n_concepts, theory.n_roles
+    model = init_model(tag, n_c, n_r, 3, seed=seed % 1000)
+    for name in model.params:  # coarse parameters force score ties
+        model.params[name] = np.round(model.params[name], 1)
+    candidates = sorted(set(rng.integers(0, n_c, size=n_c).tolist()))
+    axioms = []
+    for a, c in itertools.product(range(n_c), candidates):
+        if rng.random() < 0.2:
+            axioms.append(GCI0(a, c) if rng.random() < 0.5 else GCI2(a, int(rng.integers(n_r)), c))
+    axioms = axioms or [GCI0(0, candidates[0])]
+    train_axioms = frozenset(theory.axioms) if with_train else frozenset()
+    task = RankingTask(axioms, candidates, train_axioms, (dc,))
+    report = score_and_rank(model, task)
+
+    for ax, ranking in zip(axioms, report.rankings):
+        slot = "sup" if isinstance(ax, GCI0) else "filler"
+        cands = [dataclasses.replace(ax, **{slot: c}) for c in candidates]
+        scores = list(batch_losses(model, axiom_tag(ax), "positive", cands))
+        true_idx = candidates.index(getattr(ax, slot))
+        keep = [
+            i == true_idx or not (c in train_axioms or dc.entails(c))
+            for i, c in enumerate(cands)
+        ]
+        assert (ranking.raw_rank, ranking.pool_size) == naive_rank(
+            scores, true_idx, [True] * len(cands)
+        )
+        assert (ranking.filtered_rank, ranking.filtered_pool_size) == naive_rank(
+            scores, true_idx, keep
+        )
+
+
+def test_concurrent_queries_match_single_thread_answers():
+    """Threads racing to build the same rows and indexes answer exactly as
+    one thread does: a row is visible only once it is complete."""
+    theory = parse_theory(
+        "GCI2 a r b\nGCI2 b r e\nGCI2 e s f\nRI1 r s t\nRI1 r r r\nGCI1 a b e\n"
+        "GCI3 r f a\nGCI1_BOT e f\nGCI3_BOT s b\nGCI0 f a\n#concept g\n"
+    )
+    index, hierarchy, _ = classify(theory)
+    axioms = list(_every_axiom(theory.n_concepts, theory.n_roles))
+    reference = compute_closure(theory, index, hierarchy, mode="oracle")
+    expected = [(reference.entails(ax), reference.entailed_fillers(ax)) for ax in axioms]
+    shared = compute_closure(theory, index, hierarchy, mode="oracle")
+    results = {}
+
+    def worker(i):
+        order = range(len(axioms)) if i % 2 else range(len(axioms) - 1, -1, -1)
+        answers = {
+            j: (shared.entails(axioms[j]), shared.entailed_fillers(axioms[j])) for j in order
+        }
+        results[i] = [answers[j] for j in range(len(axioms))]
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == len(threads)
+    assert all(answers == expected for answers in results.values())

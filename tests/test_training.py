@@ -1,6 +1,8 @@
 """Trainer: gradient correctness, determinism, scheduler, checkpoints."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from elkbc.core import (
     parse_theory,
 )
 from elkbc.losses import LOSS_VARIANTS, LossRequest, total_loss, zero_gradient
+from elkbc import training
 from elkbc.sampling import SamplerConfig
 from elkbc.training import (
     TrainConfig,
@@ -212,6 +215,35 @@ class TestTrainLoop:
             gradient(m, [LossRequest(GCI0(0, 1), "positive")])
 
 
+    def test_nan_gradient_with_finite_loss_stops_training(self, monkeypatch):
+        real_total_loss = training.total_loss
+
+        def poisoned(model, requests, grad=None):
+            loss = real_total_loss(model, requests, grad=grad)
+            if grad is not None:
+                grad["class_center"][0, 0] = np.nan
+            return loss
+
+        monkeypatch.setattr(training, "total_loss", poisoned)
+        with pytest.raises(TrainingError, match="gradient"):
+            train(parse_theory(TOY), _cfg(epochs=1))
+
+
+def _saved_checkpoint(tmp_path):
+    model, _ = train(parse_theory(TOY), _cfg(epochs=1))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    return path
+
+
+def _with_header(blob: bytes, **changes) -> bytes:
+    (hlen,) = struct.unpack_from("<I", blob, 4)
+    header = json.loads(blob[8 : 8 + hlen])
+    header.update(changes)
+    new = json.dumps(header).encode("utf-8")
+    return blob[:4] + struct.pack("<I", len(new)) + new + blob[8 + hlen :]
+
+
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
         theory = parse_theory(TOY)
@@ -234,4 +266,30 @@ class TestCheckpoints:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"nope")
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_truncated_data_rejected(self, tmp_path):
+        path = _saved_checkpoint(tmp_path)
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = _saved_checkpoint(tmp_path)
+        path.write_bytes(path.read_bytes()[:30])
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = _saved_checkpoint(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(ValueError, match="trailing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["n_concepts", "dim", "n_roles"])
+    def test_blocks_must_match_header_sizes(self, tmp_path, field):
+        path = _saved_checkpoint(tmp_path)
+        header_value = load_checkpoint(path)[1][field]
+        path.write_bytes(_with_header(path.read_bytes(), **{field: header_value + 1}))
+        with pytest.raises(ValueError, match="disagree"):
             load_checkpoint(path)
