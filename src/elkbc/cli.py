@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Commands: ``normalize``, ``classify``, ``closure``, ``train``, ``eval``,
-``sample-check``, ``toy-demo``.  Global flags: ``--seed`` (overrides config
-seeds) and ``--config``.  The ``ELKBC_CACHE_DIR`` environment
-variable supplies the default output directory for commands that write one.
+``sample-check``, ``toy-demo``.  Global flag: ``--seed`` (overrides config
+seeds); ``train`` and ``eval`` take ``--config`` after the command name.  The
+``ELKBC_CACHE_DIR`` environment variable supplies the default output directory
+for commands that write one.
 
 Config files are flat ``key=value`` text (``#`` comments) or a JSON object
 with the same keys; unknown keys are rejected and referenced input paths must
@@ -20,8 +21,6 @@ import json
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .closure import ClosureCapError, compute_closure
 from .core import (
@@ -238,7 +237,6 @@ def _sampler_from_cfg(cfg: dict) -> SamplerConfig:
         mode=cfg.get("negative_mode", "random"),
         bias_p=cfg.get("bias_p", 0.0),
         retry_limit=cfg.get("retry_limit", 100),
-        seed=cfg.get("seed", 0),
     )
 
 
@@ -423,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         "embedding training and knowledge-base-completion evaluation.",
     )
     parser.add_argument("--seed", type=int, default=None, help="override configured seeds")
-    parser.add_argument("--config", default=None, help="config file for train/eval")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("normalize", help="rewrite .elpp axioms into normal forms")

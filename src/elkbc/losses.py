@@ -1,12 +1,11 @@
-"""Positive and negative loss evaluators for the three geometric model
-families, over every normal form that carries a loss (role inclusions carry
-none).
+"""Positive and negative losses of the three geometric model families, over
+every normal form that carries a loss (role inclusions carry none).
 
 Families:
 
 * ``elem``    -- concepts are open n-balls (center, radius), roles are
-                 translation vectors; every loss adds ``| ||center|| - 1 |``
-                 unit-sphere regularizers for the class centers it touches.
+                 translation vectors; losses add ``| ||center|| - 1 |``
+                 unit-sphere regularizers for the class centers they touch.
 * ``elbe``    -- concepts are axis-aligned boxes (center, offset), roles are
                  translation vectors; conjunction losses go through the box
                  intersection (signed offsets signal emptiness).
@@ -16,6 +15,26 @@ Families:
                  negative losses; ``reg_lambda`` weights the mean bump norm
                  added by ``total_loss``.
 
+Each family is a table from (variant, polarity) to a sum of terms, and each
+term is one of a few geometric primitives:
+
+* ball hinge   ``max(0, s*||dc|| + r + g*margin)``;
+* box hinge    ``||max(0, s*|dc| + o + g*margin)||``: containment for
+               ``s = 1, o = o_in - o_out``, disjointness for
+               ``s = -1, o = o_a + o_b``; as a target it becomes
+               ``(delta - mu)^2`` (the box2el existential negatives);
+* extent       a radius ``r`` or an offset norm ``||o||``, and its floor
+               ``max(0, epsilon - extent)``; an intersection's extent is
+               ``||max(0, o)||``;
+* regularizer  ``| ||c|| - 1 |`` for a ball center.
+
+A primitive's sides (``dc``, ``r``, ``o``, ``c``) are signed sums of parameter
+rows, written over the slot columns of the variant: concept slots in ``.nf``
+order, then the role.  ``"c0 + v - c1"`` is the center of concept column 0
+plus the role vector minus the center of concept column 1; ``ic`` and ``io``
+are the center and offset of the signed intersection of the boxes in concept
+columns 0 and 1.
+
 Positive losses are hinge containment conditions: with margin 0 a zero loss
 certifies the axiom's geometric truth condition (ball/box containment, with
 role translation for existentials).  Negative losses penalize the same
@@ -23,30 +42,24 @@ condition's satisfaction: separation hinges for balls/boxes, minimum
 radius/offset floors (``epsilon``) for the Bot forms, and squared
 ``(delta - mu)`` targets for the box2el existential forms.
 
-One batch-equals-scalar code path evaluates each formula and (optionally)
-accumulates its hand-derived gradient; at hinge kinks the inactive branch
-(derivative zero) is chosen.  Evaluation is pure given (model, request);
-parameter mutation happens only in the trainer.
+A batch and a single axiom take the same code path.  Only when a gradient
+is requested does a primitive compute its derivative with respect to its
+sides, and ``_Batch.push`` scatters that onto the parameter rows the sides
+sum; at hinge kinks the inactive branch (derivative zero) is taken, and
+intersection ties take the first box's branch.  Evaluation is pure given
+(model, request); parameter mutation happens only in the trainer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+import re
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import (
-    GCI0,
-    GCI0Bot,
-    GCI1,
-    GCI1Bot,
-    GCI2,
-    GCI3,
-    GCI3Bot,
-    NormalizedAxiom,
-    axiom_tag,
-)
+from .core import AXIOM_TAGS, _SLOT_KINDS, NormalizedAxiom, axiom_tag
 
 MODEL_TAGS = ("elem", "elbe", "box2el")
 
@@ -142,7 +155,7 @@ def param_shapes(tag: str, n_concepts: int, n_roles: int, dim: int) -> dict[str,
 
 
 # ---------------------------------------------------------------------------
-# vectorized pieces
+# slot columns, sides and the gradient scatter
 # ---------------------------------------------------------------------------
 
 
@@ -157,606 +170,281 @@ def _unit(v: np.ndarray, nrm: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Acc:
-    """Scatter-add gradient accumulator; ``weight`` scales every contribution."""
-
-    def __init__(self, model: GeometricModel, grad: Gradient | None, weight: float):
-        self.params = model.params
-        self.grad = grad
-        self.weight = weight
-
-    def __bool__(self) -> bool:
-        return self.grad is not None
-
-    def add(self, name: str, idx: np.ndarray, values: np.ndarray) -> None:
-        if self.grad is not None:
-            np.add.at(self.grad[name], idx, self.weight * values)
+def _column_getters(tag: str) -> list[attrgetter]:
+    slots = list(zip((f.name for f in fields(AXIOM_TAGS[tag])), _SLOT_KINDS[tag]))
+    return [attrgetter(name) for kind in "cr" for name, k in slots if k == kind]
 
 
-def _reg(acc: _Acc, centers: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Unit-sphere regularizer | ||c|| - 1 | with its gradient."""
-    nrm = _norm(centers)
-    if acc:
-        g = np.sign(nrm - 1.0)[:, None] * _unit(centers, nrm)
-        acc.add("class_center", idx, g)
-    return np.abs(nrm - 1.0)
+#: variant -> slot column getters: concept slots in ``.nf`` order, then the role
+_COLUMNS = {tag: _column_getters(tag) for tag in LOSS_VARIANTS}
+
+_BLOCKS = {
+    "c": "class_center",
+    "r": "class_radius",
+    "o": "class_offset",
+    "b": "class_bump",
+    "v": "role_vector",
+    "hc": "role_head_center",
+    "ho": "role_head_offset",
+    "tc": "role_tail_center",
+    "to": "role_tail_offset",
+    "ic": "ic",
+    "io": "io",
+}
+
+#: (parameter block, column, sign) terms; column -1 is the role column
+Side = tuple[tuple[str, int, float], ...]
 
 
-def _hinge_norm_diff(
-    acc: _Acc,
-    diff: np.ndarray,
-    radius_term: np.ndarray,
-    diff_sign: float,
-    grads: list[tuple[str, np.ndarray, float, str]],
-) -> np.ndarray:
-    """h = max(0, diff_sign * ||diff|| + radius_term); scatter per-entry grads.
+def _side(expr: str) -> Side:
+    """Parse ``"c0 + v - c1"``: a block letter, then a concept column digit
+    (none for role blocks and the intersection ``ic``/``io``)."""
+    return tuple(
+        (_BLOCKS[name], int(col) if col else -1, -1.0 if sign == "-" else 1.0)
+        for sign, name, col in re.findall(r"([+-]?)\s*([a-z]+)(\d?)", expr)
+    )
 
-    ``grads`` rows are (param block, index array, coefficient, kind) where
-    kind "vec" receives coeff * d||diff|| and kind "scal" receives coeff
-    directly (radius-style slots).
-    """
-    nrm = _norm(diff)
-    arg = diff_sign * nrm + radius_term
-    act = arg > 0
-    if acc and act.any():
-        u = _unit(diff, nrm) * diff_sign
-        for name, idx, coeff, kind in grads:
-            if kind == "vec":
-                acc.add(name, idx[act], coeff * u[act])
+
+class _Batch:
+    """The slot columns of one (variant, polarity) group.  Gathers the
+    parameter rows of each (block, column) once and, when ``grad`` is given,
+    scatters derivatives with respect to a side onto the rows that side sums."""
+
+    def __init__(self, model: GeometricModel, cols, grad: Gradient | None, weight: float):
+        self.model, self.cols, self.grad, self.weight = model, cols, grad, weight
+        self._gathered: dict[tuple[str, int], np.ndarray] = {}
+        # derivatives with respect to the intersection, and their axiom mask
+        self._pending: dict[str, np.ndarray] = {}
+        self._pending_active: np.ndarray | None = None
+
+    def gather(self, block: str, col: int) -> np.ndarray:
+        if (block, col) not in self._gathered:
+            if block in ("ic", "io"):
+                self._intersect()
             else:
-                acc.add(name, idx[act], np.full(act.sum(), coeff))
-    return np.maximum(0.0, arg)
+                self._gathered[block, col] = self.model.params[block][self.cols[col]]
+        return self._gathered[block, col]
 
+    def _intersect(self) -> None:
+        ca, oa = self.gather("class_center", 0), self.gather("class_offset", 0)
+        cb, ob = self.gather("class_center", 1), self.gather("class_offset", 1)
+        lower_a, lower_b = ca - oa, cb - ob
+        upper_a, upper_b = ca + oa, cb + ob
+        self._a_lower = lower_a >= lower_b  # ties take the first box's branch
+        self._a_upper = upper_a <= upper_b
+        lower = np.where(self._a_lower, lower_a, lower_b)
+        upper = np.where(self._a_upper, upper_a, upper_b)
+        self._gathered["ic", -1] = (lower + upper) / 2.0
+        self._gathered["io", -1] = (upper - lower) / 2.0
 
-def _norm_of_relu(
-    acc: _Acc,
-    t: np.ndarray,
-    sign_parts: list[tuple[str, np.ndarray, np.ndarray | float]],
-    outer_coeff: np.ndarray | float = 1.0,
-) -> np.ndarray:
-    """v = ||max(0, t)|| with chain rule into each listed parameter block.
+    def value(self, side: Side, start: np.ndarray | None = None) -> np.ndarray:
+        """The side's signed row sum, added left to right onto ``start``."""
+        out = start
+        for block, col, sign in side:
+            x = self.gather(block, col)
+            if out is None:
+                out = x if sign > 0 else -x
+            else:
+                out = out + x if sign > 0 else out - x
+        return out
 
-    ``sign_parts`` rows are (param block, index array, per-axis jacobian sign
-    array broadcastable to t's shape).  ``outer_coeff`` scales dL/dv (used for
-    squared-target losses).
-    """
-    m = np.maximum(0.0, t)
-    val = _norm(m)
-    if acc:
-        dvdt = _unit(m, val) * (t > 0)
-        if np.ndim(outer_coeff):
-            dvdt = dvdt * np.asarray(outer_coeff)[:, None]
-        else:
-            dvdt = dvdt * outer_coeff
-        for name, idx, jac in sign_parts:
-            acc.add(name, idx, dvdt * jac)
-    return val
+    def push(self, side: Side, d: np.ndarray, active: np.ndarray | None = None) -> None:
+        """Scatter ``d``, the derivative with respect to the side of the axioms
+        the mask ``active`` selects (all when None), onto the parameter rows
+        the side sums.  One term of a table row reads the intersection; its
+        derivatives wait for ``flush``."""
+        for block, col, sign in side:
+            if block in ("ic", "io"):
+                self._pending[block] = sign * d
+                self._pending_active = active
+            else:
+                idx = self.cols[col] if active is None else self.cols[col][active]
+                np.add.at(self.grad[block], idx, self.weight * (sign * d))
 
-
-def _intersection(ca, oa, cb, ob):
-    """Signed box intersection with branch masks for the gradient."""
-    lower_a, lower_b = ca - oa, cb - ob
-    upper_a, upper_b = ca + oa, cb + ob
-    a_wins_lower = lower_a >= lower_b  # ties take the first box's branch
-    a_wins_upper = upper_a <= upper_b
-    lower = np.where(a_wins_lower, lower_a, lower_b)
-    upper = np.where(a_wins_upper, upper_a, upper_b)
-    center = (lower + upper) / 2.0
-    offset = (upper - lower) / 2.0
-    return center, offset, a_wins_lower, a_wins_upper
-
-
-class _InterGrad:
-    """Backprop through the signed intersection onto the two parent boxes."""
-
-    def __init__(self, a_wins_lower, a_wins_upper):
-        self.al = a_wins_lower.astype(np.float64)
-        self.au = a_wins_upper.astype(np.float64)
-
-    def to_parents(self, d_center, d_offset):
-        # lower = c - o, upper = c + o per winning parent
+    def flush(self) -> None:
+        """Route the intersection's derivatives onto the two boxes it meets:
+        its lower corner is the winning box's ``c - o``, its upper ``c + o``."""
+        if not self._pending:
+            return
+        active = self._pending_active
+        d_offset = self._pending["io"]
+        d_center = self._pending.get("ic", np.zeros_like(d_offset))
         d_lower = d_center / 2.0 - d_offset / 2.0
         d_upper = d_center / 2.0 + d_offset / 2.0
-        d_ca = d_lower * self.al + d_upper * self.au
-        d_oa = -d_lower * self.al + d_upper * self.au
-        d_cb = d_lower * (1 - self.al) + d_upper * (1 - self.au)
-        d_ob = -d_lower * (1 - self.al) + d_upper * (1 - self.au)
-        return d_ca, d_oa, d_cb, d_ob
+        al = self._a_lower.astype(np.float64)
+        au = self._a_upper.astype(np.float64)
+        if active is not None:
+            al, au = al[active], au[active]
+        self.push(_side("c0"), d_lower * al + d_upper * au, active)
+        self.push(_side("o0"), -d_lower * al + d_upper * au, active)
+        self.push(_side("c1"), d_lower * (1 - al) + d_upper * (1 - au), active)
+        self.push(_side("o1"), -d_lower * (1 - al) + d_upper * (1 - au), active)
 
 
 # ---------------------------------------------------------------------------
-# per-family evaluation
+# geometric primitives
 # ---------------------------------------------------------------------------
 
-
-def _slots(tag: str, axioms: list[NormalizedAxiom]):
-    """Slot id arrays per variant: concept arrays first, role array where used."""
-    if tag == "GCI0":
-        return (
-            np.fromiter((a.sub for a in axioms), dtype=np.int64),
-            np.fromiter((a.sup for a in axioms), dtype=np.int64),
-            None,
-        )
-    if tag == "GCI1":
-        return (
-            np.fromiter((a.left for a in axioms), dtype=np.int64),
-            np.fromiter((a.right for a in axioms), dtype=np.int64),
-            np.fromiter((a.sup for a in axioms), dtype=np.int64),
-            None,
-        )
-    if tag == "GCI2":
-        return (
-            np.fromiter((a.sub for a in axioms), dtype=np.int64),
-            np.fromiter((a.filler for a in axioms), dtype=np.int64),
-            np.fromiter((a.role for a in axioms), dtype=np.int64),
-        )
-    if tag == "GCI3":
-        return (
-            np.fromiter((a.filler for a in axioms), dtype=np.int64),
-            np.fromiter((a.sup for a in axioms), dtype=np.int64),
-            np.fromiter((a.role for a in axioms), dtype=np.int64),
-        )
-    if tag == "GCI0_BOT":
-        return (np.fromiter((a.sub for a in axioms), dtype=np.int64), None)
-    if tag == "GCI1_BOT":
-        return (
-            np.fromiter((a.left for a in axioms), dtype=np.int64),
-            np.fromiter((a.right for a in axioms), dtype=np.int64),
-            None,
-        )
-    if tag == "GCI3_BOT":
-        return (
-            np.fromiter((a.filler for a in axioms), dtype=np.int64),
-            np.fromiter((a.role for a in axioms), dtype=np.int64),
-        )
-    raise ValueError(f"no loss for variant {tag}")
+Term = Callable[[_Batch], np.ndarray]
 
 
-def _eval_elem(m, tag, polarity, slots, acc: _Acc) -> np.ndarray:
-    P = m.params
-    gamma, eps = m.margin, m.epsilon
-    c, r, v = P["class_center"], P["class_radius"], P["role_vector"]
-    pos = polarity == "positive"
+def _ball(s: float, dc: str, r: str, g: float) -> Term:
+    """Ball hinge ``max(0, s*||dc|| + r + g*margin)``."""
+    dc_side, r_side = _side(dc), _side(r)
 
-    if tag == "GCI0":
-        A, B, _ = slots
-        diff = c[A] - c[B]
-        if pos:
-            # ||cA - cB|| + rA - rB <= gamma
-            loss = _hinge_norm_diff(
-                acc,
-                diff,
-                r[A] - r[B] - gamma,
-                1.0,
-                [
-                    ("class_center", A, 1.0, "vec"),
-                    ("class_center", B, -1.0, "vec"),
-                    ("class_radius", A, 1.0, "scal"),
-                    ("class_radius", B, -1.0, "scal"),
-                ],
-            )
-        else:
-            # separation: rA + rB - ||cA - cB|| <= -gamma
-            loss = _hinge_norm_diff(
-                acc,
-                diff,
-                r[A] + r[B] + gamma,
-                -1.0,
-                [
-                    ("class_center", A, 1.0, "vec"),
-                    ("class_center", B, -1.0, "vec"),
-                    ("class_radius", A, 1.0, "scal"),
-                    ("class_radius", B, 1.0, "scal"),
-                ],
-            )
-        return loss + _reg(acc, c[A], A) + _reg(acc, c[B], B)
-
-    if tag == "GCI1":
-        A, B, E, _ = slots
-        dab = c[A] - c[B]
-        dae = c[A] - c[E]
-        dbe = c[B] - c[E]
-        if pos:
-            loss = _hinge_norm_diff(
-                acc, dab, -r[A] - r[B] - gamma, 1.0,
-                [("class_center", A, 1.0, "vec"), ("class_center", B, -1.0, "vec"),
-                 ("class_radius", A, -1.0, "scal"), ("class_radius", B, -1.0, "scal")],
-            )
-            loss = loss + _hinge_norm_diff(
-                acc, dae, -r[A] - gamma, 1.0,
-                [("class_center", A, 1.0, "vec"), ("class_center", E, -1.0, "vec"),
-                 ("class_radius", A, -1.0, "scal")],
-            )
-            loss = loss + _hinge_norm_diff(
-                acc, dbe, -r[B] - gamma, 1.0,
-                [("class_center", B, 1.0, "vec"), ("class_center", E, -1.0, "vec"),
-                 ("class_radius", B, -1.0, "scal")],
-            )
-        else:
-            # overlap demanded between A and B, with E's center pushed out
-            loss = _hinge_norm_diff(
-                acc, dab, -r[A] - r[B] - gamma, 1.0,
-                [("class_center", A, 1.0, "vec"), ("class_center", B, -1.0, "vec"),
-                 ("class_radius", A, -1.0, "scal"), ("class_radius", B, -1.0, "scal")],
-            )
-            loss = loss + _hinge_norm_diff(
-                acc, dae, r[A] + gamma, -1.0,
-                [("class_center", A, 1.0, "vec"), ("class_center", E, -1.0, "vec"),
-                 ("class_radius", A, 1.0, "scal")],
-            )
-            loss = loss + _hinge_norm_diff(
-                acc, dbe, r[B] + gamma, -1.0,
-                [("class_center", B, 1.0, "vec"), ("class_center", E, -1.0, "vec"),
-                 ("class_radius", B, 1.0, "scal")],
-            )
-        return loss + _reg(acc, c[A], A) + _reg(acc, c[B], B) + _reg(acc, c[E], E)
-
-    if tag == "GCI2":
-        A, B, R = slots
-        diff = c[A] + v[R] - c[B]
-        if pos:
-            loss = _hinge_norm_diff(
-                acc, diff, r[A] - r[B] - gamma, 1.0,
-                [("class_center", A, 1.0, "vec"), ("class_center", B, -1.0, "vec"),
-                 ("role_vector", R, 1.0, "vec"),
-                 ("class_radius", A, 1.0, "scal"), ("class_radius", B, -1.0, "scal")],
-            )
-        else:
-            loss = _hinge_norm_diff(
-                acc, diff, r[A] + r[B] + gamma, -1.0,
-                [("class_center", A, 1.0, "vec"), ("class_center", B, -1.0, "vec"),
-                 ("role_vector", R, 1.0, "vec"),
-                 ("class_radius", A, 1.0, "scal"), ("class_radius", B, 1.0, "scal")],
-            )
-        return loss + _reg(acc, c[A], A) + _reg(acc, c[B], B)
-
-    if tag == "GCI3":
-        A, B, R = slots  # filler, sup
-        diff = c[A] - v[R] - c[B]
-        if pos:
-            loss = _hinge_norm_diff(
-                acc, diff, -r[A] - r[B] - gamma, 1.0,
-                [("class_center", A, 1.0, "vec"), ("class_center", B, -1.0, "vec"),
-                 ("role_vector", R, -1.0, "vec"),
-                 ("class_radius", A, -1.0, "scal"), ("class_radius", B, -1.0, "scal")],
-            )
-        else:
-            loss = _hinge_norm_diff(
-                acc, diff, r[A] + r[B] + gamma, -1.0,
-                [("class_center", A, 1.0, "vec"), ("class_center", B, -1.0, "vec"),
-                 ("role_vector", R, -1.0, "vec"),
-                 ("class_radius", A, 1.0, "scal"), ("class_radius", B, 1.0, "scal")],
-            )
-        return loss + _reg(acc, c[A], A) + _reg(acc, c[B], B)
-
-    if tag in ("GCI0_BOT", "GCI3_BOT"):
-        A = slots[0]
-        if pos:
-            # unsatisfiable: radius to zero
-            if acc:
-                acc.add("class_radius", A, np.ones(len(A)))
-            return r[A] + _reg(acc, c[A], A)
-        # satisfiable: radius at least epsilon (no regularizer, as printed)
-        arg = eps - r[A]
+    def term(b: _Batch) -> np.ndarray:
+        diff = b.value(dc_side)
+        nrm = _norm(diff)
+        arg = s * nrm + (b.value(r_side) + g * b.model.margin)
         act = arg > 0
-        if acc and act.any():
-            acc.add("class_radius", A[act], np.full(act.sum(), -1.0))
+        if b.grad is not None and act.any():
+            b.push(dc_side, _unit(diff[act], nrm[act]) * s, act)
+            b.push(r_side, np.ones(act.sum()), act)
         return np.maximum(0.0, arg)
 
-    if tag == "GCI1_BOT":
-        A, B, _ = slots
-        diff = c[A] - c[B]
-        if pos:
-            loss = _hinge_norm_diff(
-                acc, diff, r[A] + r[B] + gamma, -1.0,
-                [("class_center", A, 1.0, "vec"), ("class_center", B, -1.0, "vec"),
-                 ("class_radius", A, 1.0, "scal"), ("class_radius", B, 1.0, "scal")],
-            )
-        else:
-            loss = _hinge_norm_diff(
-                acc, diff, -r[A] - r[B] - gamma, 1.0,
-                [("class_center", A, 1.0, "vec"), ("class_center", B, -1.0, "vec"),
-                 ("class_radius", A, -1.0, "scal"), ("class_radius", B, -1.0, "scal")],
-            )
-        return loss + _reg(acc, c[A], A) + _reg(acc, c[B], B)
-
-    raise ValueError(f"no loss for variant {tag}")
+    return term
 
 
-def _eval_elbe(m, tag, polarity, slots, acc: _Acc) -> np.ndarray:
-    P = m.params
-    gamma, eps = m.margin, m.epsilon
-    c, o, v = P["class_center"], P["class_offset"], P["role_vector"]
-    pos = polarity == "positive"
+def _box(s: float, dc: str, o: str, g: float, target: bool = False) -> Term:
+    """Box hinge ``mu = ||max(0, s*|dc| + o + g*margin)||`` (no ``dc`` for
+    ``s = 0``), or with ``target`` the squared target ``(delta - mu)^2``."""
+    dc_side, o_side = _side(dc), _side(o)
 
-    if tag in ("GCI0", "GCI2", "GCI3"):
-        if tag == "GCI0":
-            A, B, _ = slots
-            dc = c[A] - c[B]
-            vec_rows = [("class_center", A, 1.0), ("class_center", B, -1.0)]
-        elif tag == "GCI2":
-            A, B, R = slots
-            dc = c[A] + v[R] - c[B]
-            vec_rows = [("class_center", A, 1.0), ("class_center", B, -1.0),
-                        ("role_vector", R, 1.0)]
-        else:
-            A, B, R = slots  # filler, sup
-            dc = c[A] - v[R] - c[B]
-            vec_rows = [("class_center", A, 1.0), ("class_center", B, -1.0),
-                        ("role_vector", R, -1.0)]
-        sgn = np.sign(dc)
-        if pos:
-            t = np.abs(dc) + o[A] - o[B] + gamma
-            parts = [(name, idx, coeff * sgn) for name, idx, coeff in vec_rows]
-            parts.append(("class_offset", A, np.ones_like(dc)))
-            parts.append(("class_offset", B, -np.ones_like(dc)))
-        else:
-            t = -np.abs(dc) + o[A] + o[B] + gamma
-            parts = [(name, idx, -coeff * sgn) for name, idx, coeff in vec_rows]
-            parts.append(("class_offset", A, np.ones_like(dc)))
-            parts.append(("class_offset", B, np.ones_like(dc)))
-        return _norm_of_relu(acc, t, parts)
+    def term(b: _Batch) -> np.ndarray:
+        diff = start = None
+        if s:
+            diff = b.value(dc_side)
+            start = np.abs(diff) if s > 0 else -np.abs(diff)
+        t = b.value(o_side, start)
+        if g:
+            t = t + g * b.model.margin
+        m = np.maximum(0.0, t)
+        mu = _norm(m)
+        if b.grad is not None:
+            d = _unit(m, mu)
+            if target:
+                d = d * (-2.0 * (b.model.delta - mu))[:, None]
+            if s:
+                b.push(dc_side, d * (s * np.sign(diff)))
+            b.push(o_side, d)
+        return (b.model.delta - mu) ** 2 if target else mu
 
-    if tag == "GCI1":
-        A, B, E, _ = slots
-        ci, oi, awl, awu = _intersection(c[A], o[A], c[B], o[B])
-        ig = _InterGrad(awl, awu)
-        dc = ci - c[E]
-        sgn = np.sign(dc)
-        if pos:
-            t = np.abs(dc) + oi - o[E] + gamma
-            d_ci, d_oi = sgn, np.ones_like(dc)
-            d_ce, d_oe = -sgn, -np.ones_like(dc)
-        else:
-            t = -np.abs(dc) + oi + o[E] + gamma
-            d_ci, d_oi = -sgn, np.ones_like(dc)
-            d_ce, d_oe = sgn, np.ones_like(dc)
-        m_ = np.maximum(0.0, t)
-        val = _norm(m_)
-        if acc:
-            dvdt = _unit(m_, val) * (t > 0)
-            d_ca, d_oa, d_cb, d_ob = ig.to_parents(dvdt * d_ci, dvdt * d_oi)
-            acc.add("class_center", A, d_ca)
-            acc.add("class_offset", A, d_oa)
-            acc.add("class_center", B, d_cb)
-            acc.add("class_offset", B, d_ob)
-            acc.add("class_center", E, dvdt * d_ce)
-            acc.add("class_offset", E, dvdt * d_oe)
-        return val
+    return term
 
-    if tag in ("GCI0_BOT", "GCI3_BOT"):
-        A = slots[0]
-        nrm = _norm(o[A])
-        if pos:
-            if acc:
-                acc.add("class_offset", A, _unit(o[A], nrm))
-            return nrm
-        arg = eps - nrm
+
+def _extent(x: str, floor: bool = False, clamp: bool = False) -> Term:
+    """Extent ``e`` of a radius (``e = r``) or an offset (``e = ||o||``, of
+    ``max(0, o)`` with ``clamp``); with ``floor``, ``max(0, epsilon - e)``."""
+    x_side = _side(x)
+
+    def term(b: _Batch) -> np.ndarray:
+        v = b.value(x_side)
+        if clamp:
+            v = np.maximum(0.0, v)
+        e = v if v.ndim == 1 else _norm(v)
+        if not floor:
+            if b.grad is not None:
+                b.push(x_side, np.ones_like(v) if v.ndim == 1 else _unit(v, e))
+            return e
+        arg = b.model.epsilon - e
         act = arg > 0
-        if acc and act.any():
-            acc.add("class_offset", A[act], -_unit(o[A][act], nrm[act]))
+        if b.grad is not None and act.any():
+            d = np.ones(act.sum()) if v.ndim == 1 else _unit(v[act], e[act])
+            b.push(x_side, -d, act)
         return np.maximum(0.0, arg)
 
-    if tag == "GCI1_BOT":
-        A, B, _ = slots
-        if pos:
-            dc = c[A] - c[B]
-            sgn = np.sign(dc)
-            t = -np.abs(dc) + o[A] + o[B] + gamma
-            parts = [
-                ("class_center", A, -sgn),
-                ("class_center", B, sgn),
-                ("class_offset", A, np.ones_like(dc)),
-                ("class_offset", B, np.ones_like(dc)),
-            ]
-            return _norm_of_relu(acc, t, parts)
-        # negative: demand a genuinely non-empty intersection box
-        ci, oi, awl, awu = _intersection(c[A], o[A], c[B], o[B])
-        ig = _InterGrad(awl, awu)
-        clamped = np.maximum(0.0, oi)
-        nrm = _norm(clamped)
-        arg = eps - nrm
-        act = arg > 0
-        if acc and act.any():
-            d_oi = -(_unit(clamped, nrm) * (oi > 0)) * act[:, None]
-            d_ca, d_oa, d_cb, d_ob = ig.to_parents(np.zeros_like(d_oi), d_oi)
-            acc.add("class_center", A, d_ca)
-            acc.add("class_offset", A, d_oa)
-            acc.add("class_center", B, d_cb)
-            acc.add("class_offset", B, d_ob)
-        return np.maximum(0.0, arg)
-
-    raise ValueError(f"no loss for variant {tag}")
+    return term
 
 
-def _eval_box2el(m, tag, polarity, slots, acc: _Acc) -> np.ndarray:
-    P = m.params
-    gamma, eps, delta = m.margin, m.epsilon, m.delta
-    c, o, bump = P["class_center"], P["class_offset"], P["class_bump"]
-    hc, ho = P["role_head_center"], P["role_head_offset"]
-    tc, to = P["role_tail_center"], P["role_tail_offset"]
-    pos = polarity == "positive"
+def _reg(c: str) -> Term:
+    """Unit-sphere regularizer ``| ||c|| - 1 |``."""
+    c_side = _side(c)
 
-    def mu_term(dc, oin, oout, rows, margin, outer=1.0):
-        """||max(0, |dc| + oin - oout + margin)|| with grads; a row's kind is
-        "dc" (flows through |dc| with the given sign) or "const" (offset)."""
-        t = np.abs(dc) + oin - oout + margin
-        sgn = np.sign(dc)
-        parts = []
-        for name, idx, coeff, kind in rows:
-            if kind == "dc":
-                parts.append((name, idx, coeff * sgn))
-            else:
-                parts.append((name, idx, np.broadcast_to(float(coeff), dc.shape)))
-        return _norm_of_relu(acc, t, parts, outer_coeff=outer)
+    def term(b: _Batch) -> np.ndarray:
+        v = b.value(c_side)
+        nrm = _norm(v)
+        if b.grad is not None:
+            b.push(c_side, np.sign(nrm - 1.0)[:, None] * _unit(v, nrm))
+        return np.abs(nrm - 1.0)
 
-    if tag == "GCI0":
-        A, B, _ = slots
-        if pos:
-            return mu_term(
-                c[A] - c[B], o[A], o[B],
-                [("class_center", A, 1.0, "dc"), ("class_center", B, -1.0, "dc"),
-                 ("class_offset", A, 1.0, "oin"), ("class_offset", B, -1.0, "oout")],
-                gamma,
-            )
-        # -(d + gamma) elementwise, d the signed box gap
-        dc = c[A] - c[B]
-        t = -(np.abs(dc) - (o[A] + o[B]) + gamma)
-        sgn = np.sign(dc)
-        parts = [
-            ("class_center", A, -sgn),
-            ("class_center", B, sgn),
-            ("class_offset", A, np.ones_like(dc)),
-            ("class_offset", B, np.ones_like(dc)),
-        ]
-        return _norm_of_relu(acc, t, parts)
-
-    if tag == "GCI1":
-        A, B, E, _ = slots
-        ci, oi, awl, awu = _intersection(c[A], o[A], c[B], o[B])
-        ig = _InterGrad(awl, awu)
-        dc = ci - c[E]
-        sgn = np.sign(dc)
-        if pos:
-            t = np.abs(dc) + oi - o[E] + gamma
-            d_ci, d_oi, d_ce, d_oe = sgn, 1.0, -sgn, -1.0
-        else:
-            t = -(np.abs(dc) - (oi + o[E]) + gamma)
-            d_ci, d_oi, d_ce, d_oe = -sgn, 1.0, sgn, 1.0
-        m_ = np.maximum(0.0, t)
-        val = _norm(m_)
-        if acc:
-            dvdt = _unit(m_, val) * (t > 0)
-            d_ca, d_oa, d_cb, d_ob = ig.to_parents(dvdt * d_ci, dvdt * d_oi)
-            acc.add("class_center", A, d_ca)
-            acc.add("class_offset", A, d_oa)
-            acc.add("class_center", B, d_cb)
-            acc.add("class_offset", B, d_ob)
-            acc.add("class_center", E, dvdt * d_ce)
-            acc.add("class_offset", E, dvdt * d_oe)
-        return val
-
-    if tag == "GCI2":
-        A, B, R = slots
-        if pos:
-            head = mu_term(
-                c[A] + bump[B] - hc[R], o[A], ho[R],
-                [("class_center", A, 1.0, "dc"), ("class_bump", B, 1.0, "dc"),
-                 ("role_head_center", R, -1.0, "dc"),
-                 ("class_offset", A, 1.0, "oin"), ("role_head_offset", R, -1.0, "oout")],
-                gamma,
-            )
-            tail = mu_term(
-                c[B] + bump[A] - tc[R], o[B], to[R],
-                [("class_center", B, 1.0, "dc"), ("class_bump", A, 1.0, "dc"),
-                 ("role_tail_center", R, -1.0, "dc"),
-                 ("class_offset", B, 1.0, "oin"), ("role_tail_offset", R, -1.0, "oout")],
-                gamma,
-            )
-            return head + tail
-        # squared target on the containment violation of each role box
-        t_h = np.abs(c[A] + bump[B] - hc[R]) + o[A] - ho[R]
-        t_t = np.abs(c[B] + bump[A] - tc[R]) + o[B] - to[R]
-        mu_h = _norm(np.maximum(0.0, t_h))
-        mu_t = _norm(np.maximum(0.0, t_t))
-        loss = (delta - mu_h) ** 2 + (delta - mu_t) ** 2
-        if acc:
-            outer_h = -2.0 * (delta - mu_h)
-            outer_t = -2.0 * (delta - mu_t)
-            sgn_h = np.sign(c[A] + bump[B] - hc[R])
-            sgn_t = np.sign(c[B] + bump[A] - tc[R])
-            _norm_of_relu(
-                acc, t_h,
-                [("class_center", A, sgn_h), ("class_bump", B, sgn_h),
-                 ("role_head_center", R, -sgn_h),
-                 ("class_offset", A, np.ones_like(sgn_h)),
-                 ("role_head_offset", R, -np.ones_like(sgn_h))],
-                outer_coeff=outer_h,
-            )
-            _norm_of_relu(
-                acc, t_t,
-                [("class_center", B, sgn_t), ("class_bump", A, sgn_t),
-                 ("role_tail_center", R, -sgn_t),
-                 ("class_offset", B, np.ones_like(sgn_t)),
-                 ("role_tail_offset", R, -np.ones_like(sgn_t))],
-                outer_coeff=outer_t,
-            )
-        return loss
-
-    if tag == "GCI3":
-        A, B, R = slots  # filler, sup
-        dc = hc[R] - bump[A] - c[B]
-        if pos:
-            return mu_term(
-                dc, ho[R], o[B],
-                [("role_head_center", R, 1.0, "dc"), ("class_bump", A, -1.0, "dc"),
-                 ("class_center", B, -1.0, "dc"),
-                 ("role_head_offset", R, 1.0, "oin"), ("class_offset", B, -1.0, "oout")],
-                gamma,
-            )
-        t = np.abs(dc) + ho[R] - o[B]
-        mu = _norm(np.maximum(0.0, t))
-        loss = (delta - mu) ** 2
-        if acc:
-            outer = -2.0 * (delta - mu)
-            sgn = np.sign(dc)
-            _norm_of_relu(
-                acc, t,
-                [("role_head_center", R, sgn), ("class_bump", A, -sgn),
-                 ("class_center", B, -sgn),
-                 ("role_head_offset", R, np.ones_like(sgn)),
-                 ("class_offset", B, -np.ones_like(sgn))],
-                outer_coeff=outer,
-            )
-        return loss
-
-    if tag in ("GCI0_BOT", "GCI3_BOT"):
-        A = slots[0]
-        nrm = _norm(o[A])
-        if pos:
-            if acc:
-                acc.add("class_offset", A, _unit(o[A], nrm))
-            return nrm
-        arg = eps - nrm
-        act = arg > 0
-        if acc and act.any():
-            acc.add("class_offset", A[act], -_unit(o[A][act], nrm[act]))
-        return np.maximum(0.0, arg)
-
-    if tag == "GCI1_BOT":
-        A, B, _ = slots
-        ci, oi, awl, awu = _intersection(c[A], o[A], c[B], o[B])
-        ig = _InterGrad(awl, awu)
-        if pos:
-            # drive the intersection's extent to zero
-            t = oi + gamma
-            m_ = np.maximum(0.0, t)
-            val = _norm(m_)
-            if acc:
-                dvdt = _unit(m_, val) * (t > 0)
-                d_ca, d_oa, d_cb, d_ob = ig.to_parents(np.zeros_like(dvdt), dvdt)
-                acc.add("class_center", A, d_ca)
-                acc.add("class_offset", A, d_oa)
-                acc.add("class_center", B, d_cb)
-                acc.add("class_offset", B, d_ob)
-            return val
-        clamped = np.maximum(0.0, oi)
-        nrm = _norm(clamped)
-        arg = eps - nrm
-        act = arg > 0
-        if acc and act.any():
-            d_oi = -(_unit(clamped, nrm) * (oi > 0)) * act[:, None]
-            d_ca, d_oa, d_cb, d_ob = ig.to_parents(np.zeros_like(d_oi), d_oi)
-            acc.add("class_center", A, d_ca)
-            acc.add("class_offset", A, d_oa)
-            acc.add("class_center", B, d_cb)
-            acc.add("class_offset", B, d_ob)
-        return np.maximum(0.0, arg)
-
-    raise ValueError(f"no loss for variant {tag}")
+    return term
 
 
-_FAMILY = {"elem": _eval_elem, "elbe": _eval_elbe, "box2el": _eval_box2el}
+# ---------------------------------------------------------------------------
+# one table per family: (variant, polarity) -> summed terms
+# ---------------------------------------------------------------------------
+
+_UNARY_BOT = ("GCI0_BOT", "GCI3_BOT")  # one concept column each
+
+_ELEM: dict[tuple[str, str], list[Term]] = {
+    ("GCI0", "positive"): [_ball(1, "c0 - c1", "r0 - r1", -1), _reg("c0"), _reg("c1")],
+    ("GCI0", "negative"): [_ball(-1, "c0 - c1", "r0 + r1", 1), _reg("c0"), _reg("c1")],
+    ("GCI1", "positive"): [
+        _ball(1, "c0 - c1", "-r0 - r1", -1),
+        _ball(1, "c0 - c2", "-r0", -1),
+        _ball(1, "c1 - c2", "-r1", -1),
+        _reg("c0"), _reg("c1"), _reg("c2"),
+    ],
+    # overlap demanded between A and B, with E's center pushed out
+    ("GCI1", "negative"): [
+        _ball(1, "c0 - c1", "-r0 - r1", -1),
+        _ball(-1, "c0 - c2", "r0", 1),
+        _ball(-1, "c1 - c2", "r1", 1),
+        _reg("c0"), _reg("c1"), _reg("c2"),
+    ],
+    ("GCI2", "positive"): [_ball(1, "c0 + v - c1", "r0 - r1", -1), _reg("c0"), _reg("c1")],
+    ("GCI2", "negative"): [_ball(-1, "c0 + v - c1", "r0 + r1", 1), _reg("c0"), _reg("c1")],
+    ("GCI3", "positive"): [_ball(1, "c0 - v - c1", "-r0 - r1", -1), _reg("c0"), _reg("c1")],
+    ("GCI3", "negative"): [_ball(-1, "c0 - v - c1", "r0 + r1", 1), _reg("c0"), _reg("c1")],
+    ("GCI1_BOT", "positive"): [_ball(-1, "c0 - c1", "r0 + r1", 1), _reg("c0"), _reg("c1")],
+    ("GCI1_BOT", "negative"): [_ball(1, "c0 - c1", "-r0 - r1", -1), _reg("c0"), _reg("c1")],
+    # the radius floor carries no regularizer, as printed
+    **{(tag, "positive"): [_extent("r0"), _reg("c0")] for tag in _UNARY_BOT},
+    **{(tag, "negative"): [_extent("r0", floor=True)] for tag in _UNARY_BOT},
+}
+
+#: table rows the plain and the bumped box families share
+_BOXES: dict[tuple[str, str], list[Term]] = {
+    ("GCI0", "positive"): [_box(1, "c0 - c1", "o0 - o1", 1)],
+    ("GCI1", "positive"): [_box(1, "ic - c2", "io - o2", 1)],
+    # demand a genuinely non-empty intersection box
+    ("GCI1_BOT", "negative"): [_extent("io", floor=True, clamp=True)],
+    **{(tag, "positive"): [_extent("o0")] for tag in _UNARY_BOT},
+    **{(tag, "negative"): [_extent("o0", floor=True)] for tag in _UNARY_BOT},
+}
+
+_ELBE: dict[tuple[str, str], list[Term]] = {
+    **_BOXES,
+    ("GCI0", "negative"): [_box(-1, "c0 - c1", "o0 + o1", 1)],
+    ("GCI1", "negative"): [_box(-1, "ic - c2", "io + o2", 1)],
+    ("GCI2", "positive"): [_box(1, "c0 + v - c1", "o0 - o1", 1)],
+    ("GCI2", "negative"): [_box(-1, "c0 + v - c1", "o0 + o1", 1)],
+    ("GCI3", "positive"): [_box(1, "c0 - v - c1", "o0 - o1", 1)],
+    ("GCI3", "negative"): [_box(-1, "c0 - v - c1", "o0 + o1", 1)],
+    ("GCI1_BOT", "positive"): [_box(-1, "c0 - c1", "o0 + o1", 1)],
+}
+
+_BOX2EL: dict[tuple[str, str], list[Term]] = {
+    **_BOXES,
+    # -(d + margin) elementwise, d the signed box gap: the margin enters
+    # with the opposite sign to elbe's
+    ("GCI0", "negative"): [_box(-1, "c0 - c1", "o0 + o1", -1)],
+    ("GCI1", "negative"): [_box(-1, "ic - c2", "io + o2", -1)],
+    ("GCI2", "positive"): [
+        _box(1, "c0 + b1 - hc", "o0 - ho", 1),
+        _box(1, "c1 + b0 - tc", "o1 - to", 1),
+    ],
+    ("GCI2", "negative"): [
+        _box(1, "c0 + b1 - hc", "o0 - ho", 0, target=True),
+        _box(1, "c1 + b0 - tc", "o1 - to", 0, target=True),
+    ],
+    ("GCI3", "positive"): [_box(1, "hc - b0 - c1", "ho - o1", 1)],
+    ("GCI3", "negative"): [_box(1, "hc - b0 - c1", "ho - o1", 0, target=True)],
+    # drive the intersection's extent to zero
+    ("GCI1_BOT", "positive"): [_box(0, "", "io", 1)],
+}
+
+_TABLES = {"elem": _ELEM, "elbe": _ELBE, "box2el": _BOX2EL}
 
 
 def batch_losses(
@@ -774,10 +462,22 @@ def batch_losses(
     for ax in axioms:
         if axiom_tag(ax) != tag:
             raise ValueError(f"expected {tag} axioms, got {axiom_tag(ax)}")
-    arrays = _slots(tag, axioms)
-    _check_ids(model, arrays)
-    acc = _Acc(model, grad, weight)
-    return _FAMILY[model.tag](model, tag, polarity, arrays, acc)
+    if tag not in LOSS_VARIANTS:
+        raise ValueError(f"no loss for variant {tag}")
+    if polarity not in ("positive", "negative"):
+        raise ValueError(f"unknown polarity {polarity!r}")
+    cols = [np.fromiter(map(get, axioms), np.int64, len(axioms)) for get in _COLUMNS[tag]]
+    if "r" not in _SLOT_KINDS[tag]:
+        cols.append(None)
+    _check_ids(model, cols)
+    batch = _Batch(model, cols, grad, weight)
+    total = None
+    for term in _TABLES[model.tag][tag, polarity]:
+        value = term(batch)
+        total = value if total is None else total + value
+    if grad is not None:
+        batch.flush()
+    return total
 
 
 def _check_ids(model: GeometricModel, arrays) -> None:

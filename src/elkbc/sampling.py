@@ -62,7 +62,6 @@ class SamplerConfig:
     pool: Optional[tuple[int, ...]] = None  # None: all concepts except Top/Bot
     slot_overrides: Optional[dict[str, str]] = None
     retry_limit: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("random", "filtered", "biased"):

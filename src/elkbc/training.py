@@ -186,7 +186,8 @@ def train(
 
     Batches are built per variant and the variants cycle each step.  Returns
     the trained model and a per-epoch log (train loss, validation loss,
-    learning rate).
+    learning rate, and the negatives ``sample_batch`` skipped because their
+    candidate pools were exhausted).
     """
     by_variant: dict[str, list[NormalizedAxiom]] = {
         tag: [] for tag in LOSS_VARIANTS
@@ -241,6 +242,7 @@ def train(
 
         epoch_loss = 0.0
         n_steps = 0
+        skipped = 0
         round_idx = 0
         while any(chunks for _, chunks in queues):
             for tag, chunks in queues:
@@ -252,7 +254,7 @@ def train(
                     cfg.negative_scope == "gci2-only" and tag == "GCI2"
                 )
                 if wants_negatives:
-                    negatives, _ = sample_batch(
+                    negatives, n_skipped = sample_batch(
                         batch_axioms,
                         cfg.negatives_per_positive,
                         cfg.sampler,
@@ -261,6 +263,7 @@ def train(
                         n_concepts=theory.n_concepts,
                     )
                     requests.extend(LossRequest(ax, "negative") for ax in negatives)
+                    skipped += n_skipped
                 loss, grad = _checked_loss_and_gradient(model, requests)
                 adam.step(model.params, grad, lr)
                 _clamp(model)
@@ -275,6 +278,7 @@ def train(
                 "train_loss": epoch_loss / max(n_steps, 1),
                 "val_loss": val_loss,
                 "lr": lr,
+                "negatives_skipped": skipped,
             }
         )
         if val_loss < best_val:

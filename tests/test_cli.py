@@ -231,6 +231,15 @@ def test_json_config_accepted(tmp_path, golden_file):
     assert main(["train", "--config", str(path)]) == 0
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_config_before_the_command_is_rejected(tmp_path, golden_file, capsys, command):
+    cfg_path, _ = _write_train_config(tmp_path, golden_file)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg_path), command])
+    assert exc.value.code == 2
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_toy_demo_outputs(tmp_path, capsys):
     out_dir = tmp_path / "demo"
     assert main(["toy-demo", "--model", "elem", "--out", str(out_dir)]) == 0

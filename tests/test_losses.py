@@ -1,16 +1,21 @@
 """Loss evaluators: pinned numeric values for every formula, zero-loss
 faithfulness, positive/negative antagonism, non-negativity, aggregation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elkbc.core import GCI0, GCI0Bot, GCI1, GCI1Bot, GCI2, GCI3, GCI3Bot, RI0
+from elkbc.core import AXIOM_TAGS, GCI0, GCI0Bot, GCI1, GCI1Bot, GCI2, GCI3, GCI3Bot, RI0
 from elkbc.losses import (
+    LOSS_VARIANTS,
     GeometricModel,
     LossRequest,
     axiom_loss,
+    batch_losses,
     box2el_loss,
     elbe_loss,
     elem_loss,
@@ -487,3 +492,33 @@ class TestTotalLoss:
         m2 = m.copy()
         m2.reg_lambda = 0.0
         assert base == pytest.approx(total_loss(m2, [pos(GCI0(0, 1))]) + 0.5 * bump_norms)
+
+
+@pytest.mark.parametrize("tag", ["elem", "elbe", "box2el"])
+@pytest.mark.parametrize("variant", LOSS_VARIANTS)
+@pytest.mark.parametrize("polarity", ["positive", "negative"])
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_batch_equals_scalar(tag, variant, polarity, data):
+    """A batch's losses equal its axioms' scalar losses exactly, on random
+    models (signed offsets and radii, exact zeros, margin != 0) and batches
+    that repeat ids."""
+    n_concepts = data.draw(st.integers(2, 5))
+    n_roles = data.draw(st.integers(1, 2))
+    dim = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = make_model(
+        tag, n_concepts=n_concepts, n_roles=n_roles, dim=dim,
+        margin=float(rng.choice([-0.1, -0.01, 0.01, 0.1])),
+        epsilon=float(rng.uniform(0.001, 0.2)), delta=float(rng.uniform(0.5, 4.0)),
+    )
+    for name, arr in m.params.items():
+        m.params[name] = rng.normal(0.0, 0.5, arr.shape) * (rng.random(arr.shape) > 0.1)
+    cls = AXIOM_TAGS[variant]
+    bounds = [n_roles if f.name == "role" else n_concepts for f in dataclasses.fields(cls)]
+    axioms = data.draw(st.lists(
+        st.tuples(*(st.integers(0, b - 1) for b in bounds)).map(lambda ids: cls(*ids)),
+        min_size=1, max_size=8,
+    ))
+    scalar = [axiom_loss(m, LossRequest(ax, polarity)) for ax in axioms]
+    np.testing.assert_array_equal(batch_losses(m, variant, polarity, axioms), scalar)

@@ -17,8 +17,10 @@ from elkbc.core import (
     GCI3Bot,
     parse_theory,
 )
+from elkbc.closure import compute_closure
 from elkbc.losses import LOSS_VARIANTS, LossRequest, total_loss, zero_gradient
 from elkbc import training
+from elkbc.reasoner import classify
 from elkbc.sampling import SamplerConfig
 from elkbc.training import (
     TrainConfig,
@@ -70,14 +72,38 @@ def _fd(model, requests, h):
     return grad
 
 
+#: three axioms per variant sharing concept and role ids, in mixed polarity;
+#: an id repeated within a (variant, polarity) group makes the gradient
+#: scatter accumulate several contributions onto one parameter row
+SHARED_OF = {
+    "GCI0": [(GCI0(0, 1), "positive"), (GCI0(0, 2), "positive"), (GCI0(1, 2), "negative")],
+    "GCI1": [(GCI1(0, 1, 2), "positive"), (GCI1(1, 2, 0), "negative"),
+             (GCI1(0, 2, 1), "negative")],
+    "GCI2": [(GCI2(0, 0, 1), "positive"), (GCI2(1, 0, 1), "positive"),
+             (GCI2(1, 0, 2), "negative")],
+    "GCI3": [(GCI3(0, 0, 1), "negative"), (GCI3(0, 2, 1), "negative"),
+             (GCI3(0, 1, 2), "positive")],
+    "GCI0_BOT": [(GCI0Bot(0), "positive"), (GCI0Bot(1), "negative"), (GCI0Bot(1), "negative")],
+    "GCI1_BOT": [(GCI1Bot(0, 1), "positive"), (GCI1Bot(0, 2), "positive"),
+                 (GCI1Bot(1, 2), "negative")],
+    "GCI3_BOT": [(GCI3Bot(0, 0), "positive"), (GCI3Bot(0, 1), "negative"),
+                 (GCI3Bot(0, 1), "negative")],
+}
+
+
 @pytest.mark.parametrize("tag", ["elem", "elbe", "box2el"])
 def test_gradients_match_central_differences(tag):
-    """100 random smooth points per (variant, polarity); points within reach
+    """100 random smooth points per request list: one axiom per (variant,
+    polarity), and per variant three axioms sharing ids; points within reach
     of a kink are detected by disagreeing step sizes and redrawn."""
     rng = np.random.default_rng(99)
     for variant in LOSS_VARIANTS:
-        for polarity in ("positive", "negative"):
-            requests = [LossRequest(AXIOM_OF[variant], polarity)]
+        request_lists = [
+            [LossRequest(AXIOM_OF[variant], "positive")],
+            [LossRequest(AXIOM_OF[variant], "negative")],
+            [LossRequest(ax, polarity) for ax, polarity in SHARED_OF[variant]],
+        ]
+        for requests in request_lists:
             checked = 0
             attempts = 0
             while checked < 100 and attempts < 300:
@@ -94,9 +120,9 @@ def test_gradients_match_central_differences(tag):
                 for name in analytic:
                     err = np.abs(analytic[name] - fd1[name])
                     scale = np.maximum(1.0, np.abs(fd1[name]))
-                    assert np.all(err / scale <= 1e-4), (tag, variant, polarity, name)
+                    assert np.all(err / scale <= 1e-4), (tag, requests, name)
                 checked += 1
-            assert checked == 100, (tag, variant, polarity, attempts)
+            assert checked == 100, (tag, requests, attempts)
 
 
 def test_radius_floor_gradient_is_minus_one():
@@ -214,6 +240,29 @@ class TestTrainLoop:
         with pytest.raises(TrainingError):
             gradient(m, [LossRequest(GCI0(0, 1), "positive")])
 
+
+    def test_epoch_log_reports_skipped_negatives(self, monkeypatch):
+        # A is unsatisfiable, so every corruption of GCI0(A, B) is entailed
+        # and its filtered draws exhaust; the other axioms' draws succeed
+        theory = parse_theory("GCI0 A B\nGCI0_BOT A\nGCI0 C D\n")
+        index, hierarchy, _ = classify(theory)
+        dc = compute_closure(theory, index, hierarchy, mode="oracle")
+        reported = []
+        real_sample_batch = training.sample_batch
+
+        def recording(*args, **kwargs):
+            negatives, skipped = real_sample_batch(*args, **kwargs)
+            reported.append(skipped)
+            return negatives, skipped
+
+        monkeypatch.setattr(training, "sample_batch", recording)
+        cfg = _cfg(epochs=3, negatives_per_positive=2, sampler=SamplerConfig(mode="filtered"))
+        _, log = train(theory, cfg, dc)
+        per_epoch = len(reported) // len(log)
+        assert [e["negatives_skipped"] for e in log] == [
+            sum(reported[i : i + per_epoch]) for i in range(0, len(reported), per_epoch)
+        ]
+        assert all(e["negatives_skipped"] > 0 for e in log)
 
     def test_nan_gradient_with_finite_loss_stops_training(self, monkeypatch):
         real_total_loss = training.total_loss
