@@ -24,6 +24,7 @@ from .core import (
     ParseError,
     RI0,
     RI1,
+    AxiomTable,
     Theory,
     TOP,
     TOP_ID,
@@ -60,6 +61,7 @@ from .training import (
 
 __all__ = [
     "AABox",
+    "AxiomTable",
     "BOT",
     "BOT_ID",
     "Ball",

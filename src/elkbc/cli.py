@@ -25,7 +25,6 @@ from pathlib import Path
 from .closure import ClosureCapError, compute_closure
 from .core import (
     BOT_ID,
-    ParseError,
     Theory,
     axiom_slots,
     axiom_tag,
@@ -36,7 +35,7 @@ from .core import (
     signature_stats,
 )
 from .evaluation import RankingTask, filter_test_set, score_and_rank
-from .losses import LOSS_VARIANTS
+from .losses import LOSS_VARIANTS, PARAM_LAYOUT
 from .normalize import load_input, normalize
 from .reasoner import classify, dump_subsumptions
 from .sampling import SamplerConfig, entailed_fraction
@@ -252,25 +251,10 @@ def cmd_train(args) -> int:
         validation = list(load_theory(cfg["validation_file"]).axioms)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     sampler = _sampler_from_cfg(cfg)
-    train_cfg = TrainConfig(
-        model=cfg.get("model", "elem"),
-        dim=cfg.get("dim", 50),
-        learning_rate=cfg.get("learning_rate", 0.001),
-        margin=cfg.get("margin", 0.0),
-        epsilon=cfg.get("epsilon", 0.01),
-        delta=cfg.get("delta", 1.0),
-        reg_lambda=cfg.get("reg_lambda", 0.0),
-        epochs=cfg.get("epochs", 100),
-        batch_size=cfg.get("batch_size", 32768),
-        seed=seed,
-        negative_scope=cfg.get("negative_scope", "all-forms"),
-        negatives_per_positive=cfg.get("negatives_per_positive", 1),
-        sampler=sampler,
-        patience=cfg.get("patience", 10),
-        early_stop=cfg.get("early_stop", 20),
-        lr_floor=cfg.get("lr_floor", 1e-6),
-        validation=validation,
-    )
+    # config keys named like TrainConfig fields set them; the rest keep its defaults
+    given = {f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig) if f.name in cfg}
+    given.update(seed=seed, sampler=sampler, validation=validation)
+    train_cfg = TrainConfig(**given)
     dc = None
     if sampler.mode in ("filtered", "biased"):
         dc = _build_closure(theory)
@@ -375,39 +359,27 @@ def cmd_toy_demo(args) -> int:
 
 
 def _write_toy_csv(model, theory, out_dir: Path) -> None:
-    names = theory.signature.concepts
-    dim = model.dim
-    lines = []
-    if model.tag == "elem":
-        header = ["name"] + [f"c{i}" for i in range(dim)] + ["radius"]
-        for cid in range(theory.n_concepts):
-            row = [names.name_of(cid)]
-            row += [f"{x:.6f}" for x in model.params["class_center"][cid]]
-            row.append(f"{model.params['class_radius'][cid]:.6f}")
-            lines.append(",".join(row))
-    else:
-        header = ["name"] + [f"c{i}" for i in range(dim)] + [f"o{i}" for i in range(dim)]
-        for cid in range(theory.n_concepts):
-            row = [names.name_of(cid)]
-            row += [f"{x:.6f}" for x in model.params["class_center"][cid]]
-            row += [f"{x:.6f}" for x in model.params["class_offset"][cid]]
-            lines.append(",".join(row))
+    """concepts.csv: name, center, then radius (elem) or offset; roles.csv:
+    name, then every role block in ``PARAM_LAYOUT`` order."""
+    extent = "class_radius" if model.tag == "elem" else "class_offset"
+    header = ["name"] + [f"c{i}" for i in range(model.dim)]
+    header += ["radius"] if model.tag == "elem" else [f"o{i}" for i in range(model.dim)]
+    roles = [name for name, (kind, _) in PARAM_LAYOUT[model.tag].items() if kind == "role"]
+
+    def lines(names, count: int, blocks) -> list[str]:
+        return [
+            ",".join([names.name_of(i)] + [
+                f"{x:.6f}" for block in blocks for x in model.params[block][i : i + 1].ravel()
+            ])
+            for i in range(count)
+        ]
+
+    sig = theory.signature
+    concepts = lines(sig.concepts, theory.n_concepts, ["class_center", extent])
     (out_dir / "concepts.csv").write_text(
-        ",".join(header) + "\n" + "\n".join(lines) + "\n", encoding="utf-8"
+        ",".join(header) + "\n" + "\n".join(concepts) + "\n", encoding="utf-8"
     )
-    role_lines = []
-    rnames = theory.signature.roles
-    for rid in range(theory.n_roles):
-        if model.tag in ("elem", "elbe"):
-            row = [rnames.name_of(rid)] + [
-                f"{x:.6f}" for x in model.params["role_vector"][rid]
-            ]
-        else:
-            row = [rnames.name_of(rid)]
-            for block in ("role_head_center", "role_head_offset",
-                          "role_tail_center", "role_tail_offset"):
-                row += [f"{x:.6f}" for x in model.params[block][rid]]
-        role_lines.append(",".join(row))
+    role_lines = lines(sig.roles, theory.n_roles, roles)
     (out_dir / "roles.csv").write_text("\n".join(role_lines) + "\n", encoding="utf-8")
 
 
@@ -470,13 +442,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ClosureCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TrainingError, ValueError, KeyError, OSError) as exc:
+    except (TrainingError, ValueError, KeyError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,13 +27,21 @@ comments, except the signature directives ``#concept N``, ``#role N`` and
 ``#individual N`` which declare names (so a signature survives a round trip
 even when a name appears in no axiom).  Names are opaque strings; IRIs are not
 resolved or validated.
+
+The hot paths (sampling, losses, training, ranking) work on an ``AxiomTable``:
+per row a variant code and up to three ``int64`` ids in `.nf` slot order, the
+order of the dataclass fields.  ``Theory.table`` is built once; the frozen
+dataclasses stay the readable reference view a table yields when indexed.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Callable, Iterable, Union
+
+import numpy as np
 
 TOP = "owl:Thing"
 BOT = "owl:Nothing"
@@ -172,37 +180,106 @@ _SLOT_KINDS: dict[str, tuple[str, ...]] = {
 }
 
 
+#: tag -> dataclass field names; the fields follow the `.nf` slot order
+SLOT_NAMES: dict[str, tuple[str, ...]] = {
+    tag: tuple(f.name for f in fields(cls)) for tag, cls in AXIOM_TAGS.items()
+}
+#: variant code -> tag; an id-table row's code indexes this
+VARIANTS: tuple[str, ...] = tuple(AXIOM_TAGS)
+_CODE_OF = {cls: code for code, cls in enumerate(AXIOM_TAGS.values())}
+#: variant code x slot -> 0 (no such slot), 1 (concept) or 2 (role)
+_KIND_OF_SLOT = np.array([
+    [{"c": 1, "r": 2}[k] for k in _SLOT_KINDS[tag]] + [0] * (3 - len(_SLOT_KINDS[tag]))
+    for tag in VARIANTS
+])
+
+
 def axiom_tag(ax: NormalizedAxiom) -> str:
     return TAG_OF[type(ax)]
 
 
 def axiom_slots(ax: NormalizedAxiom) -> tuple[int, ...]:
     """Slot ids in the `.nf` token order."""
-    if isinstance(ax, GCI0):
-        return (ax.sub, ax.sup)
-    if isinstance(ax, GCI1):
-        return (ax.left, ax.right, ax.sup)
-    if isinstance(ax, GCI2):
-        return (ax.sub, ax.role, ax.filler)
-    if isinstance(ax, GCI3):
-        return (ax.role, ax.filler, ax.sup)
-    if isinstance(ax, GCI0Bot):
-        return (ax.sub,)
-    if isinstance(ax, GCI1Bot):
-        return (ax.left, ax.right)
-    if isinstance(ax, GCI3Bot):
-        return (ax.role, ax.filler)
-    if isinstance(ax, RI0):
-        return (ax.sub, ax.sup)
-    if isinstance(ax, RI1):
-        return (ax.first, ax.second, ax.sup)
-    raise TypeError(f"not a normalized axiom: {ax!r}")
+    if type(ax) not in TAG_OF:
+        raise TypeError(f"not a normalized axiom: {ax!r}")
+    return tuple(getattr(ax, name) for name in SLOT_NAMES[TAG_OF[type(ax)]])
 
 
 def concept_slots(ax: NormalizedAxiom) -> tuple[str, ...]:
     """Field names of the concept slots, in `.nf` token order."""
-    kinds = _SLOT_KINDS[axiom_tag(ax)]
-    return tuple(f.name for f, kind in zip(fields(ax), kinds) if kind == "c")
+    tag = axiom_tag(ax)
+    return tuple(name for name, kind in zip(SLOT_NAMES[tag], _SLOT_KINDS[tag]) if kind == "c")
+
+
+class AxiomTable(Sequence):
+    """Normalized axioms as rows of ids, the representation every hot path
+    works on.
+
+    Row i is the variant code ``codes[i]`` (an index into ``VARIANTS``) and
+    the ids ``cols[:, i]`` in `.nf` slot order, -1 in the slots its variant
+    lacks; ``cols`` has one ``int64`` column array per slot.  A table may mix
+    variants.  As a ``Sequence`` it is the dataclass reference view of its
+    rows: ``len`` counts axioms, an integer index or iteration yields the
+    frozen dataclasses, and a slice, index array or mask selects a table of
+    rows.  A list of dataclasses converts with ``from_axioms``.
+    """
+
+    __hash__ = None
+
+    def __init__(self, codes: np.ndarray, cols: np.ndarray):
+        self.codes = codes
+        self.cols = cols
+
+    @classmethod
+    def from_axioms(cls, axioms: Iterable[NormalizedAxiom]) -> "AxiomTable":
+        if isinstance(axioms, AxiomTable):
+            return axioms
+        axioms = list(axioms)
+        code_list = [_CODE_OF.get(type(ax), -1) for ax in axioms]
+        if -1 in code_list:
+            raise TypeError(f"not a normalized axiom: {axioms[code_list.index(-1)]!r}")
+        codes = np.array(code_list, np.int8)
+        cols = np.full((3, len(axioms)), -1, np.int64)
+        for code in set(code_list):
+            rows = np.flatnonzero(codes == code)
+            subset = [axioms[i] for i in rows.tolist()]
+            for j, name in enumerate(SLOT_NAMES[VARIANTS[code]]):
+                cols[j, rows] = np.fromiter(map(attrgetter(name), subset), np.int64, len(rows))
+        return cls(codes, cols)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            tag = VARIANTS[self.codes[i]]
+            return AXIOM_TAGS[tag](*self.cols[: len(SLOT_NAMES[tag]), i].tolist())
+        return AxiomTable(self.codes[i], self.cols[:, i])
+
+    def __iter__(self):
+        for code, *ids in zip(self.codes.tolist(), *self.cols.tolist()):
+            yield AXIOM_TAGS[VARIANTS[code]](*ids[: len(SLOT_NAMES[VARIANTS[code]])])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, AxiomTable):
+            return np.array_equal(self.codes, other.codes) and np.array_equal(self.cols, other.cols)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"AxiomTable({list(self)!r})"
+
+    def outside(self, n_concepts: int, n_roles: int) -> np.ndarray:
+        """Mask of the rows with an id outside ``[0, n)`` for its slot (-1 where none)."""
+        kind = _KIND_OF_SLOT[self.codes].T
+        high = np.array([0, n_concepts, n_roles])[kind]
+        return ((self.cols < (kind > 0) - 1) | (self.cols >= high)).any(axis=0)
+
+    def variants(self) -> list[tuple[str, "AxiomTable"]]:
+        """(tag, that variant's rows) per variant, in order of first occurrence."""
+        codes, first = np.unique(self.codes, return_index=True)
+        if len(codes) == 1:
+            return [(VARIANTS[codes[0]], self)]
+        return [(VARIANTS[c], self[self.codes == c]) for c in codes[np.argsort(first)].tolist()]
 
 
 class Signature:
@@ -234,22 +311,12 @@ class Theory:
 
     def __init__(self, signature: Signature, axioms: Iterable[NormalizedAxiom]):
         self.signature = signature
-        seen: set[NormalizedAxiom] = set()
-        ordered: list[NormalizedAxiom] = []
-        for ax in axioms:
-            if ax not in seen:
-                seen.add(ax)
-                ordered.append(ax)
-        self.axioms: tuple[NormalizedAxiom, ...] = tuple(ordered)
-        self._validate()
-
-    def _validate(self) -> None:
-        n_c, n_r = len(self.signature.concepts), len(self.signature.roles)
-        for ax in self.axioms:
-            for kind, ident in zip(_SLOT_KINDS[axiom_tag(ax)], axiom_slots(ax)):
-                bound = n_c if kind == "c" else n_r
-                if not 0 <= ident < bound:
-                    raise ValueError(f"axiom {ax!r} references id outside the signature")
+        self.axioms: tuple[NormalizedAxiom, ...] = tuple(dict.fromkeys(axioms))
+        self.table = AxiomTable.from_axioms(self.axioms)
+        bad = self.table.outside(self.n_concepts, self.n_roles)
+        if bad.any():
+            ax = self.axioms[int(np.argmax(bad))]
+            raise ValueError(f"axiom {ax!r} references id outside the signature")
 
     @property
     def n_concepts(self) -> int:
@@ -365,15 +432,10 @@ def serialize_theory(theory: Theory) -> str:
     reproduces an equal Theory.
     """
     sig = theory.signature
-    lines = []
-    for name in sig.concepts.names()[2:]:
-        lines.append(f"#concept {name}")
-    for name in sig.roles.names():
-        lines.append(f"#role {name}")
-    for name in sig.individuals.names():
-        lines.append(f"#individual {name}")
-    for ax in theory.axioms:
-        lines.append(format_axiom(sig, ax))
+    lines = [f"#concept {name}" for name in sig.concepts.names()[2:]]
+    lines += [f"#role {name}" for name in sig.roles.names()]
+    lines += [f"#individual {name}" for name in sig.individuals.names()]
+    lines += [format_axiom(sig, ax) for ax in theory.axioms]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -389,8 +451,8 @@ def save_theory(theory: Theory, path) -> None:
 
 def signature_stats(theory: Theory) -> dict[str, int]:
     """Axiom counts per variant plus signature sizes (duplicates already removed)."""
-    counts = Counter(axiom_tag(ax) for ax in theory.axioms)
-    stats = {tag: counts.get(tag, 0) for tag in AXIOM_TAGS}
+    counts = np.bincount(theory.table.codes, minlength=len(VARIANTS)).tolist()
+    stats = dict(zip(VARIANTS, counts))
     stats["concepts"] = theory.n_concepts
     stats["roles"] = theory.n_roles
     stats["individuals"] = len(theory.signature.individuals)

@@ -2,7 +2,8 @@
 
 Each test axiom (``A [= B`` or ``A [= Er.B``) is scored against every
 candidate replacement of its rightmost concept with the positive loss of its
-variant (lower score = more true in the model).  Ranks use the unbiased
+variant (lower score = more true in the model), as one id block: its row
+repeated, the ranked column set to the candidates.  Ranks use the unbiased
 mid-rank tie convention::
 
     rank = 1 + #{strictly better candidates} + floor(#{equal, non-true} / 2)
@@ -10,8 +11,8 @@ mid-rank tie convention::
 Filtered ranks additionally drop every non-true candidate whose axiom occurs
 in the train set or is entailed by any supplied deductive closure; the true
 axiom itself is never dropped; the dropped candidates form one mask per test
-axiom, read off a train-set filler index and each closure's
-``entailed_fillers``.  Per-axiom AUC is the rank-derived ROC AUC
+axiom, read off the task's train-set filler index (built once) and each
+closure's ``entailed_fillers``.  Per-axiom AUC is the rank-derived ROC AUC
 ``1 - (rank - 1) / (pool - 1)``.
 
 Macro aggregates average over test axioms; micro aggregates first average per
@@ -33,10 +34,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closure import DeductiveClosure
-from .core import GCI0, GCI2, NormalizedAxiom, axiom_tag
+from .core import SLOT_NAMES, AxiomTable, NormalizedAxiom, axiom_tag
 from .losses import GeometricModel, batch_losses
 
 _BASE_METRICS = ("H@10", "H@100", "macro_MR", "micro_MR", "macro_AUC", "micro_AUC")
+#: rankable variant -> id-table column of its ranked slot (the rightmost concept, the last slot)
+_RANKED = {"GCI0": SLOT_NAMES["GCI0"].index("sup"), "GCI2": SLOT_NAMES["GCI2"].index("filler")}
 
 
 @dataclass
@@ -52,9 +55,18 @@ class RankingTask:
             raise ValueError("ranking task needs at least one test axiom")
         if not len(self.candidates):
             raise ValueError("empty candidate pool")
-        for ax in self.axioms:
-            if not isinstance(ax, (GCI0, GCI2)):
-                raise ValueError(f"ranking supports GCI0/GCI2 test axioms, got {axiom_tag(ax)}")
+        if len(set(self.candidates)) != len(self.candidates):
+            raise ValueError("duplicate candidate ids in the pool")
+        for tag, _ in AxiomTable.from_axioms(self.axioms).variants():
+            if tag not in _RANKED:
+                raise ValueError(f"ranking supports GCI0/GCI2 test axioms, got {tag}")
+        # (variant, ids before the ranked slot) -> the ranked ids in the train set
+        self._train_fillers: dict[tuple, set[int]] = defaultdict(set)
+        for tag, rows in AxiomTable.from_axioms(self.train_axioms).variants():
+            if tag in _RANKED:
+                slot = _RANKED[tag]
+                for key, value in zip(zip(*rows.cols[:slot].tolist()), rows.cols[slot].tolist()):
+                    self._train_fillers[tag, key].add(value)
 
 
 @dataclass
@@ -104,21 +116,6 @@ def _rank_auc(rank: int, pool: int) -> float:
     return 1.0 - (rank - 1) / (pool - 1)
 
 
-def _candidate_axioms(ax: NormalizedAxiom, values: list[int]) -> list[NormalizedAxiom]:
-    if isinstance(ax, GCI0):
-        return [GCI0(ax.sub, v) for v in values]
-    return [GCI2(ax.sub, ax.role, v) for v in values]
-
-
-def _fixed_slots(ax: NormalizedAxiom) -> tuple:
-    """What every candidate of a test axiom shares: all but the ranked slot."""
-    return (GCI0, ax.sub) if isinstance(ax, GCI0) else (GCI2, ax.sub, ax.role)
-
-
-def _true_value(ax: NormalizedAxiom) -> int:
-    return ax.sup if isinstance(ax, GCI0) else ax.filler
-
-
 def _rank_from_scores(scores: np.ndarray, true_idx: int, keep: np.ndarray) -> tuple[int, int]:
     """Mid-rank of the true candidate among the kept ones."""
     true_score = scores[true_idx]
@@ -130,23 +127,22 @@ def _rank_from_scores(scores: np.ndarray, true_idx: int, keep: np.ndarray) -> tu
 
 def score_and_rank(model: GeometricModel, task: RankingTask) -> RankingReport:
     candidates = np.asarray(list(task.candidates), dtype=np.int64)
-    values = candidates.tolist()
-    train_fillers: dict[tuple, set[int]] = defaultdict(set)
-    for ax in task.train_axioms:
-        if isinstance(ax, (GCI0, GCI2)):
-            train_fillers[_fixed_slots(ax)].add(_true_value(ax))
+    tests = AxiomTable.from_axioms(task.axioms)
     rankings: list[AxiomRanking] = []
-    for ax in task.axioms:
-        true_val = _true_value(ax)
-        positions = np.nonzero(candidates == true_val)[0]
+    for i, ax in enumerate(task.axioms):
+        tag = axiom_tag(ax)
+        slot = _RANKED[tag]
+        positions = np.nonzero(candidates == tests.cols[slot, i])[0]
         if len(positions) == 0:
             raise ValueError(f"true candidate of {ax!r} is not in the pool")
         true_idx = int(positions[0])
-        scores = batch_losses(model, axiom_tag(ax), "positive", _candidate_axioms(ax, values))
-        raw_rank, pool = _rank_from_scores(scores, true_idx, np.ones(len(values), dtype=bool))
+        block = tests[np.full(len(candidates), i)]
+        block.cols[slot] = candidates
+        scores = batch_losses(model, tag, "positive", block)
+        raw_rank, pool = _rank_from_scores(scores, true_idx, np.ones(len(candidates), dtype=bool))
 
         # one mask: candidates known from the train set or entailed by a closure
-        blocked = set(train_fillers.get(_fixed_slots(ax), ()))
+        blocked = set(task._train_fillers.get((tag, tuple(tests.cols[:slot, i].tolist())), ()))
         for dc in task.closures:
             blocked |= dc.entailed_fillers(ax)
         keep = ~np.isin(candidates, np.fromiter(blocked, dtype=np.int64, count=len(blocked)))
@@ -175,20 +171,14 @@ def _aggregate(rankings, task: RankingTask, model: GeometricModel) -> dict[str, 
             return float(np.sum(means) / model.n_concepts)
         return float(np.mean(means))
 
-    return {
-        "H@10": float(np.mean(raw_ranks <= 10)),
-        "H@100": float(np.mean(raw_ranks <= 100)),
-        "macro_MR": float(np.mean(raw_ranks)),
-        "micro_MR": micro(raw_ranks),
-        "macro_AUC": float(np.mean(raw_aucs)),
-        "micro_AUC": micro(raw_aucs),
-        "F_H@10": float(np.mean(f_ranks <= 10)),
-        "F_H@100": float(np.mean(f_ranks <= 100)),
-        "F_macro_MR": float(np.mean(f_ranks)),
-        "F_micro_MR": micro(f_ranks),
-        "F_macro_AUC": float(np.mean(f_aucs)),
-        "F_micro_AUC": micro(f_aucs),
-    }
+    metrics: dict[str, float] = {}
+    for prefix, ranks, aucs in (("", raw_ranks, raw_aucs), ("F_", f_ranks, f_aucs)):
+        values = (
+            np.mean(ranks <= 10), np.mean(ranks <= 100), np.mean(ranks), micro(ranks),
+            np.mean(aucs), micro(aucs),
+        )
+        metrics.update((prefix + name, float(v)) for name, v in zip(_BASE_METRICS, values))
+    return metrics
 
 
 def filter_test_set(

@@ -42,7 +42,8 @@ condition's satisfaction: separation hinges for balls/boxes, minimum
 radius/offset floors (``epsilon``) for the Bot forms, and squared
 ``(delta - mu)`` targets for the box2el existential forms.
 
-A batch and a single axiom take the same code path.  Only when a gradient
+A batch (``AxiomTable`` columns taken as they are, or a list of dataclasses
+converted to a table) and a single axiom take one code path.  Only when a gradient
 is requested does a primitive compute its derivative with respect to its
 sides, and ``_Batch.push`` scatters that onto the parameter rows the sides
 sum; at hinge kinks the inactive branch (derivative zero) is taken, and
@@ -52,14 +53,14 @@ intersection ties take the first box's branch.  Evaluation is pure given
 
 from __future__ import annotations
 
+import dataclasses
 import re
-from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .core import AXIOM_TAGS, _SLOT_KINDS, NormalizedAxiom, axiom_tag
+from .core import _SLOT_KINDS, VARIANTS, AxiomTable, NormalizedAxiom
 
 MODEL_TAGS = ("elem", "elbe", "box2el")
 
@@ -111,17 +112,7 @@ class GeometricModel:
             raise ValueError(f"parameter blocks {sorted(self.params)} != {sorted(expected)}")
 
     def copy(self) -> "GeometricModel":
-        return GeometricModel(
-            tag=self.tag,
-            dim=self.dim,
-            n_concepts=self.n_concepts,
-            n_roles=self.n_roles,
-            params={k: v.copy() for k, v in self.params.items()},
-            margin=self.margin,
-            epsilon=self.epsilon,
-            delta=self.delta,
-            reg_lambda=self.reg_lambda,
-        )
+        return dataclasses.replace(self, params={k: v.copy() for k, v in self.params.items()})
 
     def n_parameters(self) -> int:
         return sum(v.size for v in self.params.values())
@@ -129,14 +120,21 @@ class GeometricModel:
 
 @dataclass(frozen=True)
 class LossRequest:
-    axiom: NormalizedAxiom
+    """One axiom, or an ``AxiomTable`` of axioms, under one polarity."""
+
+    axiom: Union[NormalizedAxiom, AxiomTable]
     polarity: str  # "positive" | "negative"
+    #: (tag, rows) per variant in order of first occurrence, converted once per request
+    groups: list[tuple[str, AxiomTable]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.polarity not in ("positive", "negative"):
             raise ValueError(f"unknown polarity {self.polarity!r}")
-        if axiom_tag(self.axiom) not in LOSS_VARIANTS:
-            raise ValueError(f"no loss for axiom variant {axiom_tag(self.axiom)}")
+        table = self.axiom if isinstance(self.axiom, AxiomTable) else [self.axiom]
+        object.__setattr__(self, "groups", AxiomTable.from_axioms(table).variants())
+        for tag, _ in self.groups:
+            if tag not in LOSS_VARIANTS:
+                raise ValueError(f"no loss for axiom variant {tag}")
 
 
 Gradient = dict[str, np.ndarray]
@@ -169,14 +167,6 @@ def _unit(v: np.ndarray, nrm: np.ndarray) -> np.ndarray:
     out[nz] = v[nz] / nrm[nz, None]
     return out
 
-
-def _column_getters(tag: str) -> list[attrgetter]:
-    slots = list(zip((f.name for f in fields(AXIOM_TAGS[tag])), _SLOT_KINDS[tag]))
-    return [attrgetter(name) for kind in "cr" for name, k in slots if k == kind]
-
-
-#: variant -> slot column getters: concept slots in ``.nf`` order, then the role
-_COLUMNS = {tag: _column_getters(tag) for tag in LOSS_VARIANTS}
 
 _BLOCKS = {
     "c": "class_center",
@@ -451,25 +441,30 @@ def batch_losses(
     model: GeometricModel,
     tag: str,
     polarity: str,
-    axioms: list[NormalizedAxiom],
+    axioms: Sequence[NormalizedAxiom],
     grad: Gradient | None = None,
     weight: float = 1.0,
 ) -> np.ndarray:
-    """Per-axiom losses for one (variant, polarity) group; optionally
-    accumulates ``weight`` times the gradient of their sum into ``grad``."""
-    if not axioms:
+    """Per-axiom losses for one (variant, polarity) group of axioms, an
+    ``AxiomTable`` or a list of dataclasses; optionally accumulates ``weight``
+    times the gradient of their sum into ``grad``."""
+    if not len(axioms):
         return np.zeros(0)
-    for ax in axioms:
-        if axiom_tag(ax) != tag:
-            raise ValueError(f"expected {tag} axioms, got {axiom_tag(ax)}")
+    table = AxiomTable.from_axioms(axioms)
+    wrong = table.codes != (VARIANTS.index(tag) if tag in VARIANTS else -1)
+    if wrong.any():
+        raise ValueError(f"expected {tag} axioms, got {VARIANTS[table.codes[wrong][0]]}")
     if tag not in LOSS_VARIANTS:
         raise ValueError(f"no loss for variant {tag}")
     if polarity not in ("positive", "negative"):
         raise ValueError(f"unknown polarity {polarity!r}")
-    cols = [np.fromiter(map(get, axioms), np.int64, len(axioms)) for get in _COLUMNS[tag]]
-    if "r" not in _SLOT_KINDS[tag]:
+    # concept slots in `.nf` order, then the role
+    kinds = _SLOT_KINDS[tag]
+    cols = [table.cols[j] for kind in "cr" for j, k in enumerate(kinds) if k == kind]
+    if "r" not in kinds:
         cols.append(None)
-    _check_ids(model, cols)
+    if table.outside(model.n_concepts, model.n_roles).any():
+        raise KeyError("axiom references an id outside the model")
     batch = _Batch(model, cols, grad, weight)
     total = None
     for term in _TABLES[model.tag][tag, polarity]:
@@ -480,40 +475,23 @@ def batch_losses(
     return total
 
 
-def _check_ids(model: GeometricModel, arrays) -> None:
-    concept_arrays = arrays[:-1]
-    role_array = arrays[-1]
-    for arr in concept_arrays:
-        if arr is not None and len(arr) and (arr.min() < 0 or arr.max() >= model.n_concepts):
-            raise KeyError("axiom references a concept id outside the model")
-    if role_array is not None and len(role_array) and (
-        role_array.min() < 0 or role_array.max() >= model.n_roles
-    ):
-        raise KeyError("axiom references a role id outside the model")
-
-
 def axiom_loss(model: GeometricModel, request: LossRequest) -> float:
-    """Scalar loss of one request."""
-    tag = axiom_tag(request.axiom)
-    return float(batch_losses(model, tag, request.polarity, [request.axiom])[0])
+    """Scalar loss of a one-axiom request."""
+    ((tag, axioms),) = request.groups
+    return float(batch_losses(model, tag, request.polarity, axioms)[0])
 
 
-def elem_loss(model: GeometricModel, request: LossRequest) -> float:
-    if model.tag != "elem":
-        raise ValueError(f"model tag is {model.tag!r}, expected 'elem'")
-    return axiom_loss(model, request)
+def _family_loss(family: str) -> Callable[[GeometricModel, LossRequest], float]:
+    def loss(model: GeometricModel, request: LossRequest) -> float:
+        if model.tag != family:
+            raise ValueError(f"model tag is {model.tag!r}, expected {family!r}")
+        return axiom_loss(model, request)
+
+    return loss
 
 
-def elbe_loss(model: GeometricModel, request: LossRequest) -> float:
-    if model.tag != "elbe":
-        raise ValueError(f"model tag is {model.tag!r}, expected 'elbe'")
-    return axiom_loss(model, request)
-
-
-def box2el_loss(model: GeometricModel, request: LossRequest) -> float:
-    if model.tag != "box2el":
-        raise ValueError(f"model tag is {model.tag!r}, expected 'box2el'")
-    return axiom_loss(model, request)
+#: ``axiom_loss`` for a model of one family; other families are rejected
+elem_loss, elbe_loss, box2el_loss = (_family_loss(tag) for tag in MODEL_TAGS)
 
 
 def bump_regularizer(model: GeometricModel, grad: Gradient | None = None) -> float:
@@ -533,15 +511,18 @@ def total_loss(
     grad: Gradient | None = None,
 ) -> float:
     """Sum over (variant, polarity) groups of the within-group mean loss, plus
-    the bump regularizer for box2el."""
-    groups: dict[tuple[str, str], list[NormalizedAxiom]] = {}
+    the bump regularizer for box2el.  Groups appear in the order of their
+    first axiom; a group's rows concatenate in request order."""
+    groups: dict[tuple[str, str], list[AxiomTable]] = {}
     for req in requests:
-        groups.setdefault((axiom_tag(req.axiom), req.polarity), []).append(req.axiom)
+        for tag, rows in req.groups:
+            groups.setdefault((tag, req.polarity), []).append(rows)
     total = 0.0
-    for (tag, polarity), axioms in groups.items():
-        losses = batch_losses(
-            model, tag, polarity, axioms, grad=grad, weight=1.0 / len(axioms)
+    for (tag, polarity), parts in groups.items():
+        axioms = parts[0] if len(parts) == 1 else AxiomTable(
+            np.concatenate([p.codes for p in parts]), np.concatenate([p.cols for p in parts], 1)
         )
+        losses = batch_losses(model, tag, polarity, axioms, grad=grad, weight=1.0 / len(axioms))
         total += float(losses.mean())
     total += bump_regularizer(model, grad)
     return total

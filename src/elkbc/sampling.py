@@ -19,6 +19,8 @@ Modes:
                    slot, in ascending id order (an entailed negative on
                    purpose), otherwise as in ``random``.
 
+``sample_batch`` takes axioms as an ``AxiomTable`` (or dataclasses) and returns
+the negatives as one; ``corrupt`` is its one-row, one-draw case.
 Randomness comes from numpy's PCG64, which is seedable and platform-stable;
 ``sample_batch`` derives one child stream per input axiom from
 ``SeedSequence((seed, axiom_index))``, so batches are reproducible and may be
@@ -29,15 +31,13 @@ instead of failing.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .closure import DeductiveClosure
-from .core import BOT_ID, NormalizedAxiom, TOP_ID, axiom_tag
-from .losses import LOSS_VARIANTS
+from .core import AXIOM_TAGS, BOT_ID, SLOT_NAMES, TOP_ID, VARIANTS, AxiomTable, NormalizedAxiom
 
 #: variant -> (default slot, allowed slots)
 SLOT_POLICIES: dict[str, tuple[str, tuple[str, ...]]] = {
@@ -82,100 +82,110 @@ class SamplerConfig:
         return SLOT_POLICIES[tag][0]
 
 
-def default_pool(n_concepts: int) -> tuple[int, ...]:
-    return tuple(i for i in range(n_concepts) if i not in (TOP_ID, BOT_ID))
-
-
-def _replace_slot(ax: NormalizedAxiom, slot: str, value: int) -> NormalizedAxiom:
-    return dataclasses.replace(ax, **{slot: value})
-
-
-def _slot_value(ax: NormalizedAxiom, slot: str) -> int:
-    return getattr(ax, slot)
-
-
 def corrupt(
     ax: NormalizedAxiom,
     cfg: SamplerConfig,
     dc: Optional[DeductiveClosure],
     rng: np.random.Generator,
     n_concepts: Optional[int] = None,
-    pool: Optional[tuple[int, ...]] = None,
 ) -> NormalizedAxiom:
-    """Resample one slot of ``ax`` according to the configured mode.
-
-    ``pool`` overrides the config's candidate pool (batch loops resolve the
-    default pool once instead of per call).
-    """
-    tag = axiom_tag(ax)
-    if tag not in LOSS_VARIANTS:
-        raise ValueError(f"variant {tag} is not corruptible")
-    if cfg.mode in ("filtered", "biased") and dc is None:
-        raise ValueError(f"{cfg.mode} sampling needs a deductive closure")
-    slot = cfg.slot_for(tag)
-    current = _slot_value(ax, slot)
-    if pool is None:
-        pool = cfg.pool
-    if pool is None:
-        if n_concepts is None:
-            if dc is None:
-                raise ValueError("need n_concepts or a closure to build the default pool")
-            n_concepts = dc.theory.n_concepts
-        pool = default_pool(n_concepts)
-    if not pool:
-        raise SampleExhausted("empty candidate pool")
-
-    if cfg.mode == "biased" and rng.random() < cfg.bias_p:
-        entailed = [v for v in sorted(dc.entailed_fillers(ax, slot)) if v != current]
-        if entailed:
-            return _replace_slot(ax, slot, entailed[rng.integers(len(entailed))])
-        # nothing entailed to draw: fall through to a random draw
-
-    for _ in range(cfg.retry_limit):
-        cand = pool[rng.integers(len(pool))]
-        if cand == current:
-            continue
-        result = _replace_slot(ax, slot, cand)
-        if cfg.mode == "filtered" and dc.entails(result):
-            continue
-        return result
-    raise SampleExhausted(f"no admissible corruption of {ax!r} within {cfg.retry_limit} tries")
+    """Resample one slot of ``ax`` according to the configured mode, drawing
+    from ``rng``: the one-row, one-draw case of ``sample_batch``."""
+    negatives, skipped = _corrupt_rows(AxiomTable.from_axioms([ax]), 1, cfg, dc, n_concepts, [rng])
+    if skipped:
+        raise SampleExhausted(f"no admissible corruption of {ax!r} within {cfg.retry_limit} tries")
+    return negatives[0]
 
 
 def sample_batch(
-    axioms: list[NormalizedAxiom],
+    axioms: Sequence[NormalizedAxiom],
     count_per_axiom: int,
     cfg: SamplerConfig,
     dc: Optional[DeductiveClosure],
     seed: int,
     n_concepts: Optional[int] = None,
-) -> tuple[list[NormalizedAxiom], int]:
-    """Corrupt every axiom ``count_per_axiom`` times.
+) -> tuple[AxiomTable, int]:
+    """Corrupt every axiom (an ``AxiomTable`` or a list of dataclasses, any
+    variants) ``count_per_axiom`` times.
 
-    Returns (negatives, skipped); deterministic for a given seed because each
-    input axiom owns the child stream ``SeedSequence((seed, index))``.
+    Returns (negatives as an ``AxiomTable``, skipped); deterministic for a
+    given seed because each input axiom owns the child stream
+    ``SeedSequence((seed, index))``.
     """
+    table = AxiomTable.from_axioms(axioms)
+    rngs = (np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+            for i in range(len(table)))
+    return _corrupt_rows(table, count_per_axiom, cfg, dc, n_concepts, rngs)
+
+
+def _corrupt_rows(
+    table: AxiomTable,
+    count: int,
+    cfg: SamplerConfig,
+    dc: Optional[DeductiveClosure],
+    n_concepts: Optional[int],
+    rngs: Iterable[np.random.Generator],
+) -> tuple[AxiomTable, int]:
+    """``count`` draws per row, each row from its own generator in ``rngs``;
+    returns (negatives, draws skipped because the pool was exhausted)."""
+    # variant code -> id-table column of its corrupted slot, -1 when it has none
+    slot_col = np.array([
+        SLOT_NAMES[tag].index(cfg.slot_for(tag)) if tag in SLOT_POLICIES else -1
+        for tag in VARIANTS
+    ])
+    if count > 0 and len(table):
+        fixed = slot_col[table.codes] < 0
+        if fixed.any():
+            raise ValueError(f"variant {VARIANTS[table.codes[fixed][0]]} is not corruptible")
+        if cfg.mode in ("filtered", "biased") and dc is None:
+            raise ValueError(f"{cfg.mode} sampling needs a deductive closure")
     pool = cfg.pool
     if pool is None:
         if n_concepts is None:
             if dc is None:
                 raise ValueError("need n_concepts or a closure to build the default pool")
             n_concepts = dc.theory.n_concepts
-        pool = default_pool(n_concepts)
-    negatives: list[NormalizedAxiom] = []
+        pool = np.setdiff1d(np.arange(n_concepts), (TOP_ID, BOT_ID))
+    pool = np.asarray(pool, np.int64).tolist()  # scalar picks are fastest from a list
+    if not pool:  # every draw is exhausted at once
+        return table[:0], len(table) * max(count, 0)
+    src: list[int] = []  # the row each negative corrupts
+    values: list[int] = []  # its new slot value
     skipped = 0
-    for i, ax in enumerate(axioms):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-        for _ in range(count_per_axiom):
-            try:
-                negatives.append(corrupt(ax, cfg, dc, rng, pool=pool))
-            except SampleExhausted:
+    rows = zip(rngs, table.codes.tolist(), *table.cols.tolist())
+    for i, (rng, code, *ids) in enumerate(rows):
+        tag, j = VARIANTS[code], int(slot_col[code])
+        arity = len(SLOT_NAMES[tag])
+        current, entailed = ids[j], None
+        for _ in range(count):
+            if cfg.mode == "biased" and rng.random() < cfg.bias_p:
+                if entailed is None:
+                    fillers = dc.entailed_fillers(table[i], SLOT_NAMES[tag][j])
+                    entailed = [v for v in sorted(fillers) if v != current]
+                if entailed:
+                    src.append(i)
+                    values.append(entailed[rng.integers(len(entailed))])
+                    continue
+                # nothing entailed to draw: fall through to a random draw
+            for _ in range(cfg.retry_limit):
+                cand = pool[rng.integers(len(pool))]
+                if cand == current:
+                    continue
+                ids[j] = cand
+                if cfg.mode == "filtered" and dc.entails(AXIOM_TAGS[tag](*ids[:arity])):
+                    continue
+                src.append(i)
+                values.append(cand)
+                break
+            else:
                 skipped += 1
+    negatives = table[np.array(src, dtype=np.intp)]
+    negatives.cols[slot_col[negatives.codes], np.arange(len(src))] = values
     return negatives, skipped
 
 
 def entailed_fraction(
-    axioms: list[NormalizedAxiom],
+    axioms: Sequence[NormalizedAxiom],
     count_per_axiom: int,
     cfg: SamplerConfig,
     dc: DeductiveClosure,

@@ -1,8 +1,9 @@
 """Gradient-based optimization of geometric models.
 
 The total objective of a step is the sum of per-(variant, polarity) group
-means over one variant batch: its positive axioms plus (depending on the
-negative-loss scope) freshly sampled corruptions of them.  Gradients are
+means over one variant batch, a row slice of ``Theory.table``: its positive
+axioms plus (depending on the negative-loss scope) freshly sampled
+corruptions of them, one ``LossRequest`` per id table.  Gradients are
 hand-derived in the loss evaluators and checked against central finite
 differences in the test suite; Adam (beta1 0.9, beta2 0.999, eps 1e-8) applies
 them, radii and offsets are clamped to stay non-negative after every step, a
@@ -32,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .closure import DeductiveClosure
-from .core import NormalizedAxiom, Theory, axiom_tag
+from .core import VARIANTS, AxiomTable, NormalizedAxiom, Theory
 from .losses import (
     LOSS_VARIANTS,
     PARAM_LAYOUT,
@@ -73,12 +74,17 @@ class TrainConfig:
     validation: Optional[list[NormalizedAxiom]] = None
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch size >= 1")
-        if self.dim < 2:
-            raise ValueError("dimension >= 2")
+        for ok, message in (
+            (self.epochs >= 1, "epochs >= 1"),
+            (self.batch_size >= 1, "batch size >= 1"),
+            (self.dim >= 2, "dimension >= 2"),
+            (self.negatives_per_positive >= 1, "negatives per positive >= 1"),
+            (self.learning_rate > 0, "learning rate > 0"),
+            (self.patience >= 0, "patience >= 0"),
+            (self.early_stop >= 1, "early stop >= 1"),
+        ):
+            if not ok:
+                raise ValueError(message)
         if self.negative_scope not in ("all-forms", "gci2-only", "none"):
             raise ValueError(f"unknown negative scope {self.negative_scope!r}")
 
@@ -169,10 +175,6 @@ def _clamp(model: GeometricModel) -> None:
             np.maximum(arr, 0.0, out=arr)
 
 
-def _positive_requests(axioms) -> list[LossRequest]:
-    return [LossRequest(ax, "positive") for ax in axioms]
-
-
 def _step_seed(seed: int, epoch: int, step: int) -> int:
     return int(np.random.SeedSequence((seed, 11, epoch, step)).generate_state(1, np.uint64)[0])
 
@@ -189,15 +191,10 @@ def train(
     learning rate, and the negatives ``sample_batch`` skipped because their
     candidate pools were exhausted).
     """
-    by_variant: dict[str, list[NormalizedAxiom]] = {
-        tag: [] for tag in LOSS_VARIANTS
-    }
-    for ax in theory.axioms:
-        tag = axiom_tag(ax)
-        if tag in by_variant:
-            by_variant[tag].append(ax)
-    by_variant = {tag: axs for tag, axs in by_variant.items() if axs}
-    if not by_variant:
+    table = theory.table
+    rows_of = {tag: np.flatnonzero(table.codes == VARIANTS.index(tag)) for tag in LOSS_VARIANTS}
+    rows_of = {tag: rows for tag, rows in rows_of.items() if len(rows)}
+    if not rows_of:
         raise TrainingError("theory has no loss-bearing axioms")
     if cfg.sampler.mode in ("filtered", "biased") and dc is None:
         raise TrainingError(f"{cfg.sampler.mode} negative sampling needs a closure")
@@ -215,10 +212,11 @@ def train(
     )
     adam = _Adam(model)
     lr = cfg.learning_rate
-    validation = cfg.validation
-    if validation is None:
-        validation = [ax for axs in by_variant.values() for ax in axs]
-    val_requests = _positive_requests(validation)
+    if cfg.validation is None:
+        validation = table[np.concatenate(list(rows_of.values()))]
+    else:
+        validation = AxiomTable.from_axioms(cfg.validation)
+    val_requests = [LossRequest(validation, "positive")]
 
     log: list[dict] = []
     best_val = math.inf
@@ -228,54 +226,42 @@ def train(
         shuffle_rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((cfg.seed, 13, epoch)))
         )
-        queues: list[tuple[str, list[list[NormalizedAxiom]]]] = []
-        for tag in LOSS_VARIANTS:
-            if tag not in by_variant:
-                continue
-            axs = list(by_variant[tag])
-            order = shuffle_rng.permutation(len(axs))
-            axs = [axs[i] for i in order]
-            chunks = [
-                axs[i : i + cfg.batch_size] for i in range(0, len(axs), cfg.batch_size)
-            ]
+        queues: list[tuple[str, list[np.ndarray]]] = []
+        for tag, rows in rows_of.items():
+            rows = rows[shuffle_rng.permutation(len(rows))]
+            chunks = [rows[i : i + cfg.batch_size] for i in range(0, len(rows), cfg.batch_size)]
             queues.append((tag, chunks))
 
         epoch_loss = 0.0
-        n_steps = 0
         skipped = 0
-        round_idx = 0
+        step = 0
         while any(chunks for _, chunks in queues):
             for tag, chunks in queues:
                 if not chunks:
                     continue
-                batch_axioms = chunks.pop(0)
-                requests = _positive_requests(batch_axioms)
+                batch_axioms = table[chunks.pop(0)]
+                requests = [LossRequest(batch_axioms, "positive")]
                 wants_negatives = cfg.negative_scope == "all-forms" or (
                     cfg.negative_scope == "gci2-only" and tag == "GCI2"
                 )
                 if wants_negatives:
                     negatives, n_skipped = sample_batch(
-                        batch_axioms,
-                        cfg.negatives_per_positive,
-                        cfg.sampler,
-                        dc,
-                        seed=_step_seed(cfg.seed, epoch, round_idx),
-                        n_concepts=theory.n_concepts,
+                        batch_axioms, cfg.negatives_per_positive, cfg.sampler, dc,
+                        seed=_step_seed(cfg.seed, epoch, step), n_concepts=theory.n_concepts,
                     )
-                    requests.extend(LossRequest(ax, "negative") for ax in negatives)
+                    requests.append(LossRequest(negatives, "negative"))
                     skipped += n_skipped
                 loss, grad = _checked_loss_and_gradient(model, requests)
                 adam.step(model.params, grad, lr)
                 _clamp(model)
                 epoch_loss += loss
-                n_steps += 1
-                round_idx += 1
+                step += 1
 
         val_loss = total_loss(model, val_requests)
         log.append(
             {
                 "epoch": epoch,
-                "train_loss": epoch_loss / max(n_steps, 1),
+                "train_loss": epoch_loss / max(step, 1),
                 "val_loss": val_loss,
                 "lr": lr,
                 "negatives_skipped": skipped,

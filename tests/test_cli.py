@@ -202,6 +202,41 @@ def test_train_and_eval_round_trip(tmp_path, golden_file, capsys):
     assert (tmp_path / "ranks.csv").read_text().startswith("axiom,")
 
 
+@pytest.mark.parametrize(
+    "setting",
+    ["negatives_per_positive=-3", "learning_rate=-1", "patience=-1", "early_stop=0"],
+)
+def test_train_rejects_out_of_range_settings(tmp_path, golden_file, capsys, setting):
+    cfg_path, _ = _write_train_config(tmp_path, golden_file, epochs=1)
+    cfg_path.write_text(cfg_path.read_text() + f"\n{setting}\n", encoding="utf-8")
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_eval_rejects_duplicate_candidates(tmp_path, golden_file, capsys):
+    cfg_path, _ = _write_train_config(tmp_path, golden_file, epochs=1)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    test_file = tmp_path / "test.nf"
+    test_file.write_text(
+        "\n".join(GOLDEN_NF.splitlines()[:6]) + "\nGCI2 {P} has_function {GO2}\n",
+        encoding="utf-8",
+    )
+    candidates = tmp_path / "candidates.txt"
+    eval_cfg = tmp_path / "eval.cfg"
+    eval_cfg.write_text(
+        f"checkpoint={tmp_path / 'model.ckpt'}\ntrain_file={golden_file}\n"
+        f"test_file={test_file}\ncandidates_file={candidates}\n",
+        encoding="utf-8",
+    )
+    candidates.write_text("{GO1} {GO2} A B\n", encoding="utf-8")
+    assert main(["eval", "--config", str(eval_cfg)]) == 0
+    capsys.readouterr()
+    candidates.write_text("{GO1} {GO2} A B {GO2}\n", encoding="utf-8")
+    assert main(["eval", "--config", str(eval_cfg)]) == 1
+    assert "duplicate" in capsys.readouterr().err
+
+
 def test_eval_missing_checkpoint_exits_1(tmp_path, golden_file, capsys):
     eval_cfg = tmp_path / "eval.cfg"
     eval_cfg.write_text(

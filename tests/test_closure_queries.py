@@ -105,8 +105,8 @@ def test_entailed_fillers_equal_point_queries(seed, mode):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(SEEDS, st.sampled_from(["elem", "elbe", "box2el"]), st.booleans())
-def test_filtered_ranks_equal_per_candidate_reference(seed, tag, with_train):
+@given(SEEDS, st.sampled_from(["elem", "elbe", "box2el"]), st.sampled_from(["dc", "train", "both"]))
+def test_filtered_ranks_equal_per_candidate_reference(seed, tag, filters):
     theory, index, hierarchy = _theory(seed, max_concepts=8, max_roles=2, max_axioms=15)
     dc = compute_closure(theory, index, hierarchy, mode="oracle")
     rng = np.random.default_rng(seed)
@@ -120,8 +120,10 @@ def test_filtered_ranks_equal_per_candidate_reference(seed, tag, with_train):
         if rng.random() < 0.2:
             axioms.append(GCI0(a, c) if rng.random() < 0.5 else GCI2(a, int(rng.integers(n_r)), c))
     axioms = axioms or [GCI0(0, candidates[0])]
-    train_axioms = frozenset(theory.axioms) if with_train else frozenset()
-    task = RankingTask(axioms, candidates, train_axioms, (dc,))
+    # the closure entails every train axiom, so "train" alone checks the train index
+    train_axioms = frozenset(theory.axioms) if filters != "dc" else frozenset()
+    closures = (dc,) if filters != "train" else ()
+    task = RankingTask(axioms, candidates, train_axioms, closures)
     report = score_and_rank(model, task)
 
     for ax, ranking in zip(axioms, report.rankings):
@@ -130,7 +132,7 @@ def test_filtered_ranks_equal_per_candidate_reference(seed, tag, with_train):
         scores = list(batch_losses(model, axiom_tag(ax), "positive", cands))
         true_idx = candidates.index(getattr(ax, slot))
         keep = [
-            i == true_idx or not (c in train_axioms or dc.entails(c))
+            i == true_idx or not (c in train_axioms or (closures and dc.entails(c)))
             for i, c in enumerate(cands)
         ]
         assert (ranking.raw_rank, ranking.pool_size) == naive_rank(

@@ -1,15 +1,23 @@
 """Theory data model and `.nf` format."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elkbc.core import (
+    AXIOM_TAGS,
     BOT,
     BOT_ID,
+    SLOT_NAMES,
+    AxiomTable,
     GCI1Bot,
     GCI2,
     ParseError,
     TOP,
     TOP_ID,
+    axiom_slots,
+    axiom_tag,
     parse_theory,
     serialize_theory,
     signature_stats,
@@ -59,6 +67,7 @@ def test_round_trip_identity():
     )
     t = parse_theory(text)
     assert parse_theory(serialize_theory(t)) == t
+    assert list(t.table) == list(t.axioms)
     # serialize . parse . serialize is a fixpoint
     assert serialize_theory(parse_theory(serialize_theory(t))) == serialize_theory(t)
 
@@ -120,3 +129,32 @@ def test_axiom_ids_validated():
     t = parse_theory("GCI0 A B\n")
     with pytest.raises(ValueError):
         type(t)(t.signature, [GCI1Bot(0, 99)])
+
+
+#: any normalized axiom over ids 0..6, every variant
+AXIOMS = st.one_of(*(
+    st.tuples(*(st.integers(0, 6) for _ in SLOT_NAMES[tag])).map(lambda ids, cls=cls: cls(*ids))
+    for tag, cls in AXIOM_TAGS.items()
+))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(axioms=st.lists(AXIOMS, max_size=12), picks=st.lists(st.integers(0, 11), max_size=8))
+def test_table_round_trips_mixed_lists(axioms, picks):
+    """The id table of a mixed-variant list is a lossless view of it: length,
+    indexing, iteration, row selection and per-variant grouping."""
+    table = AxiomTable.from_axioms(axioms)
+    assert len(table) == len(axioms)
+    assert list(table) == axioms
+    assert [table[i] for i in range(len(axioms))] == axioms
+    for i, ax in enumerate(axioms):
+        assert tuple(table.cols[: len(SLOT_NAMES[axiom_tag(ax)]), i].tolist()) == axiom_slots(ax)
+        assert (table.cols[len(SLOT_NAMES[axiom_tag(ax)]) :, i] == -1).all()
+    picks = [i for i in picks if i < len(axioms)]
+    assert list(table[np.array(picks, dtype=int)]) == [axioms[i] for i in picks]
+    assert list(table[1::2]) == axioms[1::2]
+    assert AxiomTable.from_axioms(table[::-1]) == AxiomTable.from_axioms(axioms[::-1])
+    by_variant: dict = {}
+    for ax in axioms:
+        by_variant.setdefault(axiom_tag(ax), []).append(ax)
+    assert [(tag, list(rows)) for tag, rows in table.variants()] == list(by_variant.items())

@@ -42,6 +42,15 @@ def test_perfect_ranking():
     assert report.metrics["macro_AUC"] == 1.0
 
 
+def test_duplicate_candidates_rejected():
+    m = _model(6)
+    report = score_and_rank(m, RankingTask(axioms=[GCI0(2, 3)], candidates=[2, 3, 4, 5]))
+    assert report.rankings[0].pool_size == 4
+    # a repeated candidate would count twice in the pool and move the rank
+    with pytest.raises(ValueError, match="duplicate"):
+        RankingTask(axioms=[GCI0(2, 3)], candidates=[2, 3, 3, 3, 4, 5, 5])
+
+
 def test_all_tied_mid_rank():
     m = _model(12)
     # identical candidate geometry: every score ties

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elkbc.core import AXIOM_TAGS, GCI0, GCI0Bot, GCI1, GCI1Bot, GCI2, GCI3, GCI3Bot, RI0
+from elkbc.core import (
+    AXIOM_TAGS, GCI0, GCI0Bot, GCI1, GCI1Bot, GCI2, GCI3, GCI3Bot, RI0, RI1, AxiomTable,
+)
 from elkbc.losses import (
     LOSS_VARIANTS,
     GeometricModel,
@@ -21,6 +23,7 @@ from elkbc.losses import (
     elem_loss,
     param_shapes,
     total_loss,
+    zero_gradient,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -522,3 +525,16 @@ def test_batch_equals_scalar(tag, variant, polarity, data):
     ))
     scalar = [axiom_loss(m, LossRequest(ax, polarity)) for ax in axioms]
     np.testing.assert_array_equal(batch_losses(m, variant, polarity, axioms), scalar)
+
+    # the same axioms as a strided slice of a mixed-variant id table: same
+    # losses, gradients and total loss as the dataclass list
+    rows = AxiomTable.from_axioms([x for ax in axioms for x in (RI1(0, 0, 0), ax)])[1::2]
+    grads = zero_gradient(m), zero_gradient(m)
+    for given_axioms, grad in zip((axioms, rows), grads):
+        losses = batch_losses(m, variant, polarity, given_axioms, grad=grad, weight=0.5)
+        np.testing.assert_array_equal(losses, scalar)
+    for name in m.params:
+        np.testing.assert_array_equal(grads[0][name], grads[1][name])
+    assert total_loss(m, [LossRequest(rows, polarity)]) == total_loss(
+        m, [LossRequest(ax, polarity) for ax in axioms]
+    )

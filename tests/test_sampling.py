@@ -2,17 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elkbc.closure import compute_closure
-from elkbc.core import GCI1, GCI2, TOP_ID, axiom_tag, parse_theory
+from elkbc.core import GCI1, GCI2, TOP_ID, VARIANTS, axiom_tag, parse_theory
+from elkbc.losses import LOSS_VARIANTS
 from elkbc.reasoner import classify
 from elkbc.sampling import (
+    SLOT_POLICIES,
     SampleExhausted,
     SamplerConfig,
     corrupt,
     entailed_fraction,
     sample_batch,
 )
+from oracles import random_theory
 
 
 def closure_of(text):
@@ -145,3 +150,36 @@ def test_default_pool_excludes_top_and_bot():
         seen.add(corrupt(ax, SamplerConfig(mode="random"), None, rng, theory.n_concepts).sup)
     assert TOP_ID not in seen and 1 not in seen
     assert seen == {theory.signature.concepts.id_of("C"), ax.sub}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from([("random", 0.0), ("filtered", 0.0), ("biased", 0.5)]),
+    count=st.integers(1, 3),
+    data=st.data(),
+)
+def test_batch_equals_corrupt_loop(seed, mode, count, data):
+    """``sample_batch`` draws what a loop of ``corrupt`` calls draws, each
+    input axiom from its own ``SeedSequence((seed, index))`` stream, with the
+    same skips; a table input and a list input give the same negatives."""
+    theory = random_theory(np.random.default_rng(seed))
+    index, hierarchy, _ = classify(theory)
+    dc = compute_closure(theory, index, hierarchy, mode="oracle")
+    overrides = {
+        tag: data.draw(st.sampled_from(slots)) for tag, (_, slots) in SLOT_POLICIES.items()
+    }
+    cfg = SamplerConfig(mode=mode[0], bias_p=mode[1], slot_overrides=overrides, retry_limit=4)
+    axioms = [ax for ax in theory.axioms if axiom_tag(ax) in LOSS_VARIANTS]
+    expected, skipped = [], 0
+    for i, ax in enumerate(axioms):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+        for _ in range(count):
+            try:
+                expected.append(corrupt(ax, cfg, dc, rng))
+            except SampleExhausted:
+                skipped += 1
+    negatives, got_skipped = sample_batch(axioms, count, cfg, dc, seed=seed)
+    assert (list(negatives), got_skipped) == (expected, skipped)
+    rows = theory.table[np.isin(theory.table.codes, [VARIANTS.index(t) for t in LOSS_VARIANTS])]
+    assert sample_batch(rows, count, cfg, dc, seed=seed) == (negatives, skipped)

@@ -193,6 +193,21 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="epochs >= 1"):
             _cfg(epochs=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("negatives_per_positive", 0),
+            ("negatives_per_positive", -3),
+            ("learning_rate", 0.0),
+            ("learning_rate", -1.0),
+            ("patience", -1),
+            ("early_stop", 0),
+        ],
+    )
+    def test_out_of_range_settings_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            _cfg(**{field: value})
+
     def test_radii_and_offsets_clamped(self):
         theory = parse_theory(TOY)
         for tag in ("elem", "elbe", "box2el"):
