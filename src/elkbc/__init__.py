@@ -35,7 +35,7 @@ from .core import (
     signature_stats,
 )
 from .evaluation import RankingReport, RankingTask, filter_test_set, nf_f_delta, score_and_rank
-from .geometry import AABox, Ball, box_distance, box_intersection, containment_measure_mu
+from .geometry import AABox, box_distance, box_intersection, containment_measure_mu
 from .losses import (
     GeometricModel,
     LossRequest,
@@ -64,7 +64,6 @@ __all__ = [
     "AxiomTable",
     "BOT",
     "BOT_ID",
-    "Ball",
     "ClosureCapError",
     "DeductiveClosure",
     "GCI0",

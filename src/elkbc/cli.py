@@ -161,6 +161,16 @@ def _default_out_dir() -> Path:
     return Path(os.environ.get("ELKBC_CACHE_DIR", "."))
 
 
+def _load_matching(path: str, train_theory: Theory, key: str) -> Theory:
+    """The theory in ``path``; its concept and role names must equal
+    ``train_theory``'s, in order, because their axioms share ids."""
+    theory = load_theory(path)
+    for kind in ("concepts", "roles"):
+        if getattr(theory.signature, kind).names() != getattr(train_theory.signature, kind).names():
+            raise CliError(f"{key} {kind} must match train_file (same directives, same order)")
+    return theory
+
+
 def _build_closure(theory: Theory):
     """A query-only closure: train, eval and sample-check never enumerate."""
     index, hierarchy, _ = classify(theory)
@@ -248,7 +258,7 @@ def cmd_train(args) -> int:
     theory = load_theory(cfg["train_file"])
     validation = None
     if "validation_file" in cfg:
-        validation = list(load_theory(cfg["validation_file"]).axioms)
+        validation = list(_load_matching(cfg["validation_file"], theory, "validation_file").axioms)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     sampler = _sampler_from_cfg(cfg)
     # config keys named like TrainConfig fields set them; the rest keep its defaults
@@ -280,10 +290,7 @@ def cmd_eval(args) -> int:
     train_theory = load_theory(cfg["train_file"])
     if header.get("signature_hash") and header["signature_hash"] != signature_hash(train_theory):
         raise CliError("checkpoint signature hash does not match train_file")
-    test_theory = load_theory(cfg["test_file"])
-    if test_theory.signature.concepts.names() != train_theory.signature.concepts.names():
-        raise CliError("test_file signature must match train_file (same directives)")
-    test_axioms = list(test_theory.axioms)
+    test_axioms = list(_load_matching(cfg["test_file"], train_theory, "test_file").axioms)
 
     filter_mode = cfg.get("filter", "none")
     closures = ()

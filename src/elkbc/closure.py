@@ -23,16 +23,26 @@ canonicalized to (lower id, higher id).
 
 Every question goes through one query path: premise indexes over the asserted
 axioms (GCI1/GCI1_BOT by left conjunct, GCI2 by subject, GCI3/GCI3_BOT by
-filler, each built on first use) feed a per-key memo of filler rows:
+filler, each built on first use from the id columns of ``Theory.table``) feed
+a per-key memo of filler rows:
 
+* concept A: every E with ``A [= E`` (every concept when A is unsatisfiable);
 * pair {A, B}: every E with ``A n B [= E`` (Bot included when the pair is
   disjoint, in which case the row is every concept);
 * subject A: role -> every B with ``A [= Er.B`` (chain-saturated when the
   theory has role chains);
 * (r, A): every E with ``Er.A [= E`` (Bot included for ``Er.A [= Bot``).
 
-``entails`` is one lookup in one row and ``entailed_fillers`` answers a whole
-slot.  The two modes answer identically; ``materialized`` additionally
+One query table maps each GCI variant to its key (its leading id columns), its
+row and its answer column, which is Bot for the three ``_BOT`` variants.
+``entails_ids(code, ids)`` asks whether the answer is in the row of the key;
+``entailed_fillers_ids(code, ids, col)`` is that row when ``col`` is the answer
+column and otherwise asks every concept once, memoized per fixed remainder.
+The id queries check nothing (the sampler asks them with ids it holds);
+``entails`` and ``entailed_fillers`` take a dataclass, check its ids
+(``KeyError``) and ask them.
+
+The two modes answer identically; ``materialized`` additionally
 enumerates the closure (``counts``, ``iter_variant`` and the per-variant
 ``gci1`` .. ``gci3_bot`` views, built from the rows on first access) and is
 refused above a |C|^3 cap.  Rows are built lazily and published only when
@@ -41,27 +51,27 @@ complete, so concurrent readers at worst build the same row twice.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (
+    _CODE_OF,
+    _SLOT_KINDS,
     AXIOM_TAGS,
     BOT_ID,
     GCI0,
     GCI0Bot,
-    GCI1,
-    GCI1Bot,
-    GCI2,
-    GCI3,
-    GCI3Bot,
-    NormalizedAxiom,
+    SLOT_NAMES,
     TOP_ID,
+    VARIANTS,
+    NormalizedAxiom,
     Theory,
-    concept_slots,
 )
 from .reasoner import RoleHierarchy, SubsumptionIndex
+
+_GCI2 = VARIANTS.index("GCI2")
 
 
 class ClosureCapError(RuntimeError):
@@ -83,17 +93,10 @@ class DeductiveClosure:
         self._pairs: dict[tuple[int, int], frozenset[int]] = {}
         self._subjects: dict[int, dict[int, frozenset[int]]] = {}
         self._existentials: dict[tuple[int, int], frozenset[int]] = {}
-        self._slot_sets: dict[tuple[NormalizedAxiom, str], frozenset[int]] = {}
+        self._slot_sets: dict[tuple[int, ...], frozenset[int]] = {}
 
     def _unsat(self, a: int) -> bool:
         return BOT_ID in self.index.sup[a]
-
-    def _check(self, *concepts: int, role: int | None = None) -> None:
-        for a in concepts:
-            if not 0 <= a < self.theory.n_concepts:
-                raise KeyError(f"unknown concept id {a}")
-        if role is not None and not 0 <= role < self.theory.n_roles:
-            raise KeyError(f"unknown role id {role}")
 
     # -- premise indexes over asserted axioms ----------------------------------
 
@@ -101,19 +104,16 @@ class DeductiveClosure:
     def _gci1_by_left(self) -> dict[int, list[tuple[int, int]]]:
         """Asserted ``l n r [= s`` as l -> [(r, s)]; GCI1_BOT has s = Bot."""
         by_left = defaultdict(list)
-        for ax in self.theory.axioms:
-            if isinstance(ax, GCI1):
-                by_left[ax.left].append((ax.right, ax.sup))
-            elif isinstance(ax, GCI1Bot):
-                by_left[ax.left].append((ax.right, BOT_ID))
+        for left, right, sup in self.theory.table.ids_of("GCI1", "GCI1_BOT"):
+            by_left[left].append((right, BOT_ID if sup < 0 else sup))
         return by_left
 
     @cached_property
     def _gci2_by_subject(self) -> dict[int, list[tuple[int, int]]]:
         """Asserted ``x [= Eq.f`` as x -> [(q, f)]."""
         by_subject = defaultdict(list)
-        for ax in self.theory.axioms_of(GCI2):
-            by_subject[ax.sub].append((ax.role, ax.filler))
+        for sub, role, filler in self.theory.table.ids_of("GCI2"):
+            by_subject[sub].append((role, filler))
         return by_subject
 
     @cached_property
@@ -121,11 +121,8 @@ class DeductiveClosure:
         """Asserted ``Eq.f [= s`` as f -> [(q, s)]; GCI3_BOT has s = None (it
         yields Bot alone, unlike an asserted GCI3 with superclass Bot)."""
         by_filler = defaultdict(list)
-        for ax in self.theory.axioms:
-            if isinstance(ax, GCI3):
-                by_filler[ax.filler].append((ax.role, ax.sup))
-            elif isinstance(ax, GCI3Bot):
-                by_filler[ax.filler].append((ax.role, None))
+        for role, filler, sup in self.theory.table.ids_of("GCI3", "GCI3_BOT"):
+            by_filler[filler].append((role, None if sup < 0 else sup))
         return by_filler
 
     @cached_property
@@ -133,6 +130,9 @@ class DeductiveClosure:
         return frozenset(range(self.theory.n_concepts))
 
     # -- rows -----------------------------------------------------------------
+
+    def _sup_row(self, a: int) -> frozenset[int]:
+        return self._everything if self._unsat(a) else self.index.sup[a]
 
     def _pair_row(self, a: int, b: int) -> frozenset[int]:
         key = _canon(a, b)
@@ -158,6 +158,9 @@ class DeductiveClosure:
             row = {r: frozenset(fs) for r, fs in self._base_gci2_edges(a).items()}
             self._subjects[a] = row
         return row
+
+    def _role_row(self, a: int, r: int) -> frozenset[int]:
+        return self._subject_row(a).get(r, frozenset())
 
     def _existential_row(self, r: int, a: int) -> frozenset[int]:
         row = self._existentials.get((r, a))
@@ -238,70 +241,83 @@ class DeductiveClosure:
                 self._subjects[x] = {r: frozenset(fs) for r, fs in edges.items()}
         return self._subjects[a]
 
+    #: GCI variant code -> (key columns, row of the key, answer column); the
+    #: key is the leading id columns, and answer column None asks for Bot
+    _QUERIES = {
+        VARIANTS.index(tag): query
+        for tag, query in {
+            "GCI0": (1, _sup_row, 1),
+            "GCI1": (2, _pair_row, 2),
+            "GCI2": (2, _role_row, 2),
+            "GCI3": (2, _existential_row, 2),
+            "GCI0_BOT": (1, _sup_row, None),
+            "GCI1_BOT": (2, _pair_row, None),
+            "GCI3_BOT": (2, _existential_row, None),
+        }.items()
+    }
+
     # -- queries ----------------------------------------------------------------
 
+    def entails_ids(self, code: int, ids: Sequence[int]) -> bool:
+        """Whether the GCI with variant code ``code`` and the id row ``ids``
+        (`.nf` slot order) is entailed; the ids are not checked."""
+        keys, row, answer = self._QUERIES[code]
+        value = BOT_ID if answer is None else ids[answer]
+        if code == _GCI2 and value != BOT_ID and self._unsat(ids[0]):
+            return True  # Bot and unsatisfiable subjects reach every filler
+        return value in row(self, *ids[:keys])
+
+    def entailed_fillers_ids(self, code: int, ids: Sequence[int], col: int) -> frozenset[int]:
+        """Every concept v such that the id row with ``ids[col] = v`` is
+        entailed; the ids are not checked and ``ids[col]`` is not read."""
+        keys, row, answer = self._QUERIES[code]
+        if col == answer:
+            return row(self, *ids[:keys])
+        probe = list(ids)
+        probe[col] = -1
+        key = (code, col, *probe)
+        hit = self._slot_sets.get(key)
+        if hit is None:
+            found = []
+            for v in range(self.theory.n_concepts):
+                probe[col] = v
+                if self.entails_ids(code, probe):
+                    found.append(v)
+            hit = frozenset(found)
+            self._slot_sets[key] = hit
+        return hit
+
+    def _ids(self, ax: NormalizedAxiom) -> tuple[int, list[int]]:
+        """Variant code and id row (-1 padded, as in ``Theory.table``) of a
+        caller's GCI, every id checked against the theory."""
+        code = _CODE_OF.get(type(ax))
+        if code not in self._QUERIES:
+            raise ValueError(f"role-inclusion axioms are outside the closure's scope: {ax!r}")
+        names, kinds = SLOT_NAMES[VARIANTS[code]], _SLOT_KINDS[VARIANTS[code]]
+        ids = [getattr(ax, name) for name in names]
+        for kind, i in zip(kinds, ids):
+            if not 0 <= i < (self.theory.n_concepts if kind == "c" else self.theory.n_roles):
+                raise KeyError(f"unknown {'concept' if kind == 'c' else 'role'} id {i}")
+        return code, ids + [-1] * (3 - len(ids))
+
     def entails(self, ax: NormalizedAxiom) -> bool:
-        if isinstance(ax, GCI0):
-            return self.index.is_subclass(ax.sub, ax.sup)
-        if isinstance(ax, GCI0Bot):
-            self._check(ax.sub)
-            return self._unsat(ax.sub)
-        if isinstance(ax, GCI1):
-            self._check(ax.left, ax.right, ax.sup)
-            return ax.sup in self._pair_row(ax.left, ax.right)
-        if isinstance(ax, GCI1Bot):
-            self._check(ax.left, ax.right)
-            return BOT_ID in self._pair_row(ax.left, ax.right)
-        if isinstance(ax, GCI2):
-            self._check(ax.sub, ax.filler, role=ax.role)
-            if ax.filler != BOT_ID and self._unsat(ax.sub):
-                return True  # Bot and unsatisfiable subjects reach every filler
-            return ax.filler in self._subject_row(ax.sub).get(ax.role, ())
-        if isinstance(ax, GCI3):
-            self._check(ax.filler, ax.sup, role=ax.role)
-            return ax.sup in self._existential_row(ax.role, ax.filler)
-        if isinstance(ax, GCI3Bot):
-            self._check(ax.filler, role=ax.role)
-            return BOT_ID in self._existential_row(ax.role, ax.filler)
-        raise ValueError(f"role-inclusion axioms are outside the closure's scope: {ax!r}")
+        return self.entails_ids(*self._ids(ax))
 
     def entailed_fillers(self, ax: NormalizedAxiom, slot: str | None = None) -> frozenset[int]:
         """Every concept v such that ``ax`` with ``slot`` set to v is entailed.
 
         ``slot`` names a concept slot and defaults to the rightmost one (E for
         GCI1).  The rightmost slot of GCI0-GCI3 is one row; any other slot asks
-        ``entails`` once per concept and is memoized per fixed remainder.
-        Biased negative sampling and filtered ranking both use this query.
+        every concept once and is memoized per fixed remainder.  Biased
+        negative sampling and filtered ranking both use this query.
         """
-        slots = concept_slots(ax)
-        if not slots:
-            raise ValueError(f"no corruptible concept slot on {ax!r}")
+        code, ids = self._ids(ax)
+        names, kinds = SLOT_NAMES[VARIANTS[code]], _SLOT_KINDS[VARIANTS[code]]
+        slots = [name for name, kind in zip(names, kinds) if kind == "c"]
         slot = slot or slots[-1]
         if slot not in slots:
             raise ValueError(f"{slot!r} is not a concept slot of {ax!r}")
-        if slot == slots[-1]:
-            if isinstance(ax, GCI0):
-                self._check(ax.sub)
-                return self._everything if self._unsat(ax.sub) else self.index.sup[ax.sub]
-            if isinstance(ax, GCI1):
-                self._check(ax.left, ax.right)
-                return self._pair_row(ax.left, ax.right)
-            if isinstance(ax, GCI2):
-                self._check(ax.sub, role=ax.role)
-                return self._subject_row(ax.sub).get(ax.role, frozenset())
-            if isinstance(ax, GCI3):
-                self._check(ax.filler, role=ax.role)
-                return self._existential_row(ax.role, ax.filler)
-        key = (dataclasses.replace(ax, **{slot: -1}), slot)
-        hit = self._slot_sets.get(key)
-        if hit is None:
-            hit = frozenset(
-                v
-                for v in range(self.theory.n_concepts)
-                if self.entails(dataclasses.replace(ax, **{slot: v}))
-            )
-            self._slot_sets[key] = hit
-        return hit
+        return self.entailed_fillers_ids(code, ids, names.index(slot))
 
     # -- enumeration (materialized mode) ---------------------------------------
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -205,12 +205,6 @@ def axiom_slots(ax: NormalizedAxiom) -> tuple[int, ...]:
     return tuple(getattr(ax, name) for name in SLOT_NAMES[TAG_OF[type(ax)]])
 
 
-def concept_slots(ax: NormalizedAxiom) -> tuple[str, ...]:
-    """Field names of the concept slots, in `.nf` token order."""
-    tag = axiom_tag(ax)
-    return tuple(name for name, kind in zip(SLOT_NAMES[tag], _SLOT_KINDS[tag]) if kind == "c")
-
-
 class AxiomTable(Sequence):
     """Normalized axioms as rows of ids, the representation every hot path
     works on.
@@ -273,6 +267,11 @@ class AxiomTable(Sequence):
         kind = _KIND_OF_SLOT[self.codes].T
         high = np.array([0, n_concepts, n_roles])[kind]
         return ((self.cols < (kind > 0) - 1) | (self.cols >= high)).any(axis=0)
+
+    def ids_of(self, *tags: str) -> Iterator[tuple[int, int, int]]:
+        """The three ids of every row of the variants ``tags``, in table order."""
+        rows = np.isin(self.codes, [VARIANTS.index(tag) for tag in tags])
+        return zip(*self.cols[:, rows].tolist())
 
     def variants(self) -> list[tuple[str, "AxiomTable"]]:
         """(tag, that variant's rows) per variant, in order of first occurrence."""

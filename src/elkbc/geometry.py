@@ -1,5 +1,9 @@
-"""Geometric primitives shared by the loss models: balls, axis-aligned boxes,
-and their interaction measures.
+"""Axis-aligned boxes and their interaction measures, the readable reference
+for the box losses: at margin 0, the elbe and box2el GCI0 positive loss of
+``A [= B`` is ``containment_measure_mu(A, B)``, and the GCI1 positive loss of
+``A n B [= E`` is ``containment_measure_mu(box_intersection(A, B), E)``.
+``losses`` computes the same values over whole batches without this module;
+the test suite checks that they agree.
 
 Boxes are (center, offset) pairs where the offset holds per-axis half-widths.
 ``box_intersection`` may return negative offset coordinates; that is the
@@ -13,15 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -47,9 +42,6 @@ class AABox:
 
     def is_empty(self) -> bool:
         return bool(np.any(self.offset < 0))
-
-    def translate(self, v: np.ndarray) -> "AABox":
-        return AABox(self.center + np.asarray(v, dtype=np.float64), self.offset)
 
 
 def _check_dims(a: AABox, b: AABox) -> None:

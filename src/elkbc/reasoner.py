@@ -30,20 +30,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from .core import (
-    BOT_ID,
-    GCI0,
-    GCI0Bot,
-    GCI1,
-    GCI1Bot,
-    GCI2,
-    GCI3,
-    GCI3Bot,
-    RI0,
-    RI1,
-    TOP_ID,
-    Theory,
-)
+from .core import BOT_ID, RI1, TOP_ID, VARIANTS, Theory
 
 
 @dataclass(frozen=True)
@@ -52,14 +39,6 @@ class SubsumptionIndex:
 
     sup: tuple[frozenset[int], ...]
     sub: tuple[frozenset[int], ...]
-
-    def superclasses(self, a: int) -> frozenset[int]:
-        self._check(a)
-        return self.sup[a]
-
-    def subclasses(self, b: int) -> frozenset[int]:
-        self._check(b)
-        return self.sub[b]
 
     def is_subclass(self, a: int, b: int) -> bool:
         """True when a [= b is entailed; unsatisfiable a is below everything."""
@@ -79,11 +58,6 @@ class RoleHierarchy:
     rsup: tuple[frozenset[int], ...]
     chains: tuple[RI1, ...]
 
-    def super_roles(self, r: int) -> frozenset[int]:
-        if not 0 <= r < len(self.rsup):
-            raise KeyError(f"unknown role id {r}")
-        return self.rsup[r]
-
     def sub_roles(self, r: int) -> frozenset[int]:
         if not 0 <= r < len(self.rsup):
             raise KeyError(f"unknown role id {r}")
@@ -102,10 +76,10 @@ class RoleLinkIndex:
         return self.links[r]
 
 
-def _role_closure(n_roles: int, ri0: list[RI0]) -> list[set[int]]:
+def _role_closure(n_roles: int, ri0) -> list[set[int]]:
     direct = defaultdict(set)
-    for ax in ri0:
-        direct[ax.sub].add(ax.sup)
+    for sub, sup, _ in ri0:
+        direct[sub].add(sup)
     rsup = []
     for r in range(n_roles):
         seen = {r}
@@ -124,41 +98,30 @@ def classify(theory: Theory) -> tuple[SubsumptionIndex, RoleHierarchy, RoleLinkI
     n_c = theory.n_concepts
     n_r = theory.n_roles
 
-    # premise indexes over asserted axioms (BOT variants folded in)
+    # premise indexes over asserted axioms (BOT variants, -1 in the table's
+    # last slot, folded in with target Bot)
+    table = theory.table
     gci0_by_sub: dict[int, list[int]] = defaultdict(list)
+    for a, b, _ in table.ids_of("GCI0", "GCI0_BOT"):
+        gci0_by_sub[a].append(BOT_ID if b < 0 else b)
     gci1_by_conjunct: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for a, b, e in table.ids_of("GCI1", "GCI1_BOT"):
+        gci1_by_conjunct[a].append((b, BOT_ID if e < 0 else e))
+        gci1_by_conjunct[b].append((a, BOT_ID if e < 0 else e))
     gci2_by_sub: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for a, r, b in table.ids_of("GCI2"):
+        gci2_by_sub[a].append((r, b))
     gci3_by_role_filler: dict[tuple[int, int], list[int]] = defaultdict(list)
-    ri0: list[RI0] = []
-    chains: list[RI1] = []
-    for ax in theory.axioms:
-        if isinstance(ax, GCI0):
-            gci0_by_sub[ax.sub].append(ax.sup)
-        elif isinstance(ax, GCI0Bot):
-            gci0_by_sub[ax.sub].append(BOT_ID)
-        elif isinstance(ax, GCI1):
-            gci1_by_conjunct[ax.left].append((ax.right, ax.sup))
-            gci1_by_conjunct[ax.right].append((ax.left, ax.sup))
-        elif isinstance(ax, GCI1Bot):
-            gci1_by_conjunct[ax.left].append((ax.right, BOT_ID))
-            gci1_by_conjunct[ax.right].append((ax.left, BOT_ID))
-        elif isinstance(ax, GCI2):
-            gci2_by_sub[ax.sub].append((ax.role, ax.filler))
-        elif isinstance(ax, GCI3):
-            gci3_by_role_filler[(ax.role, ax.filler)].append(ax.sup)
-        elif isinstance(ax, GCI3Bot):
-            gci3_by_role_filler[(ax.role, ax.filler)].append(BOT_ID)
-        elif isinstance(ax, RI0):
-            ri0.append(ax)
-        elif isinstance(ax, RI1):
-            chains.append(ax)
+    for r, a, e in table.ids_of("GCI3", "GCI3_BOT"):
+        gci3_by_role_filler[(r, a)].append(BOT_ID if e < 0 else e)
+    chains: tuple[RI1, ...] = tuple(table[table.codes == VARIANTS.index("RI1")])
 
-    rsup = _role_closure(n_r, ri0)
+    rsup = _role_closure(n_r, table.ids_of("RI0"))
     chain_by_first: dict[int, list[tuple[int, int]]] = defaultdict(list)
     chain_by_second: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for ch in chains:
-        chain_by_first[ch.first].append((ch.second, ch.sup))
-        chain_by_second[ch.second].append((ch.first, ch.sup))
+    for first, second, s in table.ids_of("RI1"):
+        chain_by_first[first].append((second, s))
+        chain_by_second[second].append((first, s))
 
     sup: list[set[int]] = [set() for _ in range(n_c)]
     links: list[set[tuple[int, int]]] = [set() for _ in range(n_r)]
@@ -242,7 +205,7 @@ def classify(theory: Theory) -> tuple[SubsumptionIndex, RoleHierarchy, RoleLinkI
     )
     hierarchy = RoleHierarchy(
         rsup=tuple(frozenset(s) for s in rsup),
-        chains=tuple(chains),
+        chains=chains,
     )
     link_index = RoleLinkIndex(links=tuple(frozenset(s) for s in links))
     return index, hierarchy, link_index

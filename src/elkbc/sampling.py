@@ -20,7 +20,11 @@ Modes:
                    purpose), otherwise as in ``random``.
 
 ``sample_batch`` takes axioms as an ``AxiomTable`` (or dataclasses) and returns
-the negatives as one; ``corrupt`` is its one-row, one-draw case.
+the negatives as one; ``corrupt`` is its one-row, one-draw case.  Filtered and
+biased draws ask the closure's id queries with the variant code and ids they
+hold.  Those check nothing, so a call checks its candidate pool once against
+the concept count (``ValueError``) and, before it queries, its rows against
+the closure's theory (``KeyError``).
 Randomness comes from numpy's PCG64, which is seedable and platform-stable;
 ``sample_batch`` derives one child stream per input axiom from
 ``SeedSequence((seed, axiom_index))``, so batches are reproducible and may be
@@ -37,7 +41,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .closure import DeductiveClosure
-from .core import AXIOM_TAGS, BOT_ID, SLOT_NAMES, TOP_ID, VARIANTS, AxiomTable, NormalizedAxiom
+from .core import BOT_ID, SLOT_NAMES, TOP_ID, VARIANTS, AxiomTable, NormalizedAxiom
 
 #: variant -> (default slot, allowed slots)
 SLOT_POLICIES: dict[str, tuple[str, tuple[str, ...]]] = {
@@ -137,16 +141,24 @@ def _corrupt_rows(
         fixed = slot_col[table.codes] < 0
         if fixed.any():
             raise ValueError(f"variant {VARIANTS[table.codes[fixed][0]]} is not corruptible")
-        if cfg.mode in ("filtered", "biased") and dc is None:
-            raise ValueError(f"{cfg.mode} sampling needs a deductive closure")
-    pool = cfg.pool
-    if pool is None:
-        if n_concepts is None:
+        # the closure's id queries check nothing: rows and pool are checked here
+        if cfg.mode in ("filtered", "biased"):
             if dc is None:
-                raise ValueError("need n_concepts or a closure to build the default pool")
-            n_concepts = dc.theory.n_concepts
+                raise ValueError(f"{cfg.mode} sampling needs a deductive closure")
+            bad = table.outside(dc.theory.n_concepts, dc.theory.n_roles)
+            if bad.any():
+                raise KeyError(f"axiom {table[int(np.argmax(bad))]!r} has an id outside the theory")
+    if n_concepts is None and dc is not None:
+        n_concepts = dc.theory.n_concepts
+    if cfg.pool is not None:
+        pool = np.asarray(cfg.pool, np.int64)
+        if n_concepts is not None and len(pool) and not 0 <= pool.min() <= pool.max() < n_concepts:
+            raise ValueError(f"candidate pool holds a concept id outside [0, {n_concepts})")
+    elif n_concepts is None:
+        raise ValueError("need n_concepts or a closure to build the default pool")
+    else:
         pool = np.setdiff1d(np.arange(n_concepts), (TOP_ID, BOT_ID))
-    pool = np.asarray(pool, np.int64).tolist()  # scalar picks are fastest from a list
+    pool = pool.tolist()  # scalar picks are fastest from a list
     if not pool:  # every draw is exhausted at once
         return table[:0], len(table) * max(count, 0)
     src: list[int] = []  # the row each negative corrupts
@@ -154,13 +166,12 @@ def _corrupt_rows(
     skipped = 0
     rows = zip(rngs, table.codes.tolist(), *table.cols.tolist())
     for i, (rng, code, *ids) in enumerate(rows):
-        tag, j = VARIANTS[code], int(slot_col[code])
-        arity = len(SLOT_NAMES[tag])
+        j = int(slot_col[code])
         current, entailed = ids[j], None
         for _ in range(count):
             if cfg.mode == "biased" and rng.random() < cfg.bias_p:
                 if entailed is None:
-                    fillers = dc.entailed_fillers(table[i], SLOT_NAMES[tag][j])
+                    fillers = dc.entailed_fillers_ids(code, ids, j)
                     entailed = [v for v in sorted(fillers) if v != current]
                 if entailed:
                     src.append(i)
@@ -172,7 +183,7 @@ def _corrupt_rows(
                 if cand == current:
                     continue
                 ids[j] = cand
-                if cfg.mode == "filtered" and dc.entails(AXIOM_TAGS[tag](*ids[:arity])):
+                if cfg.mode == "filtered" and dc.entails_ids(code, ids):
                     continue
                 src.append(i)
                 values.append(cand)
@@ -197,5 +208,6 @@ def entailed_fraction(
     )
     if not negatives:
         return 0.0, 0
-    hits = sum(1 for ax in negatives if dc.entails(ax))
+    rows = zip(negatives.codes.tolist(), *negatives.cols.tolist())
+    hits = sum(dc.entails_ids(code, ids) for code, *ids in rows)
     return hits / len(negatives), len(negatives)

@@ -82,6 +82,8 @@ class TrainConfig:
             (self.learning_rate > 0, "learning rate > 0"),
             (self.patience >= 0, "patience >= 0"),
             (self.early_stop >= 1, "early stop >= 1"),
+            # an empty validation loss is constant, so the schedule would fire on no signal
+            (self.validation is None or len(self.validation) > 0, "validation set not empty"),
         ):
             if not ok:
                 raise ValueError(message)

@@ -204,10 +204,22 @@ def test_train_and_eval_round_trip(tmp_path, golden_file, capsys):
 
 @pytest.mark.parametrize(
     "setting",
-    ["negatives_per_positive=-3", "learning_rate=-1", "patience=-1", "early_stop=0"],
+    [
+        "negatives_per_positive=-3",
+        "learning_rate=-1",
+        "patience=-1",
+        "early_stop=0",
+        "validation_file={tmp}/no_axioms.nf",
+    ],
 )
 def test_train_rejects_out_of_range_settings(tmp_path, golden_file, capsys, setting):
     cfg_path, _ = _write_train_config(tmp_path, golden_file, epochs=1)
+    # the train signature without its axioms: a validation file with nothing to score
+    (tmp_path / "no_axioms.nf").write_text(
+        "".join(line + "\n" for line in GOLDEN_NF.splitlines() if line.startswith("#")),
+        encoding="utf-8",
+    )
+    setting = setting.format(tmp=tmp_path)
     cfg_path.write_text(cfg_path.read_text() + f"\n{setting}\n", encoding="utf-8")
     assert main(["train", "--config", str(cfg_path)]) == 1
     assert "error:" in capsys.readouterr().err
@@ -235,6 +247,40 @@ def test_eval_rejects_duplicate_candidates(tmp_path, golden_file, capsys):
     candidates.write_text("{GO1} {GO2} A B {GO2}\n", encoding="utf-8")
     assert main(["eval", "--config", str(eval_cfg)]) == 1
     assert "duplicate" in capsys.readouterr().err
+
+
+def test_train_rejects_validation_file_with_other_signature(tmp_path, capsys):
+    train_file = tmp_path / "train.nf"
+    train_file.write_text("#concept A\n#concept B\n#concept C\nGCI0 A B\nGCI0 B C\n")
+    validation = tmp_path / "validation.nf"
+    validation.write_text("GCI0 C A\n")  # interned on its own, C would be id 2 = A
+    cfg_path, _ = _write_train_config(tmp_path, train_file, epochs=1,
+                                      validation_file=validation)
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    assert "validation_file concepts must match" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+    validation.write_text("#concept A\n#concept B\n#concept C\nGCI0 C A\n")
+    assert main(["train", "--config", str(cfg_path)]) == 0
+
+
+def test_eval_rejects_test_file_with_other_roles(tmp_path, capsys):
+    train_file = tmp_path / "train.nf"
+    header = "#concept A\n#concept C\n"
+    train_file.write_text(header + "#role r\n#role s\nGCI2 A r C\nGCI2 C s A\n")
+    cfg_path, _ = _write_train_config(tmp_path, train_file, epochs=1)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    test_file = tmp_path / "test.nf"
+    eval_cfg = tmp_path / "eval.cfg"
+    eval_cfg.write_text(
+        f"checkpoint={tmp_path / 'model.ckpt'}\ntrain_file={train_file}\n"
+        f"test_file={test_file}\n",
+        encoding="utf-8",
+    )
+    test_file.write_text(header + "#role s\n#role r\nGCI2 A s C\n")  # s would read as r
+    assert main(["eval", "--config", str(eval_cfg)]) == 1
+    assert "test_file roles must match" in capsys.readouterr().err
+    test_file.write_text(header + "#role r\n#role s\nGCI2 A s C\n")
+    assert main(["eval", "--config", str(eval_cfg)]) == 0
 
 
 def test_eval_missing_checkpoint_exits_1(tmp_path, golden_file, capsys):

@@ -8,6 +8,7 @@ import sys
 import threading
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,10 @@ from elkbc.core import (
     GCI2,
     GCI3,
     GCI3Bot,
+    SLOT_NAMES,
+    VARIANTS,
+    AxiomTable,
+    _SLOT_KINDS,
     axiom_tag,
     parse_theory,
 )
@@ -84,10 +89,14 @@ def _in_naive(ref, ax) -> bool:
 def test_entails_matches_naive_closure_in_both_modes(seed):
     theory, index, hierarchy = _theory(seed, max_concepts=6, max_roles=2, max_axioms=12)
     ref = naive_closure(theory)
+    table = AxiomTable.from_axioms(_every_axiom(theory.n_concepts, theory.n_roles))
     for mode in ("materialized", "oracle"):
         dc = compute_closure(theory, index, hierarchy, mode=mode)
-        for ax in _every_axiom(theory.n_concepts, theory.n_roles):
+        for ax in table:
             assert dc.entails(ax) == _in_naive(ref, ax), (mode, theory.axioms, ax)
+        # the id path answers as the dataclass path on the table's rows
+        rows = zip(table.codes.tolist(), *table.cols.tolist())
+        assert [dc.entails_ids(code, ids) for code, *ids in rows] == list(map(dc.entails, table))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -141,6 +150,36 @@ def test_filtered_ranks_equal_per_candidate_reference(seed, tag, filters):
         assert (ranking.filtered_rank, ranking.filtered_pool_size) == naive_rank(
             scores, true_idx, keep
         )
+
+
+def test_point_and_slot_queries_reject_ids_outside_the_theory():
+    theory, index, hierarchy = _theory(0, max_concepts=5, max_roles=2, max_axioms=8)
+    dc = compute_closure(theory, index, hierarchy, mode="oracle")
+    n = {"c": theory.n_concepts, "r": theory.n_roles}
+    for ax in _every_axiom(2, 1):
+        tag = axiom_tag(ax)
+        for name, kind in zip(SLOT_NAMES[tag], _SLOT_KINDS[tag]):
+            for bad in (-1, n[kind]):
+                wrong = dataclasses.replace(ax, **{name: bad})
+                with pytest.raises(KeyError):
+                    dc.entails(wrong)
+                for slot in SLOT_POLICIES[tag][1]:
+                    with pytest.raises(KeyError):
+                        dc.entailed_fillers(wrong, slot)
+
+
+def test_slot_sets_are_memoized_per_fixed_remainder():
+    theory = parse_theory("GCI2 A r B\nGCI0 B C\nGCI1_BOT A C\n")
+    index, hierarchy, _ = classify(theory)
+    dc = compute_closure(theory, index, hierarchy, mode="oracle")
+    a, b, c = (theory.signature.concepts.id_of(n) for n in "ABC")
+    subjects = dc.entailed_fillers(GCI2(a, 0, b), "sub")
+    # neither the queried slot's own value nor the path (dataclass or id row) splits the memo
+    assert dc.entailed_fillers(GCI2(c, 0, b), "sub") is subjects
+    assert dc.entailed_fillers_ids(VARIANTS.index("GCI2"), [b, 0, b], 0) is subjects
+    assert dc.entailed_fillers_ids(VARIANTS.index("GCI1_BOT"), [a, -1, -1], 1) is (
+        dc.entailed_fillers(GCI1Bot(a, a), "right")
+    )
 
 
 def test_concurrent_queries_match_single_thread_answers():

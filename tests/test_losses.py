@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from elkbc.core import (
     AXIOM_TAGS, GCI0, GCI0Bot, GCI1, GCI1Bot, GCI2, GCI3, GCI3Bot, RI0, RI1, AxiomTable,
 )
+from elkbc.geometry import AABox, box_intersection, containment_measure_mu
 from elkbc.losses import (
     LOSS_VARIANTS,
     GeometricModel,
@@ -354,6 +355,22 @@ def test_unknown_ids_rejected():
     m = _random_model("elem", np.random.default_rng(0))
     with pytest.raises(KeyError):
         axiom_loss(m, pos(GCI0(0, 77)))
+
+
+def test_box_positives_equal_geometry_reference():
+    """At margin 0 the box containment losses are ``elkbc.geometry``'s measure."""
+    rng = np.random.default_rng(17)
+    for tag in ("elbe", "box2el"):
+        for _ in range(100):
+            m = _random_model(tag, rng, dim=4)
+            a, b, e = (AABox(m.params["class_center"][i], m.params["class_offset"][i])
+                       for i in (0, 1, 2))
+            assert axiom_loss(m, pos(GCI0(0, 1))) == pytest.approx(
+                containment_measure_mu(a, b), abs=1e-12
+            )
+            assert axiom_loss(m, pos(GCI1(0, 1, 2))) == pytest.approx(
+                containment_measure_mu(box_intersection(a, b), e), abs=1e-12
+            )
 
 
 def _check_faithful(loss: float, violation: float) -> None:

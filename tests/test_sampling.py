@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elkbc.closure import compute_closure
-from elkbc.core import GCI1, GCI2, TOP_ID, VARIANTS, axiom_tag, parse_theory
+from elkbc.core import GCI0, GCI1, GCI2, TOP_ID, VARIANTS, axiom_tag, parse_theory
 from elkbc.losses import LOSS_VARIANTS
 from elkbc.reasoner import classify
 from elkbc.sampling import (
@@ -95,6 +95,27 @@ def test_pool_of_one_exhausts():
     cfg = SamplerConfig(mode="random", pool=(ax.sup,))
     with pytest.raises(SampleExhausted):
         corrupt(ax, cfg, None, rng_for(), theory.n_concepts)
+
+
+@pytest.mark.parametrize("mode, bias_p", [("random", 0.0), ("filtered", 0.0), ("biased", 1.0)])
+@pytest.mark.parametrize("bad", [-1, "n"])
+def test_pool_outside_the_concepts_rejected(mode, bias_p, bad):
+    theory, dc = closure_of("GCI0 A B\nGCI2 A r B\n#concept C\n")
+    bad = theory.n_concepts if bad == "n" else bad
+    cfg = SamplerConfig(mode=mode, bias_p=bias_p, pool=(theory.signature.concepts.id_of("C"), bad))
+    with pytest.raises(ValueError, match="pool"):
+        sample_batch(theory.axioms, 3, cfg, dc, seed=0, n_concepts=theory.n_concepts)
+    with pytest.raises(ValueError, match="pool"):
+        sample_batch(theory.axioms, 3, cfg, dc, seed=0)
+
+
+@pytest.mark.parametrize("mode", ["filtered", "biased"])
+def test_rows_outside_the_closure_rejected(mode):
+    theory, dc = closure_of("GCI0 A B\nGCI2 A r B\n")
+    cfg = SamplerConfig(mode=mode, bias_p=1.0)
+    for row in (GCI0(2, theory.n_concepts), GCI2(2, theory.n_roles, 3)):
+        with pytest.raises(KeyError):
+            sample_batch([row], 2, cfg, dc, seed=0)
 
 
 def test_batch_determinism_and_skip_count():

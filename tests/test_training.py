@@ -202,6 +202,7 @@ class TestTrainLoop:
             ("learning_rate", -1.0),
             ("patience", -1),
             ("early_stop", 0),
+            ("validation", []),
         ],
     )
     def test_out_of_range_settings_rejected(self, field, value):
