@@ -137,11 +137,19 @@ class LossRequest:
                 raise ValueError(f"no loss for axiom variant {tag}")
 
 
-Gradient = dict[str, np.ndarray]
+class Gradient(dict[str, np.ndarray]):
+    """Parameter block name -> derivative array.  ``total_loss`` adds into
+    the arrays and sets ``group_means``: the mean loss of each (variant,
+    polarity) group it summed, keyed ``"GCI0/positive"``, in group order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.group_means: dict[str, float] = {}
 
 
 def zero_gradient(model: GeometricModel) -> Gradient:
-    return {k: np.zeros_like(v) for k, v in model.params.items()}
+    # np.zeros maps its pages lazily: rows no derivative reaches are never written
+    return Gradient({k: np.zeros(v.shape, v.dtype) for k, v in model.params.items()})
 
 
 def param_shapes(tag: str, n_concepts: int, n_roles: int, dim: int) -> dict[str, tuple]:
@@ -512,17 +520,22 @@ def total_loss(
 ) -> float:
     """Sum over (variant, polarity) groups of the within-group mean loss, plus
     the bump regularizer for box2el.  Groups appear in the order of their
-    first axiom; a group's rows concatenate in request order."""
+    first axiom; a group's rows concatenate in request order.  A ``Gradient``
+    given as ``grad`` also receives the group means."""
     groups: dict[tuple[str, str], list[AxiomTable]] = {}
     for req in requests:
         for tag, rows in req.groups:
             groups.setdefault((tag, req.polarity), []).append(rows)
     total = 0.0
+    means: dict[str, float] = {}
     for (tag, polarity), parts in groups.items():
         axioms = parts[0] if len(parts) == 1 else AxiomTable(
             np.concatenate([p.codes for p in parts]), np.concatenate([p.cols for p in parts], 1)
         )
         losses = batch_losses(model, tag, polarity, axioms, grad=grad, weight=1.0 / len(axioms))
-        total += float(losses.mean())
+        mean = means[f"{tag}/{polarity}"] = float(losses.mean())
+        total += mean
     total += bump_regularizer(model, grad)
+    if isinstance(grad, Gradient):
+        grad.group_means = means
     return total

@@ -157,7 +157,8 @@ def _corrupt_rows(
     elif n_concepts is None:
         raise ValueError("need n_concepts or a closure to build the default pool")
     else:
-        pool = np.setdiff1d(np.arange(n_concepts), (TOP_ID, BOT_ID))
+        pool = np.arange(n_concepts)
+        pool = pool[(pool != TOP_ID) & (pool != BOT_ID)]
     pool = pool.tolist()  # scalar picks are fastest from a list
     if not pool:  # every draw is exhausted at once
         return table[:0], len(table) * max(count, 0)

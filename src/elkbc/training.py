@@ -7,10 +7,15 @@ corruptions of them, one ``LossRequest`` per id table.  Gradients are
 hand-derived in the loss evaluators and checked against central finite
 differences in the test suite; Adam (beta1 0.9, beta2 0.999, eps 1e-8) applies
 them, radii and offsets are clamped to stay non-negative after every step, a
-plateau scheduler multiplies the learning rate by 0.1 (floor 1e-6) when the
-validation loss stops improving, and training stops early after a fixed
-window of non-improving epochs.  Validation loss is the positive-only total
-loss on the validation axioms (falling back to the training positives).
+plateau scheduler multiplies the learning rate by 0.1 (floor 1e-6, never
+raising a lower rate) when the validation loss stops improving, and training
+stops early after a fixed window of non-improving epochs.  Validation loss is
+the positive-only total loss on the validation axioms (falling back to the
+training positives).
+
+A step writes only the live rows of each parameter block, and equals the
+dense step bit for bit (see ``_Adam``); the gradient is one buffer for the
+whole run, and each step zeros again the rows it touched.
 
 Everything is deterministic given (seed, config, theory): initialization,
 shuffling, and negative sampling all derive PCG64 streams from the run seed.
@@ -36,6 +41,7 @@ from .closure import DeductiveClosure
 from .core import VARIANTS, AxiomTable, NormalizedAxiom, Theory
 from .losses import (
     LOSS_VARIANTS,
+    MODEL_TAGS,
     PARAM_LAYOUT,
     GeometricModel,
     Gradient,
@@ -87,6 +93,8 @@ class TrainConfig:
         ):
             if not ok:
                 raise ValueError(message)
+        if self.model not in MODEL_TAGS:
+            raise ValueError(f"unknown model {self.model!r}; expected one of {MODEL_TAGS}")
         if self.negative_scope not in ("all-forms", "gci2-only", "none"):
             raise ValueError(f"unknown negative scope {self.negative_scope!r}")
 
@@ -133,48 +141,77 @@ def init_model(
     )
 
 
-def _checked_loss_and_gradient(
-    model: GeometricModel, batch: list[LossRequest]
-) -> tuple[float, Gradient]:
-    """``total_loss`` over the batch and its gradient; raises TrainingError
-    when the loss or any gradient block is not finite."""
-    grad = zero_gradient(model)
+def _checked_loss(model: GeometricModel, batch: list[LossRequest], grad: Gradient) -> float:
+    """``total_loss`` over the batch, its gradient added into ``grad``;
+    raises TrainingError when the loss is not finite."""
     loss = total_loss(model, batch, grad=grad)
     if not math.isfinite(loss):
         raise TrainingError(f"non-finite loss {loss}")
-    for name, arr in grad.items():
-        if not np.all(np.isfinite(arr)):
-            raise TrainingError(f"non-finite gradient in block {name}")
-    return loss, grad
+    return loss
+
+
+def _check_finite(name: str, g: np.ndarray) -> None:
+    if not np.all(np.isfinite(g)):
+        raise TrainingError(f"non-finite gradient in block {name}")
 
 
 def gradient(model: GeometricModel, batch: list[LossRequest]) -> Gradient:
-    """Gradient of ``total_loss`` over the batch; rejects non-finite values."""
-    return _checked_loss_and_gradient(model, batch)[1]
+    """Gradient of ``total_loss`` over the batch, every row of every block;
+    rejects non-finite values."""
+    grad = zero_gradient(model)
+    _checked_loss(model, batch, grad)
+    for name, g in grad.items():
+        _check_finite(name, g)
+    return grad
 
 
 class _Adam:
+    """Adam (with radius/offset clamping) over the live rows of each block:
+    the rows whose gradient has been nonzero, or NaN, at some step so far.
+    Every other row has zero gradient and +0 moments, where the dense update
+    is the identity: the moments stay +0, the step is ``lr * 0 / (0 + eps)``,
+    and clamping keeps the row's initial value, which ``init_model`` draws
+    non-negative.  So updating the live rows alone, with the same float
+    operations, equals the dense step bit for bit."""
+
     def __init__(self, model: GeometricModel, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = zero_gradient(model)
         self.v = zero_gradient(model)
+        self.live = {name: np.zeros(len(arr), bool) for name, arr in model.params.items()}
         self.t = 0
 
     def step(self, params: dict[str, np.ndarray], grad: Gradient, lr: float) -> None:
+        """Apply ``grad`` and zero its rows again; raises TrainingError, before
+        any parameter moves, when a gradient entry is not finite."""
+        rows = {}
+        for name, g in grad.items():
+            touched = g.any(axis=tuple(range(1, g.ndim)))  # NaN counts as nonzero
+            live = self.live[name]
+            live |= touched
+            # a block whose rows are all live is updated as one slice, in place
+            sel = slice(None) if live.all() else np.flatnonzero(live)
+            g_sel = g[sel]
+            _check_finite(name, g_sel)
+            rows[name] = touched, sel, g_sel
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name, g in grad.items():
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / (1 - b1**self.t)
-            v_hat = self.v[name] / (1 - b2**self.t)
-            params[name] -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def _clamp(model: GeometricModel) -> None:
-    for name, arr in model.params.items():
-        if name.endswith("_radius") or name.endswith("_offset"):
-            np.maximum(arr, 0.0, out=arr)
+        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
+        for name, (touched, sel, g) in rows.items():
+            p, m, v = params[name][sel], self.m[name][sel], self.v[name][sel]
+            # the dense step's float operations, in place where they commute
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            update = m / c1 * lr
+            update /= np.sqrt(v / c2) + self.eps
+            p -= update
+            if name.endswith("_radius") or name.endswith("_offset"):
+                np.maximum(p, 0.0, out=p)
+            if not isinstance(sel, slice):  # fancy indexing gathered copies
+                params[name][sel], self.m[name][sel], self.v[name][sel] = p, m, v
+            grad[name][touched] = 0.0
 
 
 def _step_seed(seed: int, epoch: int, step: int) -> int:
@@ -190,8 +227,10 @@ def train(
 
     Batches are built per variant and the variants cycle each step.  Returns
     the trained model and a per-epoch log (train loss, validation loss,
-    learning rate, and the negatives ``sample_batch`` skipped because their
-    candidate pools were exhausted).
+    learning rate, the negatives ``sample_batch`` skipped because their
+    candidate pools were exhausted, and under ``losses`` the mean over the
+    epoch's steps of each (variant, polarity) group's loss, taken over the
+    steps that hold the group).
     """
     table = theory.table
     rows_of = {tag: np.flatnonzero(table.codes == VARIANTS.index(tag)) for tag in LOSS_VARIANTS}
@@ -213,6 +252,7 @@ def train(
         reg_lambda=cfg.reg_lambda,
     )
     adam = _Adam(model)
+    grad = zero_gradient(model)  # one buffer; each step zeros the rows it touched
     lr = cfg.learning_rate
     if cfg.validation is None:
         validation = table[np.concatenate(list(rows_of.values()))]
@@ -235,6 +275,7 @@ def train(
             queues.append((tag, chunks))
 
         epoch_loss = 0.0
+        group_means: dict[str, list[float]] = {}  # "GCI0/positive" -> one mean per step
         skipped = 0
         step = 0
         while any(chunks for _, chunks in queues):
@@ -253,10 +294,11 @@ def train(
                     )
                     requests.append(LossRequest(negatives, "negative"))
                     skipped += n_skipped
-                loss, grad = _checked_loss_and_gradient(model, requests)
+                loss = _checked_loss(model, requests, grad)
                 adam.step(model.params, grad, lr)
-                _clamp(model)
                 epoch_loss += loss
+                for key, mean in grad.group_means.items():
+                    group_means.setdefault(key, []).append(mean)
                 step += 1
 
         val_loss = total_loss(model, val_requests)
@@ -267,6 +309,7 @@ def train(
                 "val_loss": val_loss,
                 "lr": lr,
                 "negatives_skipped": skipped,
+                "losses": {key: sum(means) / len(means) for key, means in group_means.items()},
             }
         )
         if val_loss < best_val:
@@ -277,7 +320,8 @@ def train(
             plateau += 1
             stall += 1
             if plateau > cfg.patience:
-                lr = max(lr * 0.1, cfg.lr_floor)
+                # the floor stops the decay; it never raises a rate already below it
+                lr = max(lr * 0.1, min(lr, cfg.lr_floor))
                 plateau = 0
             if stall >= cfg.early_stop:
                 break

@@ -500,3 +500,35 @@ def naive_metrics(entries: list[dict], micro_denominator: int | None = None) -> 
         "macro_AUC": macro_auc,
         "micro_AUC": micro_auc,
     }
+
+
+# ---------------------------------------------------------------------------
+# dense Adam
+# ---------------------------------------------------------------------------
+
+
+class DenseAdam:
+    """Adam that rewrites every row of every block on every step, then
+    clamps every radius and offset block to be non-negative.  It stands in
+    for the trainer's optimizer: same constructor, and ``step`` also zeros
+    the gradient buffer for the next step."""
+
+    def __init__(self, model, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = {k: np.zeros_like(v) for k, v in model.params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in model.params.items()}
+        self.t = 0
+
+    def step(self, params, grad, lr) -> None:
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for name, g in grad.items():
+            self.m[name] = b1 * self.m[name] + (1 - b1) * g
+            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+            m_hat = self.m[name] / (1 - b1**self.t)
+            v_hat = self.v[name] / (1 - b2**self.t)
+            params[name] -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            g[...] = 0.0
+        for name, arr in params.items():
+            if name.endswith("_radius") or name.endswith("_offset"):
+                np.maximum(arr, 0.0, out=arr)

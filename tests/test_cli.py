@@ -226,6 +226,14 @@ def test_train_rejects_out_of_range_settings(tmp_path, golden_file, capsys, sett
     assert not (tmp_path / "model.ckpt").exists()
 
 
+def test_train_rejects_unknown_model(tmp_path, golden_file, capsys):
+    cfg_path, _ = _write_train_config(tmp_path, golden_file, epochs=1, model="boxel")
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "'boxel'" in err and "box2el" in err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_eval_rejects_duplicate_candidates(tmp_path, golden_file, capsys):
     cfg_path, _ = _write_train_config(tmp_path, golden_file, epochs=1)
     assert main(["train", "--config", str(cfg_path)]) == 0

@@ -1,13 +1,19 @@
 """Trainer: gradient correctness, determinism, scheduler, checkpoints."""
 
+import contextlib
 import json
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import DenseAdam, random_theory
 
 from elkbc.core import (
+    VARIANTS,
     GCI0,
     GCI0Bot,
     GCI1,
@@ -18,7 +24,7 @@ from elkbc.core import (
     parse_theory,
 )
 from elkbc.closure import compute_closure
-from elkbc.losses import LOSS_VARIANTS, LossRequest, total_loss, zero_gradient
+from elkbc.losses import LOSS_VARIANTS, MODEL_TAGS, LossRequest, total_loss
 from elkbc import training
 from elkbc.reasoner import classify
 from elkbc.sampling import SamplerConfig
@@ -193,6 +199,10 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="epochs >= 1"):
             _cfg(epochs=0)
 
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValueError, match="box2el"):
+            _cfg(model="boxel")
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -239,6 +249,30 @@ class TestTrainLoop:
         _, log = train(theory, cfg)
         assert log[-1]["lr"] < 0.5
         assert log[-1]["lr"] >= 1e-6
+
+    def test_plateau_decay_never_raises_the_rate(self):
+        # F is in no axiom, so the validation loss of GCI0_BOT(F) is constant
+        # and every epoch after the first is a plateau; 1e-7 lies below the floor
+        theory = parse_theory(TOY)
+        val = [GCI0Bot(theory.signature.concepts.id_of("F"))]
+        cfg = _cfg(epochs=4, patience=0, learning_rate=1e-7, negative_scope="none",
+                   validation=val)
+        _, log = train(theory, cfg)
+        assert len({e["val_loss"] for e in log}) == 1
+        assert [e["lr"] for e in log] == [1e-7] * 4
+
+    def test_epoch_log_reports_group_losses(self):
+        theory = parse_theory(TOY)
+        _, log = train(theory, _cfg(epochs=3))
+        assert all(
+            set(e["losses"]) == {f"{tag}/{polarity}" for tag in ("GCI0", "GCI2", "GCI1_BOT")
+                                 for polarity in ("positive", "negative")}
+            for e in log
+        )
+        # one group, one step per batch: its mean over the steps is the train loss
+        _, log = train(parse_theory("GCI0 A B\nGCI0 B C\nGCI0 A C\n"),
+                       _cfg(epochs=3, batch_size=1, negative_scope="none"))
+        assert [e["losses"] for e in log] == [{"GCI0/positive": e["train_loss"]} for e in log]
 
     def test_validation_axioms_drive_the_schedule(self):
         theory = parse_theory(TOY)
@@ -292,6 +326,91 @@ class TestTrainLoop:
         monkeypatch.setattr(training, "total_loss", poisoned)
         with pytest.raises(TrainingError, match="gradient"):
             train(parse_theory(TOY), _cfg(epochs=1))
+
+
+def _train_outcome(theory, cfg, dc=None, dense=False):
+    """Trained parameter bytes and the repr of the epoch log (bitwise, -0.0
+    apart from 0.0), or the error that stopped training."""
+    with mock.patch.object(training, "_Adam", DenseAdam) if dense else contextlib.nullcontext():
+        try:
+            model, log = train(theory, cfg, dc)
+        except TrainingError as exc:
+            return f"TrainingError: {exc}"
+    return {name: arr.tobytes() for name, arr in model.params.items()}, repr(log)
+
+
+class TestRowSparseAdam:
+    """The step updates only live rows; the dense step in ``oracles`` is the
+    reference it must equal bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        theory_seed=st.integers(0, 2**32 - 1),
+        model=st.sampled_from(MODEL_TAGS),
+        reg_lambda=st.sampled_from([0.0, 0.1]),
+        scope=st.sampled_from(["all-forms", "gci2-only", "none"]),
+        mode=st.sampled_from(["random", "filtered"]),
+        batch_size=st.integers(1, 4),
+        epochs=st.integers(1, 4),
+        patience=st.sampled_from([0, 100]),
+        learning_rate=st.sampled_from([0.05, 0.5]),
+    )
+    def test_matches_dense_step(self, theory_seed, model, reg_lambda, scope, mode, batch_size,
+                                epochs, patience, learning_rate):
+        theory = random_theory(np.random.default_rng(theory_seed), max_concepts=10)
+        assume(np.isin(theory.table.codes, [VARIANTS.index(t) for t in LOSS_VARIANTS]).any())
+        dc = None
+        if mode == "filtered":
+            index, hierarchy, _ = classify(theory)
+            dc = compute_closure(theory, index, hierarchy)
+        cfg = _cfg(model=model, dim=3, reg_lambda=reg_lambda, negative_scope=scope,
+                   sampler=SamplerConfig(mode=mode), batch_size=batch_size, epochs=epochs,
+                   patience=patience, learning_rate=learning_rate, seed=theory_seed % 97)
+        assert _train_outcome(theory, cfg, dc) == _train_outcome(theory, cfg, dc, dense=True)
+
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_matches_dense_step_across_a_plateau(self, tag):
+        theory = parse_theory(TOY)
+        val = [GCI0Bot(theory.signature.concepts.id_of("F"))]
+        cfg = _cfg(model=tag, epochs=4, patience=0, negative_scope="none", validation=val)
+        sparse = _train_outcome(theory, cfg)
+        assert sparse == _train_outcome(theory, cfg, dense=True)
+        assert "'lr': 0.005" in sparse[1]  # the rate fell after the first epoch
+
+    @pytest.mark.parametrize("block, row", [("class_radius", "F"), ("role_vector", "s")])
+    def test_nan_in_untouched_row_stops_training(self, monkeypatch, block, row):
+        theory = parse_theory(TOY + "#role s\n")
+        ids = theory.signature.roles if block.startswith("role") else theory.signature.concepts
+        real_total_loss = training.total_loss
+
+        def poisoned(model, requests, grad=None):
+            loss = real_total_loss(model, requests, grad=grad)
+            if grad is not None:
+                grad[block][ids.id_of(row)] = np.nan
+            return loss
+
+        monkeypatch.setattr(training, "total_loss", poisoned)
+        with pytest.raises(TrainingError, match=block):
+            train(theory, _cfg(epochs=1, negative_scope="none"))
+
+    @pytest.mark.parametrize("tag, reg_lambda", [("elem", 0.0), ("elbe", 0.0), ("box2el", 0.0),
+                                                 ("box2el", 0.1)])
+    def test_rows_of_unmentioned_concepts_stay_at_init(self, tag, reg_lambda):
+        theory = parse_theory(TOY)
+        concepts = theory.signature.concepts
+        mentioned = [concepts.id_of(name) for name in "ABE"]
+        cfg = _cfg(model=tag, reg_lambda=reg_lambda, epochs=5,
+                   sampler=SamplerConfig(mode="random", pool=tuple(mentioned)))
+        model, _ = train(theory, cfg)
+        init = init_model(tag, theory.n_concepts, theory.n_roles, cfg.dim, cfg.seed,
+                          reg_lambda=reg_lambda)
+        unmentioned = [concepts.id_of("F"), concepts.id_of("G")]
+        for name, arr in model.params.items():
+            if name.startswith("class_"):
+                # the bump regularizer moves every bump row
+                same = arr[unmentioned].tobytes() == init.params[name][unmentioned].tobytes()
+                assert same != (name == "class_bump" and reg_lambda > 0), name
+                assert arr[mentioned].tobytes() != init.params[name][mentioned].tobytes()
 
 
 def _saved_checkpoint(tmp_path):
