@@ -2,9 +2,13 @@
 
 Each test axiom (``A [= B`` or ``A [= Er.B``) is scored against every
 candidate replacement of its rightmost concept with the positive loss of its
-variant (lower score = more true in the model), as one id block: its row
-repeated, the ranked column set to the candidates.  Ranks use the unbiased
-mid-rank tie convention::
+variant (lower score = more true in the model).  Test axioms of one variant
+are scored together through the ranking form of ``batch_losses``: each
+axiom's fixed slots are one parameter row that broadcasts, and the candidates
+pass in cache-sized chunks whose rows are gathered once for all of them.  A
+block of test axioms holds at most about ``_SCORE_BLOCK`` scores, so a full
+test set never needs |test| x |candidates| floats; a non-finite score in a
+pool is an error.  Ranks use the unbiased mid-rank tie convention::
 
     rank = 1 + #{strictly better candidates} + floor(#{equal, non-true} / 2)
 
@@ -12,8 +16,9 @@ Filtered ranks additionally drop every non-true candidate whose axiom occurs
 in the train set or is entailed by any supplied deductive closure; the true
 axiom itself is never dropped; the dropped candidates form one mask per test
 axiom, read off the task's train-set filler index (built once) and each
-closure's ``entailed_fillers``.  Per-axiom AUC is the rank-derived ROC AUC
-``1 - (rank - 1) / (pool - 1)``.
+closure's ``entailed_fillers``; a sorted copy of the pool maps ids to pool
+positions, for the true candidates and the dropped ones.  Per-axiom AUC is
+the rank-derived ROC AUC ``1 - (rank - 1) / (pool - 1)``.
 
 Macro aggregates average over test axioms; micro aggregates first average per
 subject class, then over subject classes (by default only classes that occur
@@ -34,12 +39,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closure import DeductiveClosure
-from .core import SLOT_NAMES, AxiomTable, NormalizedAxiom, axiom_tag
+from .core import SLOT_NAMES, VARIANTS, AxiomTable, NormalizedAxiom
 from .losses import GeometricModel, batch_losses
 
 _BASE_METRICS = ("H@10", "H@100", "macro_MR", "micro_MR", "macro_AUC", "micro_AUC")
 #: rankable variant -> id-table column of its ranked slot (the rightmost concept, the last slot)
 _RANKED = {"GCI0": SLOT_NAMES["GCI0"].index("sup"), "GCI2": SLOT_NAMES["GCI2"].index("filler")}
+#: most test-axiom scores held at once (one row per axiom of a block; a
+#: single axiom's row may exceed it), so a full test set is never one block
+_SCORE_BLOCK = 1 << 20
 
 
 @dataclass
@@ -94,6 +102,10 @@ class RankingReport:
             "task": task_name,
             "n_test": len(self.rankings),
             "metrics": {**self.metrics, "NF_minus_F": nf_f_delta(self)},
+            "pool_size_mean": float(np.mean([r.pool_size for r in self.rankings])),
+            "filtered_pool_size_mean": float(
+                np.mean([r.filtered_pool_size for r in self.rankings])
+            ),
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -127,30 +139,47 @@ def _rank_from_scores(scores: np.ndarray, true_idx: int, keep: np.ndarray) -> tu
 
 def score_and_rank(model: GeometricModel, task: RankingTask) -> RankingReport:
     candidates = np.asarray(list(task.candidates), dtype=np.int64)
-    tests = AxiomTable.from_axioms(task.axioms)
-    rankings: list[AxiomRanking] = []
-    for i, ax in enumerate(task.axioms):
-        tag = axiom_tag(ax)
-        slot = _RANKED[tag]
-        positions = np.nonzero(candidates == tests.cols[slot, i])[0]
-        if len(positions) == 0:
-            raise ValueError(f"true candidate of {ax!r} is not in the pool")
-        true_idx = int(positions[0])
-        block = tests[np.full(len(candidates), i)]
-        block.cols[slot] = candidates
-        scores = batch_losses(model, tag, "positive", block)
-        raw_rank, pool = _rank_from_scores(scores, true_idx, np.ones(len(candidates), dtype=bool))
+    order = np.argsort(candidates)
+    ordered = candidates[order]
 
-        # one mask: candidates known from the train set or entailed by a closure
-        blocked = set(task._train_fillers.get((tag, tuple(tests.cols[:slot, i].tolist())), ()))
-        for dc in task.closures:
-            blocked |= dc.entailed_fillers(ax)
-        keep = ~np.isin(candidates, np.fromiter(blocked, dtype=np.int64, count=len(blocked)))
-        keep[true_idx] = True
-        if not keep.any():
-            raise ValueError("empty candidate pool after filtering")
-        filtered_rank, filtered_pool = _rank_from_scores(scores, true_idx, keep)
-        rankings.append(AxiomRanking(ax, raw_rank, filtered_rank, pool, filtered_pool))
+    def position(ids: np.ndarray) -> np.ndarray:
+        """Pool index of each id, -1 for ids outside the pool."""
+        at = np.minimum(np.searchsorted(ordered, ids), len(ordered) - 1)
+        return np.where(ordered[at] == ids, order[at], -1)
+
+    tests = AxiomTable.from_axioms(task.axioms)
+    groups = [(VARIANTS[c], np.flatnonzero(tests.codes == c)) for c in np.unique(tests.codes)]
+    true_idx = np.empty(len(tests), dtype=np.int64)
+    for tag, rows in groups:
+        true_idx[rows] = position(tests.cols[_RANKED[tag], rows])
+    if (true_idx < 0).any():
+        ax = task.axioms[np.argmax(true_idx < 0)]
+        raise ValueError(f"true candidate of {ax!r} is not in the pool")
+
+    whole_pool = np.ones(len(candidates), dtype=bool)
+    rankings: list[AxiomRanking] = [None] * len(tests)
+    block_rows = max(1, _SCORE_BLOCK // len(candidates))
+    for tag, rows in groups:
+        slot = _RANKED[tag]
+        for lo in range(0, len(rows), block_rows):
+            block = rows[lo : lo + block_rows]
+            scores = batch_losses(model, tag, "positive", tests[block], candidates=candidates)
+            finite = np.isfinite(scores).all(axis=1)
+            if not finite.all():
+                ax = task.axioms[block[np.argmin(finite)]]
+                raise ValueError(f"non-finite score in the candidate pool of {ax!r}")
+            for i, row in zip(block.tolist(), scores):
+                ax, t = task.axioms[i], int(true_idx[i])
+                raw_rank, pool = _rank_from_scores(row, t, whole_pool)
+                # one mask: candidates known from the train set or entailed by a closure
+                keep = np.ones(len(candidates), dtype=bool)
+                known = task._train_fillers.get((tag, tuple(tests.cols[:slot, i].tolist())), ())
+                for fillers in (known, *(dc.entailed_fillers(ax) for dc in task.closures)):
+                    at = position(np.fromiter(fillers, dtype=np.int64, count=len(fillers)))
+                    keep[at[at >= 0]] = False
+                keep[t] = True
+                filtered_rank, filtered_pool = _rank_from_scores(row, t, keep)
+                rankings[i] = AxiomRanking(ax, raw_rank, filtered_rank, pool, filtered_pool)
 
     metrics = _aggregate(rankings, task, model)
     return RankingReport(rankings, metrics)

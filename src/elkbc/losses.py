@@ -170,10 +170,7 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 
 def _unit(v: np.ndarray, nrm: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(v)
-    nz = nrm > 0
-    out[nz] = v[nz] / nrm[nz, None]
-    return out
+    return np.divide(v, nrm[..., None], out=np.zeros_like(v), where=(nrm > 0)[..., None])
 
 
 _BLOCKS = {
@@ -205,23 +202,31 @@ def _side(expr: str) -> Side:
 
 class _Batch:
     """The slot columns of one (variant, polarity) group.  Gathers the
-    parameter rows of each (block, column) once and, when ``grad`` is given,
-    scatters derivatives with respect to a side onto the rows that side sums."""
+    parameter rows of each (block, column) once, into that column's memo, and,
+    when ``grad`` is given, scatters derivatives with respect to a side onto
+    the rows that side sums.  Batches that hold the same ids in a column may
+    share its memo (``memos``, one dict per column); a column of one id
+    gathers one row, which broadcasts against the other columns."""
 
-    def __init__(self, model: GeometricModel, cols, grad: Gradient | None, weight: float):
+    def __init__(
+        self, model: GeometricModel, cols, grad: Gradient | None, weight: float, memos=None
+    ):
         self.model, self.cols, self.grad, self.weight = model, cols, grad, weight
-        self._gathered: dict[tuple[str, int], np.ndarray] = {}
+        self._memos: list[dict[str, np.ndarray]] = memos or [{} for _ in cols]
+        self._intersection: dict[str, np.ndarray] = {}
         # derivatives with respect to the intersection, and their axiom mask
         self._pending: dict[str, np.ndarray] = {}
         self._pending_active: np.ndarray | None = None
 
     def gather(self, block: str, col: int) -> np.ndarray:
-        if (block, col) not in self._gathered:
-            if block in ("ic", "io"):
+        if block in ("ic", "io"):
+            if not self._intersection:
                 self._intersect()
-            else:
-                self._gathered[block, col] = self.model.params[block][self.cols[col]]
-        return self._gathered[block, col]
+            return self._intersection[block]
+        memo = self._memos[col]
+        if block not in memo:
+            memo[block] = self.model.params[block][self.cols[col]]
+        return memo[block]
 
     def _intersect(self) -> None:
         ca, oa = self.gather("class_center", 0), self.gather("class_offset", 0)
@@ -232,8 +237,8 @@ class _Batch:
         self._a_upper = upper_a <= upper_b
         lower = np.where(self._a_lower, lower_a, lower_b)
         upper = np.where(self._a_upper, upper_a, upper_b)
-        self._gathered["ic", -1] = (lower + upper) / 2.0
-        self._gathered["io", -1] = (upper - lower) / 2.0
+        self._intersection["ic"] = (lower + upper) / 2.0
+        self._intersection["io"] = (upper - lower) / 2.0
 
     def value(self, side: Side, start: np.ndarray | None = None) -> np.ndarray:
         """The side's signed row sum, added left to right onto ``start``."""
@@ -445,6 +450,11 @@ _BOX2EL: dict[tuple[str, str], list[Term]] = {
 _TABLES = {"elem": _ELEM, "elbe": _ELBE, "box2el": _BOX2EL}
 
 
+#: candidate rows the ranking form of ``batch_losses`` scores per pass, so
+#: that a pass's temporaries stay cache-sized
+_RANK_CHUNK = 1024
+
+
 def batch_losses(
     model: GeometricModel,
     tag: str,
@@ -452,12 +462,20 @@ def batch_losses(
     axioms: Sequence[NormalizedAxiom],
     grad: Gradient | None = None,
     weight: float = 1.0,
+    candidates: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-axiom losses for one (variant, polarity) group of axioms, an
     ``AxiomTable`` or a list of dataclasses; optionally accumulates ``weight``
-    times the gradient of their sum into ``grad``."""
+    times the gradient of their sum into ``grad``.
+
+    With ``candidates`` (concept ids) this is the ranking form: row i of the
+    result holds the losses of axiom i with its concept column 1 (the
+    rightmost concept of GCI0 and GCI2) set to each candidate in turn.  Each
+    axiom's other columns are gathered once as one row that broadcasts, and
+    the candidates pass in chunks of ``_RANK_CHUNK`` rows, each gathered once
+    for every axiom; the values equal the losses of the axioms written out."""
     if not len(axioms):
-        return np.zeros(0)
+        return np.zeros(0 if candidates is None else (0, len(candidates)))
     table = AxiomTable.from_axioms(axioms)
     wrong = table.codes != (VARIANTS.index(tag) if tag in VARIANTS else -1)
     if wrong.any():
@@ -473,14 +491,43 @@ def batch_losses(
         cols.append(None)
     if table.outside(model.n_concepts, model.n_roles).any():
         raise KeyError("axiom references an id outside the model")
+    terms = _TABLES[model.tag][tag, polarity]
+    if candidates is not None:
+        if grad is not None:
+            raise ValueError("the ranking form computes no gradient")
+        if kinds.count("c") < 2:
+            raise ValueError(f"the ranking form needs two concept slots, {tag} has one")
+        return _ranked_losses(model, terms, cols, np.asarray(candidates, dtype=np.int64))
     batch = _Batch(model, cols, grad, weight)
-    total = None
-    for term in _TABLES[model.tag][tag, polarity]:
-        value = term(batch)
-        total = value if total is None else total + value
+    total = _sum_terms(batch, terms)
     if grad is not None:
         batch.flush()
     return total
+
+
+def _sum_terms(batch: _Batch, terms: list[Term]) -> np.ndarray:
+    total = None
+    for term in terms:
+        value = term(batch)
+        total = value if total is None else total + value
+    return total
+
+
+def _ranked_losses(model, terms, cols, candidates: np.ndarray) -> np.ndarray:
+    """The ranking form of ``batch_losses``: one row of losses per axiom."""
+    if ((candidates < 0) | (candidates >= model.n_concepts)).any():
+        raise KeyError("candidate id outside the model")
+    out = np.empty((len(cols[0]), len(candidates)))
+    # per axiom: its columns as one-id slices, and their memos, kept across chunks
+    ids = [[c if c is None else c[i : i + 1] for c in cols] for i in range(len(out))]
+    memos = [[{} for _ in cols] for _ in range(len(out))]
+    for lo in range(0, len(candidates), _RANK_CHUNK):
+        chunk, shared = candidates[lo : lo + _RANK_CHUNK], {}
+        for i, row in enumerate(out):
+            ids[i][1], memos[i][1] = chunk, shared
+            batch = _Batch(model, ids[i], None, 1.0, memos[i])
+            row[lo : lo + len(chunk)] = _sum_terms(batch, terms)
+    return out
 
 
 def axiom_loss(model: GeometricModel, request: LossRequest) -> float:

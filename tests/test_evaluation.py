@@ -1,11 +1,16 @@
 """Ranking evaluation: tie handling, oracle equivalence, filtering."""
 
+import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elkbc.core import GCI0, GCI2, TOP_ID, parse_theory
+from elkbc import evaluation, losses
+from elkbc.core import GCI0, GCI2, TOP_ID, AxiomTable, parse_theory
 from elkbc.evaluation import (
     RankingReport,
     RankingTask,
@@ -13,7 +18,7 @@ from elkbc.evaluation import (
     nf_f_delta,
     score_and_rank,
 )
-from elkbc.losses import batch_losses
+from elkbc.losses import MODEL_TAGS, batch_losses
 from elkbc.training import init_model
 from oracles import naive_metrics, naive_rank
 
@@ -217,8 +222,14 @@ def test_report_serialization():
     assert payload["task"] == "demo"
     assert payload["n_test"] == 2
     assert "NF_minus_F" in payload["metrics"]
+    assert payload["pool_size_mean"] == 4.0
+    assert payload["filtered_pool_size_mean"] == 4.0
     csv_text = report.to_csv()
     assert csv_text.count("\n") == 3  # header + two axioms
+    # the train set drops candidate 3 from the pool of GCI0(4, 2) only
+    filtered = score_and_rank(m, RankingTask(task.axioms, task.candidates, frozenset([GCI0(4, 3)])))
+    payload = json.loads(filtered.to_json())
+    assert (payload["pool_size_mean"], payload["filtered_pool_size_mean"]) == (4.0, 3.5)
 
 
 def test_micro_over_signature_denominator():
@@ -231,3 +242,133 @@ def test_micro_over_signature_denominator():
     )
     # two subjects occur; the signature-wide denominator spreads over all 8
     assert wide.metrics["micro_MR"] == pytest.approx(default.metrics["micro_MR"] * 2 / 8)
+
+
+def _reference_ranks(m, ax, pool, train_axioms):
+    """(raw rank, pool, filtered rank, filtered pool) from per-candidate
+    losses of the written-out axioms and the sorting oracle."""
+    slot = "sup" if isinstance(ax, GCI0) else "filler"
+    written = [dataclasses.replace(ax, **{slot: c}) for c in pool]
+    scores = list(batch_losses(m, "GCI0" if isinstance(ax, GCI0) else "GCI2", "positive", written))
+    true_idx = pool.index(getattr(ax, slot))
+    keep = [c == getattr(ax, slot) or w not in train_axioms for c, w in zip(pool, written)]
+    return (*naive_rank(scores, true_idx, [True] * len(pool)), *naive_rank(scores, true_idx, keep))
+
+
+@pytest.mark.parametrize("tag", MODEL_TAGS)
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_blocked_ranking_equals_per_candidate_reference(tag, data):
+    """Raw and filtered ranks from candidate chunks and score blocks equal
+    the per-candidate reference: shuffled pools of 1, chunk - 1, chunk,
+    chunk + 1 and several chunks, test sets that cross the score-block bound,
+    GCI0 and GCI2 axioms, one shared or several subjects, and score ties."""
+    chunk = data.draw(st.sampled_from([2, 5]))
+    n_pool = data.draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1, 4 * chunk + 1]))
+    score_block = data.draw(st.sampled_from([1, n_pool, 3 * n_pool + 1, 1 << 20]))
+    n_c = n_pool + 3
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = init_model(tag, n_c, 2, data.draw(st.sampled_from([2, 9])), seed=int(rng.integers(100)))
+    if data.draw(st.booleans()):  # coarse parameters tie many scores
+        for name in m.params:
+            m.params[name] = np.round(m.params[name], 1)
+    pool = [int(c) for c in rng.permutation(n_c)[:n_pool]]
+    subjects = [int(s) for s in rng.choice(n_c, size=data.draw(st.sampled_from([1, 3])))]
+    axioms = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        sub, obj = int(rng.choice(subjects)), int(rng.choice(pool))
+        role = int(rng.integers(2))
+        axioms.append(GCI0(sub, obj) if rng.random() < 0.5 else GCI2(sub, role, obj))
+    train = frozenset(
+        dataclasses.replace(ax, **{"sup" if isinstance(ax, GCI0) else "filler": int(c)})
+        for ax in axioms for c in pool if rng.random() < 0.3
+    )
+    task = RankingTask(axioms, pool, train_axioms=train)
+    with mock.patch.object(losses, "_RANK_CHUNK", chunk), \
+            mock.patch.object(evaluation, "_SCORE_BLOCK", score_block):
+        report = score_and_rank(m, task)
+    for ax, r in zip(axioms, report.rankings):
+        assert r.axiom == ax
+        got = (r.raw_rank, r.pool_size, r.filtered_rank, r.filtered_pool_size)
+        assert got == _reference_ranks(m, ax, pool, train)
+
+
+@pytest.mark.parametrize(
+    "n_pool, n_test, n_blocks", [(1023, 3, 2), (1024, 3, 2), (1025, 3, 2), (2100, 1000, 4)]
+)
+def test_blocked_ranking_at_full_chunk_and_score_block(monkeypatch, n_pool, n_test, n_blocks):
+    """At the module's own chunk size and score-block bound: 500 GCI0 and
+    500 GCI2 test axioms against 2,100 candidates are more than 2**20 scores
+    per variant, scored in two blocks each, none of which exceeds the bound;
+    ranks equal the reference."""
+    rng = np.random.default_rng(n_pool)
+    m = init_model("elbe", n_pool + 2, 1, 3, seed=1)
+    pool = [int(c) for c in rng.permutation(n_pool + 2)[:n_pool]]
+    axioms = [
+        GCI0(int(rng.integers(n_pool + 2)), int(rng.choice(pool))) if i % 2
+        else GCI2(int(rng.integers(n_pool + 2)), 0, int(rng.choice(pool)))
+        for i in range(n_test)
+    ]
+    blocks = []
+
+    def spy(model, tag, polarity, axioms, **kwargs):
+        blocks.append(len(axioms) * len(kwargs["candidates"]))
+        return batch_losses(model, tag, polarity, axioms, **kwargs)
+
+    monkeypatch.setattr(evaluation, "batch_losses", spy)
+    report = score_and_rank(m, RankingTask(axioms, pool))
+    assert max(blocks) <= max(evaluation._SCORE_BLOCK, n_pool)
+    assert sum(blocks) == n_test * n_pool
+    assert len(blocks) == n_blocks
+    tests = AxiomTable.from_axioms(axioms)
+    for i, (ax, r) in enumerate(zip(axioms, report.rankings)):
+        # the reference block: the axiom's id row repeated, its ranked column set to the pool
+        tag, slot = ("GCI0", 1) if isinstance(ax, GCI0) else ("GCI2", 2)
+        block = tests[np.full(n_pool, i)]
+        block.cols[slot] = pool
+        scores = batch_losses(m, tag, "positive", block)
+        true_idx = pool.index(tests.cols[slot, i])
+        assert (r.raw_rank, r.pool_size) == naive_rank(list(scores), true_idx, [True] * n_pool)
+
+
+@pytest.mark.parametrize("poisoned", ["true", "competitor"])
+@pytest.mark.parametrize("filtered", [False, True])
+def test_non_finite_score_raises(golden, poisoned, filtered):
+    """A NaN score in a pool is an error, not a rank: compared with a NaN, no
+    candidate is better or equal, so the rank and AUC came out as nonsense."""
+    theory, dc = golden["theory"], golden["materialized"]
+    names = theory.signature.concepts
+    p, go1, go2 = names.id_of("{P}"), names.id_of("{GO1}"), names.id_of("{GO2}")
+    m = _model(theory.n_concepts, seed=3)
+    m.params["class_center"][go2 if poisoned == "true" else go1] = np.nan
+    task = RankingTask(
+        axioms=[GCI2(p, 0, go2)], candidates=[TOP_ID, go1, go2],
+        train_axioms=frozenset(theory.axioms) if filtered else frozenset(),
+        closures=(dc,) if filtered else (),
+    )
+    with pytest.raises(ValueError, match="non-finite"):
+        score_and_rank(m, task)
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize(
+    "axiom, candidates",
+    [
+        (GCI0(2, 3), [2, 3, 99]),  # a candidate outside the model
+        (GCI0(2, 3), [-1, 2, 3]),
+        (GCI0(99, 3), [2, 3]),  # a test id outside the model
+        (GCI2(2, 5, 3), [2, 3]),
+        (GCI0(2, 99), [2, 3, 99]),
+    ],
+)
+def test_ids_outside_the_model_raise_key_error(golden, filtered, axiom, candidates):
+    theory, dc = golden["theory"], golden["materialized"]
+    m = _model(theory.n_concepts, seed=2)
+    assert m.n_concepts < 99 and m.n_roles < 5  # so id 99 and role 5 are outside the model
+    task = RankingTask(
+        axioms=[GCI0(2, 3), axiom], candidates=candidates,
+        train_axioms=frozenset(theory.axioms) if filtered else frozenset(),
+        closures=(dc,) if filtered else (),
+    )
+    with pytest.raises(KeyError):
+        score_and_rank(m, task)

@@ -3,18 +3,22 @@ faithfulness, positive/negative antagonism, non-negativity, aggregation."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elkbc import losses
 from elkbc.core import (
-    AXIOM_TAGS, GCI0, GCI0Bot, GCI1, GCI1Bot, GCI2, GCI3, GCI3Bot, RI0, RI1, AxiomTable,
+    _SLOT_KINDS, AXIOM_TAGS, SLOT_NAMES, GCI0, GCI0Bot, GCI1, GCI1Bot, GCI2, GCI3, GCI3Bot, RI0,
+    RI1, AxiomTable,
 )
 from elkbc.geometry import AABox, box_intersection, containment_measure_mu
 from elkbc.losses import (
     LOSS_VARIANTS,
+    MODEL_TAGS,
     GeometricModel,
     LossRequest,
     axiom_loss,
@@ -505,6 +509,21 @@ class TestTotalLoss:
         reqs = [pos(GCI0(0, 1)), pos(GCI0(1, 2))]
         assert total_loss(m, reqs) == pytest.approx(0.0)
 
+    def test_bump_regularizer_gradient_matches_masked_unit_vectors(self):
+        """The regularizer's gradient is reg_lambda / n times each bump's unit
+        vector, zero for a zero bump: the same bytes as dividing the nonzero
+        rows alone."""
+        m = _random_model("box2el", np.random.default_rng(9), n_concepts=40, dim=16,
+                          reg_lambda=0.3)
+        bumps = m.params["class_bump"]
+        bumps[::7] = 0.0
+        grad = zero_gradient(m)
+        losses.bump_regularizer(m, grad)
+        nrm = np.sqrt(np.sum(bumps * bumps, axis=-1))
+        unit = np.zeros_like(bumps)
+        unit[nrm > 0] = bumps[nrm > 0] / nrm[nrm > 0, None]
+        assert grad["class_bump"].tobytes() == ((0.3 / 40) * unit).tobytes()
+
     def test_bump_regularizer_added(self):
         m = _random_model("box2el", np.random.default_rng(8), reg_lambda=0.5)
         base = total_loss(m, [pos(GCI0(0, 1))])
@@ -555,3 +574,66 @@ def test_batch_equals_scalar(tag, variant, polarity, data):
     assert total_loss(m, [LossRequest(rows, polarity)]) == total_loss(
         m, [LossRequest(ax, polarity) for ax in axioms]
     )
+
+
+#: variants the ranking form accepts: two concept slots or more
+_TWO_CONCEPTS = [v for v in LOSS_VARIANTS if _SLOT_KINDS[v].count("c") >= 2]
+
+
+@pytest.mark.parametrize("tag", MODEL_TAGS)
+@pytest.mark.parametrize("variant", _TWO_CONCEPTS)
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_ranking_form_equals_written_out_axioms(tag, variant, data):
+    """Row i of the ranking form equals, bit for bit, the losses of axiom i
+    written out with its concept column 1 set to each candidate: shuffled
+    pools of 1, chunk - 1, chunk, chunk + 1 and several chunks, dims below
+    and above numpy's 8-way pairwise sum, one shared or several subjects."""
+    chunk = data.draw(st.sampled_from([2, 3, 5]))
+    n_pool = data.draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1, 3 * chunk + 1]))
+    n_concepts = n_pool + data.draw(st.integers(0, 3))
+    n_roles = data.draw(st.integers(1, 2))
+    dim = data.draw(st.sampled_from([1, 3, 8, 13]))
+    polarity = data.draw(st.sampled_from(["positive", "negative"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = make_model(
+        tag, n_concepts=n_concepts, n_roles=n_roles, dim=dim,
+        margin=float(rng.choice([0.0, -0.1, 0.1])), epsilon=0.05, delta=1.5,
+    )
+    for name, arr in m.params.items():
+        m.params[name] = rng.normal(0.0, 0.5, arr.shape) * (rng.random(arr.shape) > 0.1)
+    cls = AXIOM_TAGS[variant]
+    bounds = [n_roles if f.name == "role" else n_concepts for f in dataclasses.fields(cls)]
+    axioms = data.draw(st.lists(
+        st.tuples(*(st.integers(0, b - 1) for b in bounds)).map(lambda ids: cls(*ids)),
+        min_size=1, max_size=5,
+    ))
+    if data.draw(st.booleans()):
+        axioms = [axioms[0]] * len(axioms)
+    pool = rng.permutation(n_concepts)[:n_pool]
+    ranked = [n for n, k in zip(SLOT_NAMES[variant], _SLOT_KINDS[variant]) if k == "c"][1]
+
+    with mock.patch.object(losses, "_RANK_CHUNK", chunk):
+        got = batch_losses(m, variant, polarity, axioms, candidates=pool)
+    assert got.shape == (len(axioms), n_pool)
+    for ax, row in zip(axioms, got):
+        written = [dataclasses.replace(ax, **{ranked: int(c)}) for c in pool]
+        assert row.tobytes() == batch_losses(m, variant, polarity, written).tobytes()
+    first = [dataclasses.replace(axioms[0], **{ranked: int(c)}) for c in pool]
+    scalar = [axiom_loss(m, LossRequest(ax, polarity)) for ax in first]
+    assert got[0].tobytes() == np.array(scalar).tobytes()
+
+
+def test_ranking_form_rejects_bad_input():
+    m = make_model("elbe", n_concepts=4, n_roles=1, dim=2)
+    with pytest.raises(KeyError):
+        batch_losses(m, "GCI0", "positive", [GCI0(0, 1)], candidates=[0, 4])
+    with pytest.raises(KeyError):
+        batch_losses(m, "GCI0", "positive", [GCI0(0, 1)], candidates=[-1, 2])
+    with pytest.raises(KeyError):
+        batch_losses(m, "GCI2", "positive", [GCI2(4, 0, 1)], candidates=[1, 2])
+    with pytest.raises(ValueError, match="two concept slots, GCI0_BOT has one"):
+        batch_losses(m, "GCI0_BOT", "positive", [GCI0Bot(1)], candidates=[1, 2])
+    with pytest.raises(ValueError, match="gradient"):
+        batch_losses(m, "GCI0", "positive", [GCI0(0, 1)], grad=zero_gradient(m), candidates=[1])
+    assert batch_losses(m, "GCI0", "positive", [], candidates=[1, 2]).shape == (0, 2)
