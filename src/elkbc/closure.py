@@ -287,6 +287,12 @@ class DeductiveClosure:
             self._slot_sets[key] = hit
         return hit
 
+    def answer_column(self, code: int) -> int | None:
+        """The column whose fillers ``entailed_fillers_ids`` answers with one
+        row for GCI variant ``code``: its rightmost concept, None for the
+        ``_BOT`` variants (their answer is Bot)."""
+        return self._QUERIES[code][2]
+
     def _ids(self, ax: NormalizedAxiom) -> tuple[int, list[int]]:
         """Variant code and id row (-1 padded, as in ``Theory.table``) of a
         caller's GCI, every id checked against the theory."""

@@ -17,8 +17,10 @@ A step writes only the live rows of each parameter block, and equals the
 dense step bit for bit (see ``_Adam``); the gradient is one buffer for the
 whole run, and each step zeros again the rows it touched.
 
-Everything is deterministic given (seed, config, theory): initialization,
-shuffling, and negative sampling all derive PCG64 streams from the run seed.
+Everything is deterministic given (seed, config, theory): initialization and
+shuffling derive PCG64 streams from the run seed, and each step's negatives
+come from the sampler's counter-based stream under a seed derived from
+(run seed, epoch, step).
 
 Checkpoints are binary: magic ``ELKC``, a little-endian uint32 header length,
 a UTF-8 JSON header (model tag, dimension, signature hash, hyperparameters,
@@ -228,9 +230,10 @@ def train(
     Batches are built per variant and the variants cycle each step.  Returns
     the trained model and a per-epoch log (train loss, validation loss,
     learning rate, the negatives ``sample_batch`` skipped because their
-    candidate pools were exhausted, and under ``losses`` the mean over the
-    epoch's steps of each (variant, polarity) group's loss, taken over the
-    steps that hold the group).
+    candidate pools were exhausted, the random candidates it drew and, in
+    filtered mode, those it rejected as entailed, and under ``losses`` the
+    mean over the epoch's steps of each (variant, polarity) group's loss,
+    taken over the steps that hold the group).
     """
     table = theory.table
     rows_of = {tag: np.flatnonzero(table.codes == VARIANTS.index(tag)) for tag in LOSS_VARIANTS}
@@ -277,6 +280,7 @@ def train(
         epoch_loss = 0.0
         group_means: dict[str, list[float]] = {}  # "GCI0/positive" -> one mean per step
         skipped = 0
+        sampler_stats = {"drawn": 0, "entailed_rejected": 0}
         step = 0
         while any(chunks for _, chunks in queues):
             for tag, chunks in queues:
@@ -291,6 +295,7 @@ def train(
                     negatives, n_skipped = sample_batch(
                         batch_axioms, cfg.negatives_per_positive, cfg.sampler, dc,
                         seed=_step_seed(cfg.seed, epoch, step), n_concepts=theory.n_concepts,
+                        stats=sampler_stats,
                     )
                     requests.append(LossRequest(negatives, "negative"))
                     skipped += n_skipped
@@ -309,6 +314,8 @@ def train(
                 "val_loss": val_loss,
                 "lr": lr,
                 "negatives_skipped": skipped,
+                "negatives_drawn": sampler_stats["drawn"],
+                "negatives_entailed_rejected": sampler_stats["entailed_rejected"],
                 "losses": {key: sum(means) / len(means) for key, means in group_means.items()},
             }
         )

@@ -8,6 +8,7 @@ ranking oracle sorts and scans.  None of it imports the engines under test.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from functools import lru_cache
 
@@ -27,6 +28,7 @@ from elkbc.core import (
     Signature,
     TOP_ID,
     Theory,
+    axiom_tag,
 )
 
 
@@ -532,3 +534,67 @@ class DenseAdam:
         for name, arr in params.items():
             if name.endswith("_radius") or name.endswith("_offset"):
                 np.maximum(arr, 0.0, out=arr)
+
+
+# ---------------------------------------------------------------------------
+# counter-based negative sampling
+# ---------------------------------------------------------------------------
+
+_MASK64 = 2**64 - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix_finalizer(x: int) -> int:
+    x ^= x >> 30
+    x = x * 0xBF58476D1CE4E5B9 & _MASK64
+    x ^= x >> 27
+    x = x * 0x94D049BB133111EB & _MASK64
+    return x ^ x >> 31
+
+
+def counter_word(seed: int, row: int, draw: int, attempt: int, purpose: int) -> int:
+    """The sampler's 64-bit word for one coordinate, in Python integers."""
+    x = _splitmix_finalizer((seed % 2**64 + _GOLDEN * (purpose + 1)) & _MASK64)
+    for step in (row, draw, attempt):
+        x = _splitmix_finalizer((x + _GOLDEN * step) & _MASK64)
+    return x
+
+
+def counter_corrupt_loop(axioms, count, cfg, dc, seed, n_concepts, stats=None):
+    """Negatives and skip count of the counter-based sampler, one row, draw
+    and attempt at a time: a biased coin (purpose 1) and pick (purpose 2),
+    else random candidates (purpose 0) until one is neither the current value
+    nor, when filtered, entailed by ``dc.entails``.  ``stats`` counts the
+    random candidates (``drawn``) and the entailed ones (``entailed_rejected``)."""
+    stats = {} if stats is None else stats
+    stats.setdefault("drawn", 0)
+    stats.setdefault("entailed_rejected", 0)
+    pool = list(cfg.pool) if cfg.pool is not None else [
+        c for c in range(n_concepts) if c not in (TOP_ID, BOT_ID)
+    ]
+    negatives, skipped = [], 0
+    for row, ax in enumerate(axioms):
+        slot = cfg.slot_for(axiom_tag(ax))
+        current = getattr(ax, slot)
+        for draw in range(count):
+            coin = counter_word(seed, row, draw, 0, 1) >> 11
+            if cfg.mode == "biased" and coin * 2.0**-53 < cfg.bias_p:
+                entailed = [v for v in sorted(dc.entailed_fillers(ax, slot)) if v != current]
+                if entailed:
+                    pick = entailed[counter_word(seed, row, draw, 0, 2) % len(entailed)]
+                    negatives.append(dataclasses.replace(ax, **{slot: pick}))
+                    continue
+            for attempt in range(cfg.retry_limit):
+                cand = pool[counter_word(seed, row, draw, attempt, 0) % len(pool)]
+                stats["drawn"] += 1
+                if cand == current:
+                    continue
+                negative = dataclasses.replace(ax, **{slot: cand})
+                if cfg.mode == "filtered" and dc.entails(negative):
+                    stats["entailed_rejected"] += 1
+                    continue
+                negatives.append(negative)
+                break
+            else:
+                skipped += 1
+    return negatives, skipped

@@ -139,6 +139,13 @@ def test_sample_check_reports_fraction(golden_file, capsys):
     assert 0.3 < frac < 0.7
 
 
+@pytest.mark.parametrize("bias", ["0", "0.5"])
+def test_sample_check_rejects_a_negative_count(golden_file, capsys, bias):
+    assert main(["sample-check", str(golden_file), "--count", "-5", "--bias", bias]) == 1
+    out, err = capsys.readouterr()
+    assert "negative count" in err and "entailed fraction" not in out
+
+
 def _write_train_config(tmp_path, train_file, **extra):
     cfg = {
         "model": "elem",

@@ -1,12 +1,15 @@
 """Negative sampler: slot discipline, filtering, bias, determinism."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elkbc.closure import compute_closure
-from elkbc.core import GCI0, GCI1, GCI2, TOP_ID, VARIANTS, axiom_tag, parse_theory
+from elkbc.core import AXIOM_TAGS, GCI0, GCI1, GCI2, TOP_ID, VARIANTS, axiom_tag, parse_theory
 from elkbc.losses import LOSS_VARIANTS
 from elkbc.reasoner import classify
 from elkbc.sampling import (
@@ -17,7 +20,7 @@ from elkbc.sampling import (
     entailed_fraction,
     sample_batch,
 )
-from oracles import random_theory
+from oracles import counter_corrupt_loop, random_theory
 
 
 def closure_of(text):
@@ -173,34 +176,118 @@ def test_default_pool_excludes_top_and_bot():
     assert seen == {theory.signature.concepts.id_of("C"), ax.sub}
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+def test_duplicate_pool_ids_rejected():
+    with pytest.raises(ValueError, match="duplicate"):
+        SamplerConfig(pool=(3, 3, 4))
+    assert SamplerConfig(pool=(3, 4)).pool == (3, 4)
+
+
+@pytest.mark.parametrize("count", [-1, -3])
+def test_negative_count_rejected(count):
+    theory, dc = closure_of("GCI0 A B\nGCI2 A r B\n#concept C\n")
+    cfg = SamplerConfig(mode="random")
+    with pytest.raises(ValueError, match="negative count"):
+        sample_batch(theory.axioms, count, cfg, dc, seed=0)
+    with pytest.raises(ValueError, match="negative count"):
+        entailed_fraction(theory.axioms, count, cfg, dc, seed=0)
+    negatives, skipped = sample_batch(theory.axioms, 0, cfg, dc, seed=0)
+    assert (len(negatives), skipped) == (0, 0)
+
+
+def _loss_rows(theory):
+    return theory.table[np.isin(theory.table.codes, [VARIANTS.index(t) for t in LOSS_VARIANTS])]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
 @given(
-    seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**64 - 1),
     mode=st.sampled_from([("random", 0.0), ("filtered", 0.0), ("biased", 0.5)]),
     count=st.integers(1, 3),
+    closure_mode=st.sampled_from(["materialized", "oracle"]),
+    explicit_pool=st.booleans(),
     data=st.data(),
 )
-def test_batch_equals_corrupt_loop(seed, mode, count, data):
-    """``sample_batch`` draws what a loop of ``corrupt`` calls draws, each
-    input axiom from its own ``SeedSequence((seed, index))`` stream, with the
-    same skips; a table input and a list input give the same negatives."""
+def test_batch_equals_counter_loop(seed, mode, count, closure_mode, explicit_pool, data):
+    """``sample_batch`` draws what the scalar counter-stream loop draws, draw
+    for draw, with the same skips and draw counters; a table input and a list
+    input give the same negatives."""
     theory = random_theory(np.random.default_rng(seed))
     index, hierarchy, _ = classify(theory)
-    dc = compute_closure(theory, index, hierarchy, mode="oracle")
+    dc = compute_closure(theory, index, hierarchy, mode=closure_mode)
     overrides = {
         tag: data.draw(st.sampled_from(slots)) for tag, (_, slots) in SLOT_POLICIES.items()
     }
-    cfg = SamplerConfig(mode=mode[0], bias_p=mode[1], slot_overrides=overrides, retry_limit=4)
-    axioms = [ax for ax in theory.axioms if axiom_tag(ax) in LOSS_VARIANTS]
-    expected, skipped = [], 0
-    for i, ax in enumerate(axioms):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-        for _ in range(count):
-            try:
-                expected.append(corrupt(ax, cfg, dc, rng))
-            except SampleExhausted:
-                skipped += 1
-    negatives, got_skipped = sample_batch(axioms, count, cfg, dc, seed=seed)
-    assert (list(negatives), got_skipped) == (expected, skipped)
-    rows = theory.table[np.isin(theory.table.codes, [VARIANTS.index(t) for t in LOSS_VARIANTS])]
+    pool = None
+    if explicit_pool:
+        ids = st.integers(0, theory.n_concepts - 1)
+        pool = tuple(data.draw(st.lists(ids, min_size=1, max_size=4, unique=True)))
+    cfg = SamplerConfig(
+        mode=mode[0], bias_p=mode[1], pool=pool, slot_overrides=overrides, retry_limit=4
+    )
+    rows = _loss_rows(theory)
+    expected_stats = {}
+    expected = counter_corrupt_loop(
+        list(rows), count, cfg, dc, seed, theory.n_concepts, stats=expected_stats
+    )
+    stats = {}
+    negatives, skipped = sample_batch(list(rows), count, cfg, dc, seed=seed, stats=stats)
+    assert (list(negatives), skipped) == expected
+    assert stats == expected_stats
     assert sample_batch(rows, count, cfg, dc, seed=seed) == (negatives, skipped)
+    # ``corrupt`` is the one-row, one-draw case under a seed from its generator
+    if len(rows):
+        one_seed = int(np.random.default_rng(seed).integers(2**63))
+        one, one_skipped = counter_corrupt_loop([rows[0]], 1, cfg, dc, one_seed, theory.n_concepts)
+        rng = np.random.default_rng(seed)
+        if one_skipped:
+            with pytest.raises(SampleExhausted):
+                corrupt(rows[0], cfg, dc, rng)
+        else:
+            assert corrupt(rows[0], cfg, dc, rng) == one[0]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from([("random", 0.0), ("filtered", 0.0), ("biased", 0.5)]),
+    data=st.data(),
+)
+def test_prefix_of_the_input_draws_a_prefix_of_the_output(seed, mode, data):
+    theory = random_theory(np.random.default_rng(seed))
+    index, hierarchy, _ = classify(theory)
+    dc = compute_closure(theory, index, hierarchy, mode="oracle")
+    cfg = SamplerConfig(mode=mode[0], bias_p=mode[1], retry_limit=4)
+    rows = _loss_rows(theory)
+    k = data.draw(st.integers(0, len(rows)))
+    full, full_skipped = sample_batch(rows, 3, cfg, dc, seed=seed)
+    part, part_skipped = sample_batch(rows[:k], 3, cfg, dc, seed=seed)
+    assert len(part) + part_skipped == 3 * k
+    assert part_skipped <= full_skipped
+    assert full[: len(part)] == part
+
+
+@pytest.mark.parametrize("closure_mode", ["materialized", "oracle"])
+@pytest.mark.parametrize("chains", [False, True])
+def test_filtered_negatives_never_entailed_for_any_variant_and_slot(closure_mode, chains):
+    """Every id row of every variant over a small signature, A and Bot
+    unsatisfiable subjects among them, corrupted in each allowed slot."""
+    text = (
+        "GCI0_BOT A\nGCI0 B C\nGCI1 B C D\nGCI2 B r C\nGCI2 A s D\n"
+        "GCI3 r C E\nGCI1_BOT D E\nGCI3_BOT s E\nRI0 r s\n"
+    )
+    theory = parse_theory(text + ("RI1 r s r\n" if chains else ""))
+    index, hierarchy, _ = classify(theory)
+    dc = compute_closure(theory, index, hierarchy, mode=closure_mode)
+    n_c, n_r = theory.n_concepts, theory.n_roles
+    kinds = {"c": range(n_c), "r": range(n_r)}
+    for tag, (_, slots) in SLOT_POLICIES.items():
+        cls = AXIOM_TAGS[tag]
+        fields = [f.name for f in dataclasses.fields(cls)]
+        ranges = [kinds["r" if name == "role" else "c"] for name in fields]
+        rows = [cls(*ids) for ids in itertools.product(*ranges)]
+        for slot in slots:
+            cfg = SamplerConfig(mode="filtered", slot_overrides={tag: slot}, retry_limit=20)
+            negatives, _ = sample_batch(rows, 3, cfg, dc, seed=7)
+            assert len(negatives) > 0, (tag, slot)
+            entailed = [ax for ax in negatives if dc.entails(ax)]
+            assert not entailed, (tag, slot, entailed[:3])

@@ -4,6 +4,7 @@ import contextlib
 import json
 import math
 import struct
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -290,6 +291,22 @@ class TestTrainLoop:
         with pytest.raises(TrainingError):
             gradient(m, [LossRequest(GCI0(0, 1), "positive")])
 
+
+    def test_epoch_log_reports_sampler_counters(self):
+        # seeded counts: a change of the sampler's stream or rounds moves them
+        theory = parse_theory(TOY)
+        index, hierarchy, _ = classify(theory)
+        dc = compute_closure(theory, index, hierarchy)
+        cfg = _cfg(epochs=3, negatives_per_positive=3, sampler=SamplerConfig(mode="filtered"))
+        _, log = train(theory, cfg, dc)
+        assert [e["negatives_drawn"] for e in log] == [13, 13, 17]
+        assert [e["negatives_entailed_rejected"] for e in log] == [1, 1, 4]
+        assert [e["negatives_skipped"] for e in log] == [0, 0, 0]
+        _, log = train(theory, replace(cfg, sampler=SamplerConfig(mode="random")))
+        assert [e["negatives_drawn"] for e in log] == [12, 12, 10]
+        assert [e["negatives_entailed_rejected"] for e in log] == [0, 0, 0]
+        _, log = train(theory, replace(cfg, negative_scope="none"), dc)
+        assert [(e["negatives_drawn"], e["negatives_entailed_rejected"]) for e in log] == [(0, 0)] * 3
 
     def test_epoch_log_reports_skipped_negatives(self, monkeypatch):
         # A is unsatisfiable, so every corruption of GCI0(A, B) is entailed
