@@ -45,10 +45,14 @@ radius/offset floors (``epsilon``) for the Bot forms, and squared
 A batch (``AxiomTable`` columns taken as they are, or a list of dataclasses
 converted to a table) and a single axiom take one code path.  Only when a gradient
 is requested does a primitive compute its derivative with respect to its
-sides, and ``_Batch.push`` scatters that onto the parameter rows the sides
-sum; at hinge kinks the inactive branch (derivative zero) is taken, and
-intersection ties take the first box's branch.  Evaluation is pure given
-(model, request); parameter mutation happens only in the trainer.
+sides, and ``_Batch.push`` records it, with the parameter rows the sides sum,
+in the ``Gradient``; at hinge kinks the inactive branch (derivative zero) is
+taken, and intersection ties take the first box's branch.  The recorded
+pushes settle into the gradient arrays once per ``total_loss`` or
+``batch_losses`` call (earlier when they reach the gradient's size), one
+``np.bincount`` per block, in push order, so the result equals adding each
+push in turn.  Evaluation is pure given (model, request); parameter mutation
+happens only in the trainer.
 """
 
 from __future__ import annotations
@@ -137,14 +141,111 @@ class LossRequest:
                 raise ValueError(f"no loss for axiom variant {tag}")
 
 
+#: the fewest pending push entries at which ``Gradient`` settles early;
+#: above this floor the bound is the gradient's own size
+_SETTLE_FLOOR = 1 << 16
+
+#: the bits of -0.0 read as an int64
+_NEG_ZERO = np.float64(-0.0).view(np.int64)
+
+
 class Gradient(dict[str, np.ndarray]):
-    """Parameter block name -> derivative array.  ``total_loss`` adds into
-    the arrays and sets ``group_means``: the mean loss of each (variant,
-    polarity) group it summed, keyed ``"GCI0/positive"``, in group order."""
+    """Parameter block name -> derivative array.
+
+    Loss terms do not write into the arrays: ``push`` records a derivative
+    with the rows it belongs to, and ``settle`` adds each block's records in
+    with one ``np.bincount`` over the rows they touch.  Each entry's sum starts
+    from its current value and adds the pushes in push order, so it equals
+    adding them one push at a time bit for bit.  ``total_loss`` settles once
+    per call, before the bump regularizer, and ``batch_losses`` at the end of
+    a call.  Pending entries also settle as soon as they reach the
+    gradient's own size (at least ``_SETTLE_FLOOR``), a larger push being
+    recorded in row slices of that size: that bounds the settle's
+    temporaries and how long a push's arrays stay alive.  ``touched`` holds
+    a boolean row mask per block: the rows settled since the optimizer last
+    cleared them.
+
+    ``total_loss`` also sets, per (variant, polarity) group it summed, keyed
+    ``"GCI0/positive"`` in group order, ``group_means`` (the group's mean
+    loss) and ``group_active`` (the fraction of its axioms with a nonzero
+    loss)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.group_means: dict[str, float] = {}
+        self.group_active: dict[str, float] = {}
+        self.touched: dict[str, np.ndarray] = {}
+        # block -> (rows, derivative, factor) in push order
+        self._pushes: dict[str, list[tuple[np.ndarray, np.ndarray, float]]] = {}
+        self._pending = 0
+        self._budget = max(_SETTLE_FLOOR, sum(g.size for g in self.values()))
+
+    def push(self, block: str, rows: np.ndarray, d: np.ndarray, factor: float) -> None:
+        """Record ``factor * d`` for adding onto ``rows`` of the block, rows in
+        order; ``d`` must not change until the push settles."""
+        width = max(1, int(np.prod(self[block].shape[1:], dtype=np.int64)))
+        per = max(1, self._budget // width)  # rows per slice
+        for lo in range(0, len(rows), per):
+            part = rows[lo : lo + per]
+            self._pushes.setdefault(block, []).append((part, d[lo : lo + per], factor))
+            self._pending += len(part) * width
+            if self._pending >= self._budget:
+                self.settle()
+
+    def settle(self) -> None:
+        """Add every recorded push into its block."""
+        for block, pushes in self._pushes.items():
+            self._settle(block, pushes)
+        self._pushes, self._pending = {}, 0
+
+    def _settle(self, block: str, pushes) -> None:
+        g = self[block]
+        row_shape = g.shape[1:]
+        width = int(np.prod(row_shape, dtype=np.int64))
+        hit = np.zeros(len(g), bool)
+        for rows, _, _ in pushes:
+            hit[rows] = True
+        rows = np.flatnonzero(hit)
+        place = np.empty(len(g), np.intp)  # touched row -> its place among them
+        place[rows] = np.arange(len(rows))
+        cur = g[rows]
+        # bincount starts every sum at +0, so a start of (signed) zeros need
+        # not be added; -0 starts are mended below
+        start = cur.size if cur.any() else 0  # NaN counts as nonzero
+        size = start + sum(len(r) for r, _, _ in pushes) * width
+        index, weights = np.empty(size, np.intp), np.empty(size)
+        flat = np.arange(cur.size).reshape(len(rows), width)  # each touched entry's bin
+        if start:
+            index[:start] = flat.reshape(-1)
+            weights[:start] = cur.reshape(-1)
+        at = start
+        for r, d, factor in pushes:
+            end = at + len(r) * width
+            np.take(flat, place[r], axis=0, out=index[at:end].reshape(len(r), width), mode="clip")
+            np.multiply(d, factor, out=weights[at:end].reshape(len(r), *row_shape))
+            at = end
+        out = np.bincount(index, weights, cur.size).reshape(cur.shape)
+        _mend_negative_zeros(out, cur, index[start:], weights[start:])
+        g[rows] = out
+        self.touched.setdefault(block, np.zeros(len(g), bool))[rows] = True
+
+    def add_dense(self, block: str, values: np.ndarray) -> None:
+        """Add ``values`` onto every row of the block, after its pushes."""
+        self.settle()
+        self[block] += values
+        self.touched.setdefault(block, np.zeros(len(values), bool))[:] = True
+
+
+def _mend_negative_zeros(out, cur, index, weights) -> None:
+    """Adding in order from a -0 start gives -0 when every push is -0 too,
+    where the bincount's +0 start gives +0: write those entries back as -0."""
+    flat = out.reshape(-1)
+    neg = np.flatnonzero(cur.reshape(-1).view(np.int64) == _NEG_ZERO)
+    neg = neg[flat[neg] == 0]
+    if len(neg):
+        other = np.zeros(len(flat), bool)  # entries that some push other than -0 reached
+        other[index[weights.view(np.int64) != _NEG_ZERO]] = True
+        flat[neg[~other[neg]]] = -0.0
 
 
 def zero_gradient(model: GeometricModel) -> Gradient:
@@ -203,7 +304,7 @@ def _side(expr: str) -> Side:
 class _Batch:
     """The slot columns of one (variant, polarity) group.  Gathers the
     parameter rows of each (block, column) once, into that column's memo, and,
-    when ``grad`` is given, scatters derivatives with respect to a side onto
+    when ``grad`` is given, pushes derivatives with respect to a side onto
     the rows that side sums.  Batches that hold the same ids in a column may
     share its memo (``memos``, one dict per column); a column of one id
     gathers one row, which broadcasts against the other columns."""
@@ -252,7 +353,7 @@ class _Batch:
         return out
 
     def push(self, side: Side, d: np.ndarray, active: np.ndarray | None = None) -> None:
-        """Scatter ``d``, the derivative with respect to the side of the axioms
+        """Push ``d``, the derivative with respect to the side of the axioms
         the mask ``active`` selects (all when None), onto the parameter rows
         the side sums.  One term of a table row reads the intersection; its
         derivatives wait for ``flush``."""
@@ -262,7 +363,8 @@ class _Batch:
                 self._pending_active = active
             else:
                 idx = self.cols[col] if active is None else self.cols[col][active]
-                np.add.at(self.grad[block], idx, self.weight * (sign * d))
+                # weight * (sign * d) equals (weight * sign) * d: sign is +-1
+                self.grad.push(block, idx, d, self.weight * sign)
 
     def flush(self) -> None:
         """Route the intersection's derivatives onto the two boxes it meets:
@@ -465,8 +567,9 @@ def batch_losses(
     candidates: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-axiom losses for one (variant, polarity) group of axioms, an
-    ``AxiomTable`` or a list of dataclasses; optionally accumulates ``weight``
-    times the gradient of their sum into ``grad``.
+    ``AxiomTable`` or a list of dataclasses; optionally adds ``weight`` times
+    the gradient of their sum into ``grad`` (a ``Gradient``, or a dict of
+    arrays), settled before the call returns.
 
     With ``candidates`` (concept ids) this is the ranking form: row i of the
     result holds the losses of axiom i with its concept column 1 (the
@@ -474,6 +577,20 @@ def batch_losses(
     axiom's other columns are gathered once as one row that broadcasts, and
     the candidates pass in chunks of ``_RANK_CHUNK`` rows, each gathered once
     for every axiom; the values equal the losses of the axioms written out."""
+    scatter = _as_gradient(grad)
+    losses = _group_losses(model, tag, polarity, axioms, scatter, weight, candidates)
+    if scatter is not None:
+        scatter.settle()
+    return losses
+
+
+def _as_gradient(grad: dict | None) -> Gradient | None:
+    # a plain dict is wrapped: the wrapper shares its arrays, so settling writes into them
+    return grad if grad is None or isinstance(grad, Gradient) else Gradient(grad)
+
+
+def _group_losses(model, tag, polarity, axioms, grad, weight, candidates=None) -> np.ndarray:
+    """``batch_losses`` with the gradient's pushes left pending."""
     if not len(axioms):
         return np.zeros(0 if candidates is None else (0, len(candidates)))
     table = AxiomTable.from_axioms(axioms)
@@ -556,7 +673,8 @@ def bump_regularizer(model: GeometricModel, grad: Gradient | None = None) -> flo
     bumps = model.params["class_bump"]
     nrm = _norm(bumps)
     if grad is not None:
-        grad["class_bump"] += (model.reg_lambda / len(bumps)) * _unit(bumps, nrm)
+        d = (model.reg_lambda / len(bumps)) * _unit(bumps, nrm)
+        _as_gradient(grad).add_dense("class_bump", d)
     return float(model.reg_lambda * nrm.mean())
 
 
@@ -567,22 +685,30 @@ def total_loss(
 ) -> float:
     """Sum over (variant, polarity) groups of the within-group mean loss, plus
     the bump regularizer for box2el.  Groups appear in the order of their
-    first axiom; a group's rows concatenate in request order.  A ``Gradient``
-    given as ``grad`` also receives the group means."""
+    first axiom; a group's rows concatenate in request order.  The gradient's
+    pushes settle once, before the bump regularizer adds its own; a
+    ``Gradient`` given as ``grad`` also receives the group means and active
+    fractions."""
     groups: dict[tuple[str, str], list[AxiomTable]] = {}
     for req in requests:
         for tag, rows in req.groups:
             groups.setdefault((tag, req.polarity), []).append(rows)
+    scatter = _as_gradient(grad)
     total = 0.0
     means: dict[str, float] = {}
+    active: dict[str, float] = {}
     for (tag, polarity), parts in groups.items():
         axioms = parts[0] if len(parts) == 1 else AxiomTable(
             np.concatenate([p.codes for p in parts]), np.concatenate([p.cols for p in parts], 1)
         )
-        losses = batch_losses(model, tag, polarity, axioms, grad=grad, weight=1.0 / len(axioms))
-        mean = means[f"{tag}/{polarity}"] = float(losses.mean())
+        losses = _group_losses(model, tag, polarity, axioms, scatter, 1.0 / len(axioms))
+        key = f"{tag}/{polarity}"
+        mean = means[key] = float(losses.mean())
+        active[key] = int(np.count_nonzero(losses)) / len(losses)
         total += mean
-    total += bump_regularizer(model, grad)
+    if scatter is not None:
+        scatter.settle()
+    total += bump_regularizer(model, scatter)
     if isinstance(grad, Gradient):
-        grad.group_means = means
+        grad.group_means, grad.group_active = means, active
     return total

@@ -224,10 +224,11 @@ def _corrupt_rows(
     current = table.cols[cols, np.arange(n_rows)]
     values = np.zeros(n_pairs, np.int64)
     done = np.zeros(n_pairs, bool)
-    codes, ids_of, col_of = table.codes.tolist(), table.cols.T.tolist(), cols.tolist()
+    if cfg.mode in ("filtered", "biased"):  # per-row lists for the closure's id queries
+        codes, ids_of, col_of = table.codes.tolist(), table.cols.T.tolist(), cols.tolist()
 
-    def fillers_of(i: int) -> frozenset[int]:  # the closure memoizes them
-        return dc.entailed_fillers_ids(codes[i], ids_of[i], col_of[i])
+        def fillers_of(i: int) -> frozenset[int]:  # the closure memoizes them
+            return dc.entailed_fillers_ids(codes[i], ids_of[i], col_of[i])
 
     if cfg.mode == "biased":
         coin = _words(_prefix(seed, _COIN, rows, draws), 0) >> np.uint64(11)

@@ -13,9 +13,11 @@ stops early after a fixed window of non-improving epochs.  Validation loss is
 the positive-only total loss on the validation axioms (falling back to the
 training positives).
 
-A step writes only the live rows of each parameter block, and equals the
-dense step bit for bit (see ``_Adam``); the gradient is one buffer for the
-whole run, and each step zeros again the rows it touched.
+A step writes only the live rows of each parameter block, keeps Adam
+moments for those rows alone, and equals the dense step bit for bit (see
+``_Adam``).  The gradient is one buffer for the whole run: the loss pushes
+settle into it once per step, and the step zeros again the rows they
+touched.
 
 Everything is deterministic given (seed, config, theory): initialization and
 shuffling derive PCG64 streams from the run seed, and each step's negatives
@@ -167,53 +169,97 @@ def gradient(model: GeometricModel, batch: list[LossRequest]) -> Gradient:
     return grad
 
 
+#: parameter entries per page of Adam moments, and per pass of the step's
+#: arithmetic: its buffers stay cache-sized
+_ADAM_PAGE = 1 << 14
+
+
+class _LiveRows:
+    """The live rows of one parameter block and their Adam moments.  Rows go
+    live in append order (``rows``; ``is_live`` marks them), and the moments
+    of places ``[i * per, (i + 1) * per)`` of that order live in page ``i``,
+    so going live copies no moments already stored."""
+
+    def __init__(self, shape: tuple):
+        self.row_shape = shape[1:]
+        width = int(np.prod(self.row_shape, dtype=np.int64))
+        self.per = max(1, min(shape[0], _ADAM_PAGE // max(1, width)))  # rows per page
+        self.is_live = np.zeros(shape[0], bool)
+        self.rows = np.empty(0, np.intp)
+        self.pages: list[tuple[np.ndarray, np.ndarray]] = []  # (m, v)
+
+    def add(self, rows: np.ndarray) -> None:
+        """Make ``rows`` (not yet live) live, with +0 moments: a place is
+        taken once, so a fresh page's zeros serve."""
+        self.is_live[rows] = True
+        self.rows = np.concatenate([self.rows, rows])
+        while len(self.pages) * self.per < len(self.rows):
+            self.pages.append(tuple(np.zeros((self.per, *self.row_shape)) for _ in range(2)))
+
+
 class _Adam:
     """Adam (with radius/offset clamping) over the live rows of each block:
-    the rows whose gradient has been nonzero, or NaN, at some step so far.
-    Every other row has zero gradient and +0 moments, where the dense update
-    is the identity: the moments stay +0, the step is ``lr * 0 / (0 + eps)``,
-    and clamping keeps the row's initial value, which ``init_model`` draws
+    the rows that some step's gradient has touched so far.  Every other row
+    has zero gradient and +0 moments, where the dense update is the
+    identity: the moments stay +0, the step is ``lr * 0 / (0 + eps)``, and
+    clamping keeps the row's initial value, which ``init_model`` draws
     non-negative.  So updating the live rows alone, with the same float
-    operations, equals the dense step bit for bit."""
+    operations, equals the dense step bit for bit.  Moments exist for live
+    rows only (``_LiveRows``), and the arithmetic runs one moment page at a
+    time through buffers reused across steps."""
 
     def __init__(self, model: GeometricModel, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = zero_gradient(model)
-        self.v = zero_gradient(model)
-        self.live = {name: np.zeros(len(arr), bool) for name, arr in model.params.items()}
+        self.live = {name: _LiveRows(arr.shape) for name, arr in model.params.items()}
         self.t = 0
+        self._buffers: dict[tuple, tuple[np.ndarray, ...]] = {}  # page shape -> buffers
 
     def step(self, params: dict[str, np.ndarray], grad: Gradient, lr: float) -> None:
-        """Apply ``grad`` and zero its rows again; raises TrainingError, before
-        any parameter moves, when a gradient entry is not finite."""
-        rows = {}
+        """Apply ``grad``, whose touched rows are those its pushes settled,
+        then zero those rows again; raises TrainingError, before any
+        parameter or moment moves, when a gradient entry is not finite."""
         for name, g in grad.items():
-            touched = g.any(axis=tuple(range(1, g.ndim)))  # NaN counts as nonzero
-            live = self.live[name]
-            live |= touched
-            # a block whose rows are all live is updated as one slice, in place
-            sel = slice(None) if live.all() else np.flatnonzero(live)
-            g_sel = g[sel]
-            _check_finite(name, g_sel)
-            rows[name] = touched, sel, g_sel
+            _check_finite(name, g)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
-        for name, (touched, sel, g) in rows.items():
-            p, m, v = params[name][sel], self.m[name][sel], self.v[name][sel]
+        c1, c2 = 1 - self.beta1**self.t, 1 - self.beta2**self.t
+        for name, g in grad.items():
+            live, touched = self.live[name], grad.touched.get(name)
+            if touched is not None:
+                live.add(np.flatnonzero(touched & ~live.is_live))
+            clamp = name.endswith("_radius") or name.endswith("_offset")
+            self._update(params[name], g, live, lr, c1, c2, clamp)
+            if touched is not None:
+                g[np.flatnonzero(touched)] = 0.0
+                touched[:] = False
+
+    def _update(self, p, g, live: _LiveRows, lr, c1, c2, clamp: bool) -> None:
+        b1, b2, eps = self.beta1, self.beta2, self.eps
+        shape = (live.per, *live.row_shape)
+        if shape not in self._buffers:
+            self._buffers[shape] = tuple(np.empty(shape) for _ in range(4))
+        g_buf, p_buf, tmp_buf, upd_buf = self._buffers[shape]
+        for lo, (m, v) in zip(range(0, len(live.rows), live.per), live.pages):
+            hi = min(len(live.rows), lo + live.per)
+            m, v, tmp, update = m[: hi - lo], v[: hi - lo], tmp_buf[: hi - lo], upd_buf[: hi - lo]
+            rows = live.rows[lo:hi]
+            gc = np.take(g, rows, axis=0, out=g_buf[: hi - lo], mode="clip")
+            pc = np.take(p, rows, axis=0, out=p_buf[: hi - lo], mode="clip")
             # the dense step's float operations, in place where they commute
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(gc, 1 - b1, out=tmp)
             v *= b2
-            v += (1 - b2) * g * g
-            update = m / c1 * lr
-            update /= np.sqrt(v / c2) + self.eps
-            p -= update
-            if name.endswith("_radius") or name.endswith("_offset"):
-                np.maximum(p, 0.0, out=p)
-            if not isinstance(sel, slice):  # fancy indexing gathered copies
-                params[name][sel], self.m[name][sel], self.v[name][sel] = p, m, v
-            grad[name][touched] = 0.0
+            np.multiply(gc, 1 - b2, out=tmp)
+            v += np.multiply(tmp, gc, out=tmp)
+            np.divide(m, c1, out=update)
+            update *= lr
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            update /= tmp
+            pc -= update
+            if clamp:
+                np.maximum(pc, 0.0, out=pc)
+            p[rows] = pc
 
 
 def _step_seed(seed: int, epoch: int, step: int) -> int:
@@ -231,8 +277,9 @@ def train(
     the trained model and a per-epoch log (train loss, validation loss,
     learning rate, the negatives ``sample_batch`` skipped because their
     candidate pools were exhausted, the random candidates it drew and, in
-    filtered mode, those it rejected as entailed, and under ``losses`` the
-    mean over the epoch's steps of each (variant, polarity) group's loss,
+    filtered mode, those it rejected as entailed, and under ``losses`` and
+    ``active`` the mean over the epoch's steps of each (variant, polarity)
+    group's loss and of the fraction of its axioms with a nonzero loss,
     taken over the steps that hold the group).
     """
     table = theory.table
@@ -278,7 +325,9 @@ def train(
             queues.append((tag, chunks))
 
         epoch_loss = 0.0
-        group_means: dict[str, list[float]] = {}  # "GCI0/positive" -> one mean per step
+        # "GCI0/positive" -> one mean, and one active fraction, per step
+        group_means: dict[str, list[float]] = {}
+        group_active: dict[str, list[float]] = {}
         skipped = 0
         sampler_stats = {"drawn": 0, "entailed_rejected": 0}
         step = 0
@@ -304,6 +353,7 @@ def train(
                 epoch_loss += loss
                 for key, mean in grad.group_means.items():
                     group_means.setdefault(key, []).append(mean)
+                    group_active.setdefault(key, []).append(grad.group_active[key])
                 step += 1
 
         val_loss = total_loss(model, val_requests)
@@ -317,6 +367,7 @@ def train(
                 "negatives_drawn": sampler_stats["drawn"],
                 "negatives_entailed_rejected": sampler_stats["entailed_rejected"],
                 "losses": {key: sum(means) / len(means) for key, means in group_means.items()},
+                "active": {key: sum(fracs) / len(fracs) for key, fracs in group_active.items()},
             }
         )
         if val_loss < best_val:

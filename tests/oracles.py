@@ -537,6 +537,25 @@ class DenseAdam:
 
 
 # ---------------------------------------------------------------------------
+# sequential gradient scatter
+# ---------------------------------------------------------------------------
+
+
+def sequential_scatter(start, pushes):
+    """Gradient arrays after adding each push in turn, from copies of
+    ``start``: one ``np.add.at`` of ``factor * d`` onto the push's rows per
+    push, as the loss terms once wrote them; a push whose rows are None adds
+    ``d`` onto every row of its block."""
+    out = {name: arr.copy() for name, arr in start.items()}
+    for block, rows, d, factor in pushes:
+        if rows is None:
+            out[block] += d
+        else:
+            np.add.at(out[block], rows, factor * d)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # counter-based negative sampling
 # ---------------------------------------------------------------------------
 

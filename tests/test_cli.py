@@ -172,6 +172,7 @@ def test_train_and_eval_round_trip(tmp_path, golden_file, capsys):
     assert (tmp_path / "model.ckpt").exists()
     log = json.loads((tmp_path / "train.log.json").read_text())
     assert len(log) == 15
+    assert all(set(e["active"]) == set(e["losses"]) for e in log)
 
     test_file = tmp_path / "test.nf"
     test_file.write_text(

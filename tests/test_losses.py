@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import sequential_scatter
 
 from elkbc import losses
 from elkbc.core import (
@@ -20,6 +21,7 @@ from elkbc.losses import (
     LOSS_VARIANTS,
     MODEL_TAGS,
     GeometricModel,
+    Gradient,
     LossRequest,
     axiom_loss,
     batch_losses,
@@ -637,3 +639,110 @@ def test_ranking_form_rejects_bad_input():
     with pytest.raises(ValueError, match="gradient"):
         batch_losses(m, "GCI0", "positive", [GCI0(0, 1)], grad=zero_gradient(m), candidates=[1])
     assert batch_losses(m, "GCI0", "positive", [], candidates=[1, 2]).shape == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# the settled gradient scatter
+# ---------------------------------------------------------------------------
+
+#: signed zeros, cancelling pairs and magnitudes far apart make the float
+#: order visible in the bytes
+_SCATTER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 1e-300, 0.1, -0.3]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_settle_equals_sequential_add_at(data):
+    """Pushes onto a 1-D and a 2-D block, with repeated rows, signed zeros and
+    a nonzero start, settle to the bytes of one ``np.add.at`` per push in
+    turn, whether they settle together or early in several parts; the
+    touched masks mark exactly the pushed rows."""
+    n_rows, dim = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+
+    def array(shape):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(_SCATTER_VALUES, min_size=size, max_size=size)),
+                        dtype=float).reshape(shape)
+
+    start = {"class_radius": array((n_rows,)), "class_center": array((n_rows, dim))}
+    pushes = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        block = data.draw(st.sampled_from(sorted(start)))
+        rows = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), max_size=6)), np.intp)
+        factor = data.draw(st.sampled_from([1.0, -1.0, 0.5, -1 / 3]))
+        pushes.append((block, rows, array((len(rows), *start[block].shape[1:])), factor))
+    # floor 0: a push settles early once the pending entries exceed the gradient's size
+    with mock.patch.object(losses, "_SETTLE_FLOOR", data.draw(st.sampled_from([0, 1 << 16]))):
+        grad = Gradient({name: arr.copy() for name, arr in start.items()})
+    for push in pushes:
+        grad.push(*push)
+    grad.settle()
+    want = sequential_scatter(start, pushes)
+    for name in start:
+        assert grad[name].tobytes() == want[name].tobytes(), name
+        pushed = np.zeros(n_rows, bool)
+        for block, rows, _, _ in pushes:
+            pushed[rows] |= block == name
+        assert np.array_equal(grad.touched.get(name, np.zeros(n_rows, bool)), pushed), name
+
+
+@pytest.mark.parametrize("tag", MODEL_TAGS)
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_loss_pushes_settle_to_sequential_add_at(tag, data):
+    """The pushes the loss terms make settle to the bytes of adding them one
+    ``np.add.at`` at a time: a direct ``batch_losses`` call onto a start of
+    signed zeros and nonzero values, and a ``total_loss`` over several
+    (variant, polarity) groups with ids repeated, then the bump regularizer."""
+    n_concepts, n_roles = 4, 2
+    dim = data.draw(st.sampled_from([1, 3, 8]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = make_model(
+        tag, n_concepts=n_concepts, n_roles=n_roles, dim=dim,
+        margin=float(rng.choice([0.0, -0.1, 0.1])), epsilon=0.05, delta=1.5,
+        reg_lambda=0.1 if tag == "box2el" else 0.0,
+    )
+    for name, arr in m.params.items():
+        m.params[name] = rng.normal(0.0, 0.5, arr.shape) * (rng.random(arr.shape) > 0.2)
+    requests = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        cls = AXIOM_TAGS[data.draw(st.sampled_from(LOSS_VARIANTS))]
+        bounds = [n_roles if f.name == "role" else n_concepts for f in dataclasses.fields(cls)]
+        axioms = data.draw(st.lists(
+            st.tuples(*(st.integers(0, b - 1) for b in bounds)).map(lambda ids: cls(*ids)),
+            min_size=1, max_size=5,
+        ))
+        polarity = data.draw(st.sampled_from(["positive", "negative"]))
+        requests.append(LossRequest(AxiomTable.from_axioms(axioms), polarity))
+
+    recorded = []
+    real_push, real_add_dense = Gradient.push, Gradient.add_dense
+
+    def push(self, block, rows, d, factor):
+        recorded.append((block, rows.copy(), d.copy(), factor))
+        real_push(self, block, rows, d, factor)
+
+    def add_dense(self, block, values):
+        recorded.append((block, None, values.copy(), 1.0))
+        real_add_dense(self, block, values)
+
+    with mock.patch.object(Gradient, "push", push), \
+            mock.patch.object(Gradient, "add_dense", add_dense):
+        start = {name: rng.choice([0.0, -0.0, 1.0, -2.5], arr.shape)
+                 for name, arr in m.params.items()}
+        grad = Gradient({name: arr.copy() for name, arr in start.items()})
+        ((variant, axioms),) = requests[0].groups
+        batch_losses(m, variant, requests[0].polarity, axioms, grad=grad, weight=0.5)
+        want = sequential_scatter(start, recorded)
+        for name in start:
+            assert grad[name].tobytes() == want[name].tobytes(), ("batch_losses", name)
+
+        recorded.clear()
+        grad = zero_gradient(m)
+        total_loss(m, requests, grad=grad)
+        want = sequential_scatter(zero_gradient(m), recorded)
+        for name in start:
+            assert grad[name].tobytes() == want[name].tobytes(), ("total_loss", name)

@@ -25,10 +25,13 @@ from elkbc.core import (
     parse_theory,
 )
 from elkbc.closure import compute_closure
-from elkbc.losses import LOSS_VARIANTS, MODEL_TAGS, LossRequest, total_loss
+from elkbc.losses import (
+    LOSS_VARIANTS, MODEL_TAGS, LossRequest, batch_losses, total_loss, zero_gradient,
+)
 from elkbc import training
 from elkbc.reasoner import classify
 from elkbc.sampling import SamplerConfig
+from elkbc.toy import toy_theory
 from elkbc.training import (
     TrainConfig,
     TrainingError,
@@ -275,6 +278,35 @@ class TestTrainLoop:
                        _cfg(epochs=3, batch_size=1, negative_scope="none"))
         assert [e["losses"] for e in log] == [{"GCI0/positive": e["train_loss"]} for e in log]
 
+    def test_epoch_log_reports_active_fractions(self, monkeypatch):
+        """``active`` is, per group, the fraction of its axioms whose loss is
+        nonzero at the step's parameters, averaged over the epoch's steps
+        like ``losses``."""
+        per_step = []  # one {group: fraction} per training step
+        real_total_loss = training.total_loss
+
+        def recording(model, requests, grad=None):
+            if grad is not None:
+                fractions = {}
+                for req in requests:
+                    for tag, rows in req.groups:
+                        values = batch_losses(model, tag, req.polarity, rows)
+                        fractions[f"{tag}/{req.polarity}"] = np.count_nonzero(values) / len(values)
+                per_step.append(fractions)
+            return real_total_loss(model, requests, grad=grad)
+
+        monkeypatch.setattr(training, "total_loss", recording)
+        _, log = train(toy_theory(), _cfg(epochs=3, batch_size=4))
+        steps = len(per_step) // len(log)
+        for i, entry in enumerate(log):
+            groups: dict[str, list[float]] = {}
+            for fractions in per_step[i * steps : (i + 1) * steps]:
+                for key, fraction in fractions.items():
+                    groups.setdefault(key, []).append(fraction)
+            assert entry["active"] == {key: sum(f) / len(f) for key, f in groups.items()}
+            assert set(entry["active"]) == set(entry["losses"])
+        assert any(0 < f < 1 for entry in log for f in entry["active"].values())
+
     def test_validation_axioms_drive_the_schedule(self):
         theory = parse_theory(TOY)
         val = list(parse_theory(TOY).axioms)[:1]
@@ -428,6 +460,44 @@ class TestRowSparseAdam:
                 same = arr[unmentioned].tobytes() == init.params[name][unmentioned].tobytes()
                 assert same != (name == "class_bump" and reg_lambda > 0), name
                 assert arr[mentioned].tobytes() != init.params[name][mentioned].tobytes()
+
+
+def _adam_state(adam, params):
+    """Bytes of every parameter and of the optimizer's live rows and moments."""
+    state = {name: arr.tobytes() for name, arr in params.items()}
+    for name, live in adam.live.items():
+        state[name, "rows"] = live.rows.tobytes() + live.is_live.tobytes()
+        state[name, "moments"] = [(m.tobytes(), v.tobytes()) for m, v in live.pages]
+    return state, adam.t
+
+
+class TestAdamGuard:
+    """A non-finite gradient entry anywhere in a block stops the step before
+    any parameter or moment moves, whether a push reached its row or not."""
+
+    @pytest.mark.parametrize("block, row", [
+        ("class_center", "A"),  # a row the pushes reach
+        ("class_offset", "G"),  # a concept no axiom mentions
+        ("class_bump", "F"),  # the regularizer's dense block
+        ("role_head_center", "s"),  # a role no axiom mentions
+    ])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_stops_the_step(self, block, row, value):
+        theory = parse_theory(TOY + "#role s\n")
+        ids = theory.signature.roles if block.startswith("role") else theory.signature.concepts
+        model = init_model("box2el", theory.n_concepts, theory.n_roles, 3, seed=0,
+                           reg_lambda=0.1)
+        adam, grad = training._Adam(model), zero_gradient(model)
+        requests = [LossRequest(theory.table, "positive")]
+        for _ in range(2):  # live rows with nonzero moments
+            total_loss(model, requests, grad=grad)
+            adam.step(model.params, grad, 0.1)
+        total_loss(model, requests, grad=grad)
+        grad[block][ids.id_of(row)] = value
+        before = _adam_state(adam, model.params)
+        with pytest.raises(TrainingError, match=f"block {block}"):
+            adam.step(model.params, grad, 0.1)
+        assert _adam_state(adam, model.params) == before
 
 
 def _saved_checkpoint(tmp_path):
