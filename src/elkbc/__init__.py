@@ -46,7 +46,7 @@ from .losses import (
     total_loss,
 )
 from .normalize import load_input, normalize, parse_input
-from .reasoner import RoleHierarchy, RoleLinkIndex, SubsumptionIndex, classify, is_subclass
+from .reasoner import RoleHierarchy, RoleLinkIndex, SubsumptionIndex, classify
 from .sampling import SampleExhausted, SamplerConfig, corrupt, entailed_fraction, sample_batch
 from .training import (
     TrainConfig,
@@ -104,7 +104,6 @@ __all__ = [
     "filter_test_set",
     "gradient",
     "init_model",
-    "is_subclass",
     "load_checkpoint",
     "load_input",
     "load_theory",

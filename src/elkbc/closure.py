@@ -13,9 +13,11 @@ Two cooperating rule groups extend a classified theory:
   ``Er.A [= Top``.
 
 The existential composition rule (``A [= Er.B``, ``B [= Er'.E``,
-``r o r' [= s`` gives ``A [= Es.E``) can feed itself, so it alone is iterated
-to a fixpoint; one application of every other rule is already exhaustive
-because the subsumption index is transitively closed.
+``r o r' [= s`` gives ``A [= Es'.E`` for every super-role ``s'`` of ``s``,
+``s`` included) can feed itself, so it alone is iterated to a fixpoint.  Every
+other rule is applied once, to premises read from the transitively closed
+subsumption index and role hierarchy.  That is not exhaustive: ``A n B [= Z``
+and an asserted ``Z n A [= W`` entail ``A n B [= W``, which it misses.
 
 The rule set is sound but deliberately incomplete.  Conjunctions are treated
 as unordered: ``A n B`` and ``B n A`` name the same axiom, and pair slots are
@@ -225,11 +227,12 @@ class DeductiveClosure:
                         targets = universe[m].get(ch.second, ())
                         if not targets:
                             continue
-                        dest = edges.setdefault(ch.sup, set())
-                        before = len(dest)
-                        dest.update(targets)
-                        if len(dest) != before:
-                            changed = True
+                        for s in self.hierarchy.rsup[ch.sup]:
+                            dest = edges.setdefault(s, set())
+                            before = len(dest)
+                            dest.update(targets)
+                            if len(dest) != before:
+                                changed = True
             for x in list(universe):
                 for fillers in universe[x].values():
                     for m in list(fillers):

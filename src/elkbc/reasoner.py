@@ -1,7 +1,7 @@
 """Saturation-based EL++ classification.
 
 ``classify`` computes the least fixpoint of the standard completion rules over
-a normalized theory, producing every entailed atomic subsumption (the
+a normalized theory and returns every entailed atomic subsumption (the
 subsumption index S), the reflexive-transitive role hierarchy, and the role
 link relation R accumulated during saturation:
 
@@ -15,14 +15,18 @@ link relation R accumulated during saturation:
     CR7  (A, B) in R(r1), (B, E) in R(r2), (r1 o r2 [= s)  =>  (A, E) in R(s)
 
 BOT variants participate as their Bot-target counterparts.  Unsatisfiable
-concepts are recorded as ``Bot in S(A)`` only; ``is_subclass`` consults
-Bot-membership first instead of eagerly inflating S(A).
+concepts are recorded as ``Bot in S(A)`` only; ``SubsumptionIndex.is_subclass``
+consults Bot-membership first instead of eagerly inflating S(A).
 
 The engine is worklist-driven with per-slot premise indexes so that large
 biomedical-ontology signatures classify in seconds; a deliberately naive
 re-scan-everything fixpoint lives in the test suite as the independent oracle.
-``classify`` is sequential and deterministic; the returned indexes are
-immutable and safe for concurrent readers.
+Saturation holds S as one set per concept and R as each concept's successor
+rows, plus predecessor rows for CR4, CR5 and CR7.  At the end the predecessor
+rows are dropped and S and the successor rows are frozen in place, one row at
+a time, so each relation is held once; ``RoleLinkIndex.pairs(r)`` builds R(r)
+only when asked.  ``classify`` is sequential and deterministic; its results
+are not modified after it returns and are safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ class SubsumptionIndex:
     """All entailed superclasses per concept (reflexive, transitively closed)."""
 
     sup: tuple[frozenset[int], ...]
-    sub: tuple[frozenset[int], ...]
 
     def is_subclass(self, a: int, b: int) -> bool:
         """True when a [= b is entailed; unsatisfiable a is below everything."""
@@ -58,22 +61,20 @@ class RoleHierarchy:
     rsup: tuple[frozenset[int], ...]
     chains: tuple[RI1, ...]
 
-    def sub_roles(self, r: int) -> frozenset[int]:
-        if not 0 <= r < len(self.rsup):
-            raise KeyError(f"unknown role id {r}")
-        return frozenset(q for q in range(len(self.rsup)) if r in self.rsup[q])
-
 
 @dataclass(frozen=True)
 class RoleLinkIndex:
-    """Concept pairs linked per role during saturation (completion state)."""
+    """The role-link relation R of the saturation, held as each concept's
+    successor rows: ``successors[a][r]`` is every B with (a, B) in R(r)."""
 
-    links: tuple[frozenset[tuple[int, int]], ...]
+    successors: tuple[dict[int, frozenset[int]], ...]
+    n_roles: int
 
     def pairs(self, r: int) -> frozenset[tuple[int, int]]:
-        if not 0 <= r < len(self.links):
+        """R(r) as concept pairs, built on each call."""
+        if not 0 <= r < self.n_roles:
             raise KeyError(f"unknown role id {r}")
-        return self.links[r]
+        return frozenset((a, b) for a, row in enumerate(self.successors) for b in row.get(r, ()))
 
 
 def _role_closure(n_roles: int, ri0) -> list[set[int]]:
@@ -124,7 +125,6 @@ def classify(theory: Theory) -> tuple[SubsumptionIndex, RoleHierarchy, RoleLinkI
         chain_by_second[second].append((first, s))
 
     sup: list[set[int]] = [set() for _ in range(n_c)]
-    links: list[set[tuple[int, int]]] = [set() for _ in range(n_r)]
     out_by_role: list[dict[int, set[int]]] = [defaultdict(set) for _ in range(n_c)]
     in_by_role: list[dict[int, set[int]]] = [defaultdict(set) for _ in range(n_c)]
 
@@ -141,7 +141,7 @@ def classify(theory: Theory) -> tuple[SubsumptionIndex, RoleHierarchy, RoleLinkI
             work.append((a, x))
 
     def push_e(a: int, r: int, b: int) -> None:
-        if (a, b) not in links[r]:
+        if b not in out_by_role[a].get(r, ()):
             edge_work.append((a, r, b))
 
     def process_s(a: int, x: int) -> None:
@@ -166,10 +166,10 @@ def classify(theory: Theory) -> tuple[SubsumptionIndex, RoleHierarchy, RoleLinkI
                     push_s(p, BOT_ID)
 
     def process_e(a: int, r: int, b: int) -> None:
-        if (a, b) in links[r]:
+        successors = out_by_role[a][r]
+        if b in successors:
             return
-        links[r].add((a, b))
-        out_by_role[a][r].add(b)
+        successors.add(b)
         in_by_role[b][r].add(a)
         for x in sup[b]:
             for e in gci3_by_role_filler.get((r, x), ()):
@@ -194,25 +194,14 @@ def classify(theory: Theory) -> tuple[SubsumptionIndex, RoleHierarchy, RoleLinkI
             a, r, b = edge_work.popleft()
             process_e(a, r, b)
 
-    sub: list[set[int]] = [set() for _ in range(n_c)]
+    in_by_role.clear()  # saturation's premises only
     for a in range(n_c):
-        for b in sup[a]:
-            sub[b].add(a)
+        sup[a] = frozenset(sup[a])
+        out_by_role[a] = {r: frozenset(bs) for r, bs in out_by_role[a].items()}
 
-    index = SubsumptionIndex(
-        sup=tuple(frozenset(s) for s in sup),
-        sub=tuple(frozenset(s) for s in sub),
-    )
-    hierarchy = RoleHierarchy(
-        rsup=tuple(frozenset(s) for s in rsup),
-        chains=chains,
-    )
-    link_index = RoleLinkIndex(links=tuple(frozenset(s) for s in links))
-    return index, hierarchy, link_index
-
-
-def is_subclass(index: SubsumptionIndex, a: int, b: int) -> bool:
-    return index.is_subclass(a, b)
+    hierarchy = RoleHierarchy(rsup=tuple(frozenset(s) for s in rsup), chains=chains)
+    links = RoleLinkIndex(successors=tuple(out_by_role), n_roles=n_r)
+    return SubsumptionIndex(sup=tuple(sup)), hierarchy, links
 
 
 def dump_subsumptions(theory: Theory, index: SubsumptionIndex) -> str:

@@ -15,14 +15,13 @@ def golden():
     """The worked single-protein function-prediction example, classified and
     with both closure modes."""
     theory = golden_theory()
-    index, hierarchy, links = classify(theory)
+    index, hierarchy, _ = classify(theory)
     materialized = compute_closure(theory, index, hierarchy)
     oracle = compute_closure(theory, index, hierarchy, mode="oracle")
     return {
         "theory": theory,
         "index": index,
         "hierarchy": hierarchy,
-        "links": links,
         "materialized": materialized,
         "oracle": oracle,
     }

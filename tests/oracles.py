@@ -110,8 +110,9 @@ def _canon(a, b):
 def naive_closure(theory: Theory):
     """Literal rule application: one expansion pass over asserted axioms with
     premises instantiated from the naive subsumption sets, then the
-    signature-level rules, then the existential composition rule iterated to
-    a fixpoint.  Returns per-variant sets keyed like the engine's."""
+    signature-level rules, then the existential composition rule (its result
+    lifted to every super-role) iterated to a fixpoint.  Returns per-variant
+    sets keyed like the engine's."""
     n_c, n_r = theory.n_concepts, theory.n_roles
     S, _ = naive_classify(theory)
     sub = {x: {a for a in range(n_c) if x in S[a]} for x in range(n_c)}
@@ -202,7 +203,8 @@ def naive_closure(theory: Theory):
             if a != BOT_ID:
                 gci3.setdefault((r, a), set()).add(TOP_ID)
 
-    # existential composition to a fixpoint
+    # existential composition to a fixpoint; r1 o r2 [= s and s [= s' give
+    # the composed link under s' too
     chains = [(ax.first, ax.second, ax.sup) for ax in theory.axioms_of(RI1)]
     changed = True
     while changed:
@@ -213,10 +215,11 @@ def naive_closure(theory: Theory):
                     continue
                 for m in list(fillers):
                     for e in list(gci2.get((m, r2), ())):
-                        dest = gci2.setdefault((a, s), set())
-                        if e not in dest:
-                            dest.add(e)
-                            changed = True
+                        for s2 in rsup[s]:
+                            dest = gci2.setdefault((a, s2), set())
+                            if e not in dest:
+                                dest.add(e)
+                                changed = True
 
     gci0 = {(a, b) for a in range(n_c) for b in S[a]}
     gci0_bot = set(unsat)

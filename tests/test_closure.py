@@ -222,6 +222,39 @@ def test_chain_respects_role_identities():
     assert not dc.entails(GCI2(a, roles.id_of("r"), e))
 
 
+def test_chain_result_reaches_super_roles():
+    # r o s [= t and t [= u: the composed link A [= Et.E holds under u too
+    theory = parse_theory("GCI2 A r B\nGCI2 B s E\nRI1 r s t\nRI0 t u\n")
+    index, hierarchy, _ = classify(theory)
+    names, roles = theory.signature.concepts, theory.signature.roles
+    a, e = names.id_of("A"), names.id_of("E")
+    for mode in ("materialized", "oracle"):
+        dc = compute_closure(theory, index, hierarchy, mode=mode)
+        assert dc.entails(GCI2(a, roles.id_of("t"), e)), mode
+        assert dc.entails(GCI2(a, roles.id_of("u"), e)), mode
+
+
+def test_role_rows_cover_reasoner_links():
+    # the reasoner's link relation is an independent witness: A [= Er.B
+    # for each link (A, B) in R(r), so every superclass of B is an entailed
+    # r-filler of a satisfiable A
+    rng = np.random.default_rng(5)
+    rows = 0
+    for _ in range(2000):
+        theory = random_theory(rng)
+        index, hierarchy, links = classify(theory)
+        dc = compute_closure(theory, index, hierarchy, mode="oracle")
+        for r in range(theory.n_roles):
+            fillers: dict[int, set[int]] = {}
+            for a, b in links.pairs(r):
+                fillers.setdefault(a, set()).update(index.sup[b])
+            for a in range(theory.n_concepts):
+                if BOT_ID not in index.sup[a]:
+                    assert fillers.get(a, set()) <= dc._role_row(a, r), (theory.axioms, a, r)
+                    rows += 1
+    assert rows > 5000
+
+
 def test_closure_soundness_on_tiny_theories():
     rng = np.random.default_rng(31)
     for _ in range(12):
