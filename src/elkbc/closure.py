@@ -14,10 +14,11 @@ Two cooperating rule groups extend a classified theory:
 
 The existential composition rule (``A [= Er.B``, ``B [= Er'.E``,
 ``r o r' [= s`` gives ``A [= Es'.E`` for every super-role ``s'`` of ``s``,
-``s`` included) can feed itself, so it alone is iterated to a fixpoint.  Every
-other rule is applied once, to premises read from the transitively closed
-subsumption index and role hierarchy.  That is not exhaustive: ``A n B [= Z``
-and an asserted ``Z n A [= W`` entail ``A n B [= W``, which it misses.
+``s`` included) and the conjunction rule (an asserted ``L n R [= S`` with ``L``
+and ``R`` both above ``A n B`` puts ``S`` above it) can feed themselves, so
+they are iterated to a fixpoint: ``A n B [= Z`` and an asserted ``Z n A [= W``
+give ``A n B [= W``.  Every other rule is applied once, to premises read from
+the transitively closed subsumption index and role hierarchy.
 
 The rule set is sound but deliberately incomplete.  Conjunctions are treated
 as unordered: ``A n B`` and ``B n A`` name the same axiom, and pair slots are
@@ -103,12 +104,15 @@ class DeductiveClosure:
     # -- premise indexes over asserted axioms ----------------------------------
 
     @cached_property
-    def _gci1_by_left(self) -> dict[int, list[tuple[int, int]]]:
-        """Asserted ``l n r [= s`` as l -> [(r, s)]; GCI1_BOT has s = Bot."""
-        by_left = defaultdict(list)
+    def _gci1_by_conjunct(self) -> dict[int, list[tuple[int, int]]]:
+        """Asserted ``l n r [= s`` as l -> [(r, s)] and r -> [(l, s)]; GCI1_BOT
+        has s = Bot."""
+        by_conjunct = defaultdict(list)
         for left, right, sup in self.theory.table.ids_of("GCI1", "GCI1_BOT"):
-            by_left[left].append((right, BOT_ID if sup < 0 else sup))
-        return by_left
+            sup = BOT_ID if sup < 0 else sup
+            by_conjunct[left].append((right, sup))
+            by_conjunct[right].append((left, sup))
+        return by_conjunct
 
     @cached_property
     def _gci2_by_subject(self) -> dict[int, list[tuple[int, int]]]:
@@ -140,14 +144,18 @@ class DeductiveClosure:
         key = _canon(a, b)
         row = self._pairs.get(key)
         if row is None:
-            sup = self.index.sup
+            # every E with A n B [= E, to a fixpoint: an asserted l n r [= s
+            # whose conjuncts are both in the row adds s's superclasses
+            sup, by_conjunct = self.index.sup, self._gci1_by_conjunct
             found = set(sup[a]) | sup[b]
-            if BOT_ID not in found:
-                for x, y in ((sup[a], sup[b]), (sup[b], sup[a])):
-                    for left in x:
-                        for right, s in self._gci1_by_left.get(left, ()):
-                            if right in y:
-                                found |= sup[s]
+            todo = list(found)
+            while todo and BOT_ID not in found:
+                x = todo.pop()
+                for other, s in by_conjunct.get(x, ()):
+                    if other in found:
+                        new = sup[s] - found
+                        found |= new
+                        todo.extend(new)
             row = self._everything if BOT_ID in found else frozenset(found)
             self._pairs[key] = row
         return row

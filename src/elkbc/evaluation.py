@@ -3,21 +3,23 @@
 Each test axiom (``A [= B`` or ``A [= Er.B``) is scored against every
 candidate replacement of its rightmost concept with the positive loss of its
 variant (lower score = more true in the model).  Test axioms of one variant
-are scored together through the ranking form of ``batch_losses``: each
-axiom's fixed slots are one parameter row that broadcasts, and the candidates
-pass in cache-sized chunks whose rows are gathered once for all of them.  A
-block of test axioms holds at most about ``_SCORE_BLOCK`` scores, so a full
+are scored together through the ranking form of ``batch_losses``, in
+cache-sized passes whose operands all have the same full shape (see there).
+A block of test axioms holds at most about ``_SCORE_BLOCK`` scores, so a full
 test set never needs |test| x |candidates| floats; a non-finite score in a
-pool is an error.  Ranks use the unbiased mid-rank tie convention::
+pool is an error.  A block's raw ranks come from whole-array comparisons
+against each axiom's true score.  Ranks use the unbiased mid-rank tie
+convention::
 
     rank = 1 + #{strictly better candidates} + floor(#{equal, non-true} / 2)
 
 Filtered ranks additionally drop every non-true candidate whose axiom occurs
 in the train set or is entailed by any supplied deductive closure; the true
-axiom itself is never dropped; the dropped candidates form one mask per test
-axiom, read off the task's train-set filler index (built once) and each
-closure's ``entailed_fillers``; a sorted copy of the pool maps ids to pool
-positions, for the true candidates and the dropped ones.  Per-axiom AUC is
+axiom itself is never dropped.  The dropped candidates of a test axiom are
+read off the task's train-set filler index (built once) and each closure's
+``entailed_fillers``; a sorted copy of the pool maps ids to pool positions,
+for the true candidates and the dropped ones, and the filtered rank takes
+the dropped candidates' comparisons off the raw counts.  Per-axiom AUC is
 the rank-derived ROC AUC ``1 - (rank - 1) / (pool - 1)``.
 
 Macro aggregates average over test axioms; micro aggregates first average per
@@ -128,15 +130,6 @@ def _rank_auc(rank: int, pool: int) -> float:
     return 1.0 - (rank - 1) / (pool - 1)
 
 
-def _rank_from_scores(scores: np.ndarray, true_idx: int, keep: np.ndarray) -> tuple[int, int]:
-    """Mid-rank of the true candidate among the kept ones."""
-    true_score = scores[true_idx]
-    kept_scores = scores[keep]
-    better = int(np.sum(kept_scores < true_score))
-    equal = int(np.sum(kept_scores == true_score)) - 1  # the true entry itself
-    return 1 + better + equal // 2, int(keep.sum())
-
-
 def score_and_rank(model: GeometricModel, task: RankingTask) -> RankingReport:
     candidates = np.asarray(list(task.candidates), dtype=np.int64)
     order = np.argsort(candidates)
@@ -156,9 +149,9 @@ def score_and_rank(model: GeometricModel, task: RankingTask) -> RankingReport:
         ax = task.axioms[np.argmax(true_idx < 0)]
         raise ValueError(f"true candidate of {ax!r} is not in the pool")
 
-    whole_pool = np.ones(len(candidates), dtype=bool)
+    n_pool = len(candidates)
     rankings: list[AxiomRanking] = [None] * len(tests)
-    block_rows = max(1, _SCORE_BLOCK // len(candidates))
+    block_rows = max(1, _SCORE_BLOCK // n_pool)
     for tag, rows in groups:
         slot = _RANKED[tag]
         for lo in range(0, len(rows), block_rows):
@@ -168,18 +161,32 @@ def score_and_rank(model: GeometricModel, task: RankingTask) -> RankingReport:
             if not finite.all():
                 ax = task.axioms[block[np.argmin(finite)]]
                 raise ValueError(f"non-finite score in the candidate pool of {ax!r}")
-            for i, row in zip(block.tolist(), scores):
-                ax, t = task.axioms[i], int(true_idx[i])
-                raw_rank, pool = _rank_from_scores(row, t, whole_pool)
-                # one mask: candidates known from the train set or entailed by a closure
-                keep = np.ones(len(candidates), dtype=bool)
-                known = task._train_fillers.get((tag, tuple(tests.cols[:slot, i].tolist())), ())
-                for fillers in (known, *(dc.entailed_fillers(ax) for dc in task.closures)):
-                    at = position(np.fromiter(fillers, dtype=np.int64, count=len(fillers)))
-                    keep[at[at >= 0]] = False
-                keep[t] = True
-                filtered_rank, filtered_pool = _rank_from_scores(row, t, keep)
-                rankings[i] = AxiomRanking(ax, raw_rank, filtered_rank, pool, filtered_pool)
+            # raw ranks of the whole block; the true entry ties with itself
+            t = true_idx[block]
+            true = scores[np.arange(len(block)), t][:, None]
+            better = np.count_nonzero(scores < true, axis=1)
+            ties = np.count_nonzero(scores == true, axis=1) - 1
+            raw = (1 + better + ties // 2).tolist()
+            keys = tests.cols[:slot, block].T.tolist()
+            for j, i in enumerate(block.tolist()):
+                ax = task.axioms[i]
+                # the dropped candidates: known from the train set or entailed
+                # by a closure, the true one never
+                known = task._train_fillers.get((tag, tuple(keys[j])), ())
+                sources = (known, *(dc.entailed_fillers(ax) for dc in task.closures))
+                filtered, filtered_pool = raw[j], n_pool
+                if any(sources):
+                    drop = np.zeros(n_pool, dtype=bool)
+                    for fillers in sources:
+                        at = position(np.fromiter(fillers, np.int64, count=len(fillers)))
+                        drop[at[at >= 0]] = True
+                    drop[t[j]] = False
+                    dropped = scores[j, drop]
+                    f_better = better[j] - np.count_nonzero(dropped < true[j])
+                    f_ties = ties[j] - np.count_nonzero(dropped == true[j])
+                    filtered = int(1 + f_better + f_ties // 2)
+                    filtered_pool = n_pool - len(dropped)
+                rankings[i] = AxiomRanking(ax, raw[j], filtered, n_pool, filtered_pool)
 
     metrics = _aggregate(rankings, task, model)
     return RankingReport(rankings, metrics)

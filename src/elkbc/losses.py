@@ -51,8 +51,11 @@ taken, and intersection ties take the first box's branch.  The recorded
 pushes settle into the gradient arrays once per ``total_loss`` or
 ``batch_losses`` call (earlier when they reach the gradient's size), one
 ``np.bincount`` per block, in push order, so the result equals adding each
-push in turn.  Evaluation is pure given (model, request); parameter mutation
-happens only in the trainer.
+push in turn.  Without a gradient a term computes its (rows, dim)
+intermediates in place, in one scratch buffer of the batch; a side's sum
+adds into the array its first operation made.  The values are those of the
+same ufuncs applied out of place.  Evaluation is pure given (model, request);
+parameter mutation happens only in the trainer.
 """
 
 from __future__ import annotations
@@ -266,8 +269,9 @@ def param_shapes(tag: str, n_concepts: int, n_roles: int, dim: int) -> dict[str,
 # ---------------------------------------------------------------------------
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(v * v, axis=-1))
+def _norm(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row norms of ``v``; its squares go into ``out`` (a new array when None)."""
+    return np.sqrt(np.sum(np.multiply(v, v, out=out), axis=-1))
 
 
 def _unit(v: np.ndarray, nrm: np.ndarray) -> np.ndarray:
@@ -301,19 +305,37 @@ def _side(expr: str) -> Side:
     )
 
 
+class _Rows(dict):
+    """Parameter block -> the rows ``index`` selects from the block's array in
+    ``source``, taken on first use.  ``source`` is the parameter dict or
+    another ``_Rows``, ``index`` an id array or a slice (a view, no copy)."""
+
+    def __init__(self, source, index):
+        super().__init__()
+        self.source, self.index = source, index
+
+    def __missing__(self, block: str) -> np.ndarray:
+        rows = self[block] = self.source[block][self.index]
+        return rows
+
+
 class _Batch:
     """The slot columns of one (variant, polarity) group.  Gathers the
-    parameter rows of each (block, column) once, into that column's memo, and,
-    when ``grad`` is given, pushes derivatives with respect to a side onto
-    the rows that side sums.  Batches that hold the same ids in a column may
-    share its memo (``memos``, one dict per column); a column of one id
-    gathers one row, which broadcasts against the other columns."""
+    parameter rows of each (block, column) once, into that column's
+    ``_Rows``, and, when ``grad`` is given, pushes derivatives with respect to
+    a side onto the rows that side sums.  The ranking form passes its own
+    ``rows``, shared between passes, and ``cols`` None; every column then has
+    one row per row of the batch, so no operand broadcasts.  Without a
+    gradient the terms compute their (rows, dim) intermediates in one
+    ``scratch`` buffer (made on first use unless given)."""
 
     def __init__(
-        self, model: GeometricModel, cols, grad: Gradient | None, weight: float, memos=None
+        self, model: GeometricModel, cols, grad: Gradient | None, weight: float,
+        rows: list[_Rows] | None = None, scratch: np.ndarray | None = None,
     ):
         self.model, self.cols, self.grad, self.weight = model, cols, grad, weight
-        self._memos: list[dict[str, np.ndarray]] = memos or [{} for _ in cols]
+        self._rows = rows or [_Rows(model.params, c) for c in cols]
+        self._scratch = scratch
         self._intersection: dict[str, np.ndarray] = {}
         # derivatives with respect to the intersection, and their axiom mask
         self._pending: dict[str, np.ndarray] = {}
@@ -324,10 +346,16 @@ class _Batch:
             if not self._intersection:
                 self._intersect()
             return self._intersection[block]
-        memo = self._memos[col]
-        if block not in memo:
-            memo[block] = self.model.params[block][self.cols[col]]
-        return memo[block]
+        return self._rows[col][block]
+
+    def scratch(self) -> np.ndarray | None:
+        """The (rows, dim) buffer a term computes in when no gradient is
+        pushed; None with a gradient, whose terms keep their intermediates."""
+        if self.grad is not None:
+            return None
+        if self._scratch is None:
+            self._scratch = np.empty((len(self.cols[0]), self.model.dim))
+        return self._scratch
 
     def _intersect(self) -> None:
         ca, oa = self.gather("class_center", 0), self.gather("class_offset", 0)
@@ -341,16 +369,25 @@ class _Batch:
         self._intersection["ic"] = (lower + upper) / 2.0
         self._intersection["io"] = (upper - lower) / 2.0
 
-    def value(self, side: Side, start: np.ndarray | None = None) -> np.ndarray:
-        """The side's signed row sum, added left to right onto ``start``."""
-        out = start
+    def value(
+        self, side: Side, start: np.ndarray | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The side's signed row sum, added left to right onto ``start``.  Its
+        first operation writes into ``out`` (a new array when None) and each
+        later one into that same array; a side of one positive row and no
+        ``start`` is the gathered row itself, which must not be written."""
+        acc = start
         for block, col, sign in side:
             x = self.gather(block, col)
-            if out is None:
-                out = x if sign > 0 else -x
+            if acc is None and sign > 0:
+                acc = x
+                continue
+            if acc is None:
+                acc = np.negative(x, out=out)
             else:
-                out = out + x if sign > 0 else out - x
-        return out
+                acc = (np.add if sign > 0 else np.subtract)(acc, x, out=out)
+            out = acc
+        return acc
 
     def push(self, side: Side, d: np.ndarray, active: np.ndarray | None = None) -> None:
         """Push ``d``, the derivative with respect to the side of the axioms
@@ -393,13 +430,21 @@ class _Batch:
 Term = Callable[[_Batch], np.ndarray]
 
 
+def _term(term: Term, *sides: Side) -> Term:
+    """Mark ``term`` with whether its sides read concept column 1 (directly
+    or through the intersection), the column the ranking form varies."""
+    term.ranked = any(col == 1 or block in ("ic", "io") for side in sides for block, col, _ in side)
+    return term
+
+
 def _ball(s: float, dc: str, r: str, g: float) -> Term:
     """Ball hinge ``max(0, s*||dc|| + r + g*margin)``."""
     dc_side, r_side = _side(dc), _side(r)
 
     def term(b: _Batch) -> np.ndarray:
-        diff = b.value(dc_side)
-        nrm = _norm(diff)
+        buf = b.scratch()
+        diff = b.value(dc_side, out=buf)
+        nrm = _norm(diff, out=buf)
         arg = s * nrm + (b.value(r_side) + g * b.model.margin)
         act = arg > 0
         if b.grad is not None and act.any():
@@ -407,7 +452,7 @@ def _ball(s: float, dc: str, r: str, g: float) -> Term:
             b.push(r_side, np.ones(act.sum()), act)
         return np.maximum(0.0, arg)
 
-    return term
+    return _term(term, dc_side, r_side)
 
 
 def _box(s: float, dc: str, o: str, g: float, target: bool = False) -> Term:
@@ -416,15 +461,21 @@ def _box(s: float, dc: str, o: str, g: float, target: bool = False) -> Term:
     dc_side, o_side = _side(dc), _side(o)
 
     def term(b: _Batch) -> np.ndarray:
+        # without a gradient every step below writes into the one scratch buffer
+        buf = b.scratch()
         diff = start = None
         if s:
-            diff = b.value(dc_side)
-            start = np.abs(diff) if s > 0 else -np.abs(diff)
-        t = b.value(o_side, start)
-        if g:
-            t = t + g * b.model.margin
-        m = np.maximum(0.0, t)
-        mu = _norm(m)
+            diff = b.value(dc_side, out=buf)
+            start = np.abs(diff, out=buf)
+            if s < 0:
+                np.negative(start, out=start)
+        t = b.value(o_side, start, out=start)
+        # adding a zero margin changes at most the sign of a zero, which
+        # the squares below erase; only a gradient keeps that sign
+        if g and (b.model.margin or buf is None):
+            t = np.add(t, g * b.model.margin, out=buf)
+        m = np.maximum(0.0, t, out=buf)
+        mu = _norm(m, out=buf)
         if b.grad is not None:
             d = _unit(m, mu)
             if target:
@@ -434,7 +485,7 @@ def _box(s: float, dc: str, o: str, g: float, target: bool = False) -> Term:
             b.push(o_side, d)
         return (b.model.delta - mu) ** 2 if target else mu
 
-    return term
+    return _term(term, dc_side, o_side)
 
 
 def _extent(x: str, floor: bool = False, clamp: bool = False) -> Term:
@@ -444,9 +495,10 @@ def _extent(x: str, floor: bool = False, clamp: bool = False) -> Term:
 
     def term(b: _Batch) -> np.ndarray:
         v = b.value(x_side)
+        buf = b.scratch() if v.ndim > 1 else None
         if clamp:
-            v = np.maximum(0.0, v)
-        e = v if v.ndim == 1 else _norm(v)
+            v = np.maximum(0.0, v, out=buf)
+        e = v if v.ndim == 1 else _norm(v, out=buf)
         if not floor:
             if b.grad is not None:
                 b.push(x_side, np.ones_like(v) if v.ndim == 1 else _unit(v, e))
@@ -458,7 +510,7 @@ def _extent(x: str, floor: bool = False, clamp: bool = False) -> Term:
             b.push(x_side, -d, act)
         return np.maximum(0.0, arg)
 
-    return term
+    return _term(term, x_side)
 
 
 def _reg(c: str) -> Term:
@@ -467,12 +519,12 @@ def _reg(c: str) -> Term:
 
     def term(b: _Batch) -> np.ndarray:
         v = b.value(c_side)
-        nrm = _norm(v)
+        nrm = _norm(v, out=b.scratch())
         if b.grad is not None:
             b.push(c_side, np.sign(nrm - 1.0)[:, None] * _unit(v, nrm))
         return np.abs(nrm - 1.0)
 
-    return term
+    return _term(term, c_side)
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +604,9 @@ _BOX2EL: dict[tuple[str, str], list[Term]] = {
 _TABLES = {"elem": _ELEM, "elbe": _ELBE, "box2el": _BOX2EL}
 
 
-#: candidate rows the ranking form of ``batch_losses`` scores per pass, so
-#: that a pass's temporaries stay cache-sized
-_RANK_CHUNK = 1024
+#: about the most entries (rows times ``dim``) one numpy call of the ranking
+#: form of ``batch_losses`` runs over, so that its arrays stay cache-sized
+_RANK_ENTRIES = 1 << 16
 
 
 def batch_losses(
@@ -573,10 +625,14 @@ def batch_losses(
 
     With ``candidates`` (concept ids) this is the ranking form: row i of the
     result holds the losses of axiom i with its concept column 1 (the
-    rightmost concept of GCI0 and GCI2) set to each candidate in turn.  Each
-    axiom's other columns are gathered once as one row that broadcasts, and
-    the candidates pass in chunks of ``_RANK_CHUNK`` rows, each gathered once
-    for every axiom; the values equal the losses of the axioms written out."""
+    rightmost concept of GCI0 and GCI2) set to each candidate in turn.  A pass
+    scores about ``_RANK_ENTRIES`` entries: a chunk of candidates against one
+    axiom, whose other columns are gathered once as rows repeated to the
+    chunk's length and kept across its chunks, or, when the pool is smaller,
+    several axioms written out against the whole pool.  The candidates' rows
+    are gathered once per call (a view when the pool is a run of consecutive
+    ids), and every operand of a pass has its full shape, so no numpy call
+    broadcasts.  The values equal the losses of the axioms written out."""
     scatter = _as_gradient(grad)
     losses = _group_losses(model, tag, polarity, axioms, scatter, weight, candidates)
     if scatter is not None:
@@ -616,16 +672,15 @@ def _group_losses(model, tag, polarity, axioms, grad, weight, candidates=None) -
             raise ValueError(f"the ranking form needs two concept slots, {tag} has one")
         return _ranked_losses(model, terms, cols, np.asarray(candidates, dtype=np.int64))
     batch = _Batch(model, cols, grad, weight)
-    total = _sum_terms(batch, terms)
+    total = _sum_terms(term(batch) for term in terms)
     if grad is not None:
         batch.flush()
     return total
 
 
-def _sum_terms(batch: _Batch, terms: list[Term]) -> np.ndarray:
+def _sum_terms(values: Iterable[np.ndarray]) -> np.ndarray:
     total = None
-    for term in terms:
-        value = term(batch)
+    for value in values:
         total = value if total is None else total + value
     return total
 
@@ -634,17 +689,46 @@ def _ranked_losses(model, terms, cols, candidates: np.ndarray) -> np.ndarray:
     """The ranking form of ``batch_losses``: one row of losses per axiom."""
     if ((candidates < 0) | (candidates >= model.n_concepts)).any():
         raise KeyError("candidate id outside the model")
-    out = np.empty((len(cols[0]), len(candidates)))
-    # per axiom: its columns as one-id slices, and their memos, kept across chunks
-    ids = [[c if c is None else c[i : i + 1] for c in cols] for i in range(len(out))]
-    memos = [[{} for _ in cols] for _ in range(len(out))]
-    for lo in range(0, len(candidates), _RANK_CHUNK):
-        chunk, shared = candidates[lo : lo + _RANK_CHUNK], {}
-        for i, row in enumerate(out):
-            ids[i][1], memos[i][1] = chunk, shared
-            batch = _Batch(model, ids[i], None, 1.0, memos[i])
-            row[lo : lo + len(chunk)] = _sum_terms(batch, terms)
+    n_pool = len(candidates)
+    out = np.empty((len(cols[0]), n_pool))
+    if not n_pool:
+        return out
+    chunk = max(1, _RANK_ENTRIES // model.dim)  # candidate rows per pass
+    per = max(1, chunk // n_pool)  # axioms per pass
+    width = min(chunk, n_pool)  # candidates per pass
+    if per > 1:  # the pool written out once per axiom of a pass
+        pool = _Rows(model.params, np.tile(candidates, min(per, len(out))))
+    elif (np.diff(candidates) == 1).all():
+        pool = _Rows(_read_only(model.params), slice(candidates[0], candidates[-1] + 1))
+    else:
+        pool = _Rows(model.params, candidates)
+    scratch = np.empty((min(per, len(out)) * width, model.dim))
+    for a in range(0, len(out), per):
+        ids = slice(a, a + per)
+        k = len(out[ids])
+        # terms that read no candidate are computed once per axiom
+        own = _Batch(model, [None if c is None else c[ids] for c in cols], None, 1.0)
+        once = [None if term.ranked else term(own) for term in terms]
+        # the other columns: each axiom's ids repeated `width` times
+        fixed = [None if c is None else _Rows(model.params, np.repeat(c[ids], width)) for c in cols]
+        for lo in range(0, n_pool, width):
+            n = min(width, n_pool - lo)
+            rows = [f if f is None or n == width else _Rows(f, slice(0, n)) for f in fixed]
+            rows[1] = _Rows(pool, slice(lo, lo + k * n))
+            batch = _Batch(model, None, None, 1.0, rows, scratch[: k * n])
+            total = _sum_terms(
+                term(batch) if v is None else np.repeat(v, n) for term, v in zip(terms, once)
+            )
+            out[ids, lo : lo + n] = total.reshape(k, n)
     return out
+
+
+def _read_only(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views of the parameter arrays that raise on a write."""
+    views = {name: arr.view() for name, arr in params.items()}
+    for view in views.values():
+        view.flags.writeable = False
+    return views
 
 
 def axiom_loss(model: GeometricModel, request: LossRequest) -> float:

@@ -110,8 +110,9 @@ def _canon(a, b):
 def naive_closure(theory: Theory):
     """Literal rule application: one expansion pass over asserted axioms with
     premises instantiated from the naive subsumption sets, then the
-    signature-level rules, then the existential composition rule (its result
-    lifted to every super-role) iterated to a fixpoint.  Returns per-variant
+    signature-level rules, with the conjunction rule iterated to a fixpoint
+    per pair, then the existential composition rule (its result lifted to
+    every super-role) iterated to a fixpoint.  Returns per-variant
     sets keyed like the engine's."""
     n_c, n_r = theory.n_concepts, theory.n_roles
     S, _ = naive_classify(theory)
@@ -189,6 +190,21 @@ def naive_closure(theory: Theory):
     for a in range(n_c):  # A [= A' entails A n Top [= A'
         for a2 in S[a]:
             add1(a, TOP_ID, a2)
+    # conjunctions to a fixpoint per pair: A n B [= L, A n B [= R and an
+    # asserted L n R [= S entail A n B [= S' for every S' above S
+    asserted = [(ax.left, ax.right, ax.sup) for ax in theory.axioms_of(GCI1)]
+    asserted += [(ax.left, ax.right, BOT_ID) for ax in theory.axioms_of(GCI1Bot)]
+    for a in range(n_c):
+        for b in range(a, n_c):
+            changed = True
+            while changed and (a, b) not in gci1_bot:
+                above = set(gci1.get((a, b), ()))
+                changed = False
+                for left, right, s in asserted:
+                    if left in above and right in above and not S[s] <= above:
+                        for e in S[s]:
+                            add1(a, b, e)
+                        changed = True
     for pair in sorted(gci1_bot):  # provably-disjoint pairs are below everything
         for e in range(n_c):
             if e != BOT_ID:

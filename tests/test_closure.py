@@ -189,6 +189,22 @@ def test_two_axiom_corruption_pool():
     assert f not in sups
 
 
+@pytest.mark.parametrize("mode", ["materialized", "oracle"])
+def test_conjunction_rule_reaches_a_fixpoint(mode):
+    """A n B [= Z and Z n A [= W entail A n B [= W: a derived superclass of a
+    conjunction is a conjunct of a further GCI1, so a filtered negative
+    A n B [= W would be provably true."""
+    theory = parse_theory("GCI1 A B Z\nGCI1 Z A W\n#concept V\n")
+    index, hierarchy, _ = classify(theory)
+    dc = compute_closure(theory, index, hierarchy, mode=mode)
+    a, b, z, w, v = (theory.signature.concepts.id_of(x) for x in "ABZWV")
+    assert dc.entails(GCI1(a, b, z))
+    assert dc.entails(GCI1(a, b, w)) and dc.entails(GCI1(b, a, w))
+    assert not dc.entails(GCI1(a, b, v))
+    assert {z, w} <= dc.entailed_fillers(GCI1(a, b, v))
+    assert w in naive_closure(theory)["GCI1"][(min(a, b), max(a, b))]
+
+
 def test_unconditional_rules_on_empty_theory():
     theory = parse_theory("#concept X\n#role r\n")
     index, hierarchy, _ = classify(theory)

@@ -256,15 +256,18 @@ def _reference_ranks(m, ax, pool, train_axioms):
 
 
 @pytest.mark.parametrize("tag", MODEL_TAGS)
-@settings(max_examples=25, derandomize=True, deadline=None)
+@settings(max_examples=40, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_blocked_ranking_equals_per_candidate_reference(tag, data):
-    """Raw and filtered ranks from candidate chunks and score blocks equal
-    the per-candidate reference: shuffled pools of 1, chunk - 1, chunk,
-    chunk + 1 and several chunks, test sets that cross the score-block bound,
-    GCI0 and GCI2 axioms, one shared or several subjects, and score ties."""
-    chunk = data.draw(st.sampled_from([2, 5]))
-    n_pool = data.draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1, 4 * chunk + 1]))
+    """Raw and filtered ranks from ranking passes and score blocks equal the
+    per-candidate reference: pools of 1, 2, chunk - 1, chunk, chunk + 1 and
+    several chunks, so one or several axioms per pass with a partial last
+    pass; contiguous and shuffled pools; test sets that cross the
+    score-block bound; GCI0 and GCI2 axioms; one shared or several subjects;
+    score ties, signed zeros, raw-only tasks, and a NaN parameter, which
+    raises."""
+    chunk = data.draw(st.sampled_from([2, 5, 8]))
+    n_pool = data.draw(st.sampled_from([1, 2, chunk - 1, chunk, chunk + 1, 4 * chunk + 1]))
     score_block = data.draw(st.sampled_from([1, n_pool, 3 * n_pool + 1, 1 << 20]))
     n_c = n_pool + 3
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -272,20 +275,36 @@ def test_blocked_ranking_equals_per_candidate_reference(tag, data):
     if data.draw(st.booleans()):  # coarse parameters tie many scores
         for name in m.params:
             m.params[name] = np.round(m.params[name], 1)
-    pool = [int(c) for c in rng.permutation(n_c)[:n_pool]]
+    if data.draw(st.booleans()):
+        for name, arr in m.params.items():
+            m.params[name] = np.where(rng.random(arr.shape) < 0.2, -0.0, arr)
+    if data.draw(st.booleans()):
+        start = int(rng.integers(4))
+        pool = list(range(start, start + n_pool))
+    else:
+        pool = [int(c) for c in rng.permutation(n_c)[:n_pool]]
     subjects = [int(s) for s in rng.choice(n_c, size=data.draw(st.sampled_from([1, 3])))]
     axioms = []
     for _ in range(data.draw(st.integers(1, 12))):
         sub, obj = int(rng.choice(subjects)), int(rng.choice(pool))
         role = int(rng.integers(2))
         axioms.append(GCI0(sub, obj) if rng.random() < 0.5 else GCI2(sub, role, obj))
-    train = frozenset(
-        dataclasses.replace(ax, **{"sup" if isinstance(ax, GCI0) else "filler": int(c)})
-        for ax in axioms for c in pool if rng.random() < 0.3
-    )
+    train = frozenset()
+    if data.draw(st.booleans()):
+        train = frozenset(
+            dataclasses.replace(ax, **{"sup" if isinstance(ax, GCI0) else "filler": int(c)})
+            for ax in axioms for c in pool if rng.random() < 0.3
+        )
     task = RankingTask(axioms, pool, train_axioms=train)
-    with mock.patch.object(losses, "_RANK_CHUNK", chunk), \
+    poisoned = data.draw(st.sampled_from([False, False, False, True]))
+    if poisoned:  # every family's ranked losses read the candidate's center
+        m.params["class_center"][rng.choice(pool), rng.integers(m.dim)] = np.nan
+    with mock.patch.object(losses, "_RANK_ENTRIES", chunk * m.dim), \
             mock.patch.object(evaluation, "_SCORE_BLOCK", score_block):
+        if poisoned:
+            with pytest.raises(ValueError, match="non-finite"):
+                score_and_rank(m, task)
+            return
         report = score_and_rank(m, task)
     for ax, r in zip(axioms, report.rankings):
         assert r.axiom == ax
@@ -293,16 +312,43 @@ def test_blocked_ranking_equals_per_candidate_reference(tag, data):
         assert got == _reference_ranks(m, ax, pool, train)
 
 
+@pytest.mark.parametrize("tag", MODEL_TAGS)
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_ranking_never_writes_parameters(golden, tag, contiguous):
+    """Parameter bytes are the same before and after ``score_and_rank`` and
+    the ranking form, filtered by train set and closure, on a pool that is
+    ``range(n)`` (its rows are views of the parameters) and on a shuffled
+    one; signed zeros included."""
+    theory, dc = golden["theory"], golden["materialized"]
+    n = theory.n_concepts
+    rng = np.random.default_rng(5)
+    m = init_model(tag, n, 1, 4, seed=4)
+    for name, arr in m.params.items():
+        m.params[name] = np.where(rng.random(arr.shape) < 0.2, -0.0, arr)
+    before = {name: arr.tobytes() for name, arr in m.params.items()}
+    pool = list(range(n)) if contiguous else [int(c) for c in rng.permutation(n)]
+    axioms = [GCI0(2, 3), GCI2(2, 0, 4), GCI0(5, 1)]
+    task = RankingTask(axioms, pool, frozenset(theory.axioms), (dc,))
+    for entries in (m.dim, 3 * m.dim, 1 << 16):  # one row, several rows, one pass
+        with mock.patch.object(losses, "_RANK_ENTRIES", entries):
+            score_and_rank(m, task)
+            for variant, ax in (("GCI0", GCI0(2, 3)), ("GCI2", GCI2(2, 0, 4))):
+                batch_losses(m, variant, "positive", [ax], candidates=pool)
+    assert {name: arr.tobytes() for name, arr in m.params.items()} == before
+
+
 @pytest.mark.parametrize(
     "n_pool, n_test, n_blocks", [(1023, 3, 2), (1024, 3, 2), (1025, 3, 2), (2100, 1000, 4)]
 )
 def test_blocked_ranking_at_full_chunk_and_score_block(monkeypatch, n_pool, n_test, n_blocks):
-    """At the module's own chunk size and score-block bound: 500 GCI0 and
-    500 GCI2 test axioms against 2,100 candidates are more than 2**20 scores
-    per variant, scored in two blocks each, none of which exceeds the bound;
-    ranks equal the reference."""
+    """At the module's own pass size and score-block bound: at dim 64 a pass
+    holds 1,024 candidate rows, so the pools fall just below, on and just
+    above one pass; 500 GCI0 and 500 GCI2 test axioms against 2,100
+    candidates are more than 2**20 scores per variant, scored in two blocks
+    each, none of which exceeds the bound; ranks equal the reference."""
     rng = np.random.default_rng(n_pool)
-    m = init_model("elbe", n_pool + 2, 1, 3, seed=1)
+    m = init_model("elbe", n_pool + 2, 1, 64, seed=1)
+    assert losses._RANK_ENTRIES // m.dim == 1024
     pool = [int(c) for c in rng.permutation(n_pool + 2)[:n_pool]]
     axioms = [
         GCI0(int(rng.integers(n_pool + 2)), int(rng.choice(pool))) if i % 2

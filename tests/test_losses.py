@@ -542,15 +542,16 @@ class TestTotalLoss:
 @given(data=st.data())
 def test_batch_equals_scalar(tag, variant, polarity, data):
     """A batch's losses equal its axioms' scalar losses exactly, on random
-    models (signed offsets and radii, exact zeros, margin != 0) and batches
-    that repeat ids."""
+    models (signed offsets and radii, exact zeros, margins of both signs and
+    signed zero margins) and batches that repeat ids; the batch computed with
+    a gradient keeps every intermediate, the scalar one works in place."""
     n_concepts = data.draw(st.integers(2, 5))
     n_roles = data.draw(st.integers(1, 2))
     dim = data.draw(st.integers(1, 4))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     m = make_model(
         tag, n_concepts=n_concepts, n_roles=n_roles, dim=dim,
-        margin=float(rng.choice([-0.1, -0.01, 0.01, 0.1])),
+        margin=float(rng.choice([-0.1, -0.01, -0.0, 0.0, 0.01, 0.1])),
         epsilon=float(rng.uniform(0.001, 0.2)), delta=float(rng.uniform(0.5, 4.0)),
     )
     for name, arr in m.params.items():
@@ -582,48 +583,96 @@ def test_batch_equals_scalar(tag, variant, polarity, data):
 _TWO_CONCEPTS = [v for v in LOSS_VARIANTS if _SLOT_KINDS[v].count("c") >= 2]
 
 
-@pytest.mark.parametrize("tag", MODEL_TAGS)
-@pytest.mark.parametrize("variant", _TWO_CONCEPTS)
-@settings(max_examples=12, derandomize=True, deadline=None)
-@given(data=st.data())
-def test_ranking_form_equals_written_out_axioms(tag, variant, data):
-    """Row i of the ranking form equals, bit for bit, the losses of axiom i
-    written out with its concept column 1 set to each candidate: shuffled
-    pools of 1, chunk - 1, chunk, chunk + 1 and several chunks, dims below
-    and above numpy's 8-way pairwise sum, one shared or several subjects."""
-    chunk = data.draw(st.sampled_from([2, 3, 5]))
-    n_pool = data.draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1, 3 * chunk + 1]))
-    n_concepts = n_pool + data.draw(st.integers(0, 3))
-    n_roles = data.draw(st.integers(1, 2))
-    dim = data.draw(st.sampled_from([1, 3, 8, 13]))
-    polarity = data.draw(st.sampled_from(["positive", "negative"]))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+def _ranking_model(tag, rng, n_concepts, n_roles, dim, margin):
+    """A random model with exact +0.0 and -0.0 entries among its parameters."""
     m = make_model(
-        tag, n_concepts=n_concepts, n_roles=n_roles, dim=dim,
-        margin=float(rng.choice([0.0, -0.1, 0.1])), epsilon=0.05, delta=1.5,
+        tag, n_concepts=n_concepts, n_roles=n_roles, dim=dim, margin=margin, epsilon=0.05,
+        delta=1.5,
     )
     for name, arr in m.params.items():
-        m.params[name] = rng.normal(0.0, 0.5, arr.shape) * (rng.random(arr.shape) > 0.1)
-    cls = AXIOM_TAGS[variant]
-    bounds = [n_roles if f.name == "role" else n_concepts for f in dataclasses.fields(cls)]
-    axioms = data.draw(st.lists(
-        st.tuples(*(st.integers(0, b - 1) for b in bounds)).map(lambda ids: cls(*ids)),
-        min_size=1, max_size=5,
-    ))
-    if data.draw(st.booleans()):
-        axioms = [axioms[0]] * len(axioms)
-    pool = rng.permutation(n_concepts)[:n_pool]
-    ranked = [n for n, k in zip(SLOT_NAMES[variant], _SLOT_KINDS[variant]) if k == "c"][1]
+        values = rng.normal(0.0, 0.5, arr.shape) * (rng.random(arr.shape) > 0.1)
+        m.params[name] = np.where(rng.random(arr.shape) < 0.1, -0.0, values)
+    return m
 
-    with mock.patch.object(losses, "_RANK_CHUNK", chunk):
+
+def _assert_ranking_form_written_out(m, variant, polarity, axioms, pool, rows):
+    """The ranking form, at ``rows`` candidate rows per pass, equals bit for
+    bit the losses of each axiom written out against the pool, and leaves
+    the parameters as they were."""
+    before = {name: arr.tobytes() for name, arr in m.params.items()}
+    with mock.patch.object(losses, "_RANK_ENTRIES", rows * m.dim):
         got = batch_losses(m, variant, polarity, axioms, candidates=pool)
-    assert got.shape == (len(axioms), n_pool)
+    assert {name: arr.tobytes() for name, arr in m.params.items()} == before
+    assert got.shape == (len(axioms), len(pool))
+    ranked = [n for n, k in zip(SLOT_NAMES[variant], _SLOT_KINDS[variant]) if k == "c"][1]
     for ax, row in zip(axioms, got):
         written = [dataclasses.replace(ax, **{ranked: int(c)}) for c in pool]
         assert row.tobytes() == batch_losses(m, variant, polarity, written).tobytes()
     first = [dataclasses.replace(axioms[0], **{ranked: int(c)}) for c in pool]
     scalar = [axiom_loss(m, LossRequest(ax, polarity)) for ax in first]
     assert got[0].tobytes() == np.array(scalar).tobytes()
+
+
+@pytest.mark.parametrize("tag", MODEL_TAGS)
+@pytest.mark.parametrize("variant", _TWO_CONCEPTS)
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_ranking_form_equals_written_out_axioms(tag, variant, data):
+    """Row i of the ranking form equals, bit for bit, the losses of axiom i
+    written out with its concept column 1 set to each candidate: pools of 1,
+    2, chunk - 1, chunk, chunk + 1 and several chunks, so one or several
+    axioms per pass with a partial last pass, contiguous and shuffled pools,
+    dims below and above numpy's 8-way pairwise sum, signed zeros among the
+    parameters, one shared or several subjects."""
+    chunk = data.draw(st.sampled_from([2, 3, 5, 8]))
+    n_pool = data.draw(st.sampled_from([1, 2, chunk - 1, chunk, chunk + 1, 3 * chunk + 1]))
+    n_concepts = n_pool + data.draw(st.integers(0, 3))
+    n_roles = data.draw(st.integers(1, 2))
+    dim = data.draw(st.sampled_from([1, 3, 8, 13]))
+    polarity = data.draw(st.sampled_from(["positive", "negative"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = _ranking_model(tag, rng, n_concepts, n_roles, dim, float(rng.choice([0.0, -0.1, 0.1])))
+    cls = AXIOM_TAGS[variant]
+    bounds = [n_roles if f.name == "role" else n_concepts for f in dataclasses.fields(cls)]
+    axioms = data.draw(st.lists(
+        st.tuples(*(st.integers(0, b - 1) for b in bounds)).map(lambda ids: cls(*ids)),
+        min_size=1, max_size=7,
+    ))
+    if data.draw(st.booleans()):
+        axioms = [axioms[0]] * len(axioms)
+    if data.draw(st.booleans()):
+        start = int(rng.integers(n_concepts - n_pool + 1))
+        pool = np.arange(start, start + n_pool)
+    else:
+        pool = rng.permutation(n_concepts)[:n_pool]
+    _assert_ranking_form_written_out(m, variant, polarity, axioms, pool, chunk)
+
+
+@pytest.mark.parametrize("tag", MODEL_TAGS)
+@pytest.mark.parametrize("contiguous", [True, False])
+@pytest.mark.parametrize(
+    "rows, n_pool, n_axioms",
+    [
+        (4, 9, 3),  # one axiom per pass, a partial last chunk
+        (4, 2, 3),  # two axioms per pass, one in the last
+        (12, 2, 7),  # six axioms per pass, one in the last
+        (5, 1, 7),  # a pool of one: five axioms per pass, two in the last
+    ],
+)
+def test_ranking_form_pass_shapes(tag, contiguous, rows, n_pool, n_axioms):
+    """Each pass shape of the ranking form, on both pool kinds, for the
+    variants evaluation ranks and the one that reads an intersection."""
+    rng = np.random.default_rng(rows * 100 + n_pool)
+    m = _ranking_model(tag, rng, n_pool + 4, 2, 9, 0.1)
+    pool = np.arange(2, 2 + n_pool) if contiguous else rng.permutation(n_pool + 4)[:n_pool]
+    for variant in ("GCI0", "GCI2", "GCI1"):
+        cls = AXIOM_TAGS[variant]
+        axioms = [
+            cls(*(int(rng.integers(2 if f.name == "role" else n_pool + 4))
+                  for f in dataclasses.fields(cls)))
+            for _ in range(n_axioms)
+        ]
+        _assert_ranking_form_written_out(m, variant, "positive", axioms, pool, rows)
 
 
 def test_ranking_form_rejects_bad_input():
