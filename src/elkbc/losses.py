@@ -430,13 +430,6 @@ class _Batch:
 Term = Callable[[_Batch], np.ndarray]
 
 
-def _term(term: Term, *sides: Side) -> Term:
-    """Mark ``term`` with whether its sides read concept column 1 (directly
-    or through the intersection), the column the ranking form varies."""
-    term.ranked = any(col == 1 or block in ("ic", "io") for side in sides for block, col, _ in side)
-    return term
-
-
 def _ball(s: float, dc: str, r: str, g: float) -> Term:
     """Ball hinge ``max(0, s*||dc|| + r + g*margin)``."""
     dc_side, r_side = _side(dc), _side(r)
@@ -452,7 +445,7 @@ def _ball(s: float, dc: str, r: str, g: float) -> Term:
             b.push(r_side, np.ones(act.sum()), act)
         return np.maximum(0.0, arg)
 
-    return _term(term, dc_side, r_side)
+    return term
 
 
 def _box(s: float, dc: str, o: str, g: float, target: bool = False) -> Term:
@@ -485,7 +478,7 @@ def _box(s: float, dc: str, o: str, g: float, target: bool = False) -> Term:
             b.push(o_side, d)
         return (b.model.delta - mu) ** 2 if target else mu
 
-    return _term(term, dc_side, o_side)
+    return term
 
 
 def _extent(x: str, floor: bool = False, clamp: bool = False) -> Term:
@@ -510,7 +503,7 @@ def _extent(x: str, floor: bool = False, clamp: bool = False) -> Term:
             b.push(x_side, -d, act)
         return np.maximum(0.0, arg)
 
-    return _term(term, x_side)
+    return term
 
 
 def _reg(c: str) -> Term:
@@ -524,7 +517,7 @@ def _reg(c: str) -> Term:
             b.push(c_side, np.sign(nrm - 1.0)[:, None] * _unit(v, nrm))
         return np.abs(nrm - 1.0)
 
-    return _term(term, c_side)
+    return term
 
 
 # ---------------------------------------------------------------------------
@@ -696,19 +689,16 @@ def _ranked_losses(model, terms, cols, candidates: np.ndarray) -> np.ndarray:
     chunk = max(1, _RANK_ENTRIES // model.dim)  # candidate rows per pass
     per = max(1, chunk // n_pool)  # axioms per pass
     width = min(chunk, n_pool)  # candidates per pass
-    if per > 1:  # the pool written out once per axiom of a pass
-        pool = _Rows(model.params, np.tile(candidates, min(per, len(out))))
-    elif (np.diff(candidates) == 1).all():
-        pool = _Rows(_read_only(model.params), slice(candidates[0], candidates[-1] + 1))
-    else:
-        pool = _Rows(model.params, candidates)
+    # the pool's rows, written out once per axiom of a pass; a run of
+    # consecutive ids scored one axiom per pass is a view, not a copy
+    index = np.tile(candidates, min(per, len(out)))
+    if per == 1 and (np.diff(candidates) == 1).all():
+        index = slice(candidates[0], candidates[-1] + 1)
+    pool = _Rows(_read_only(model.params), index)
     scratch = np.empty((min(per, len(out)) * width, model.dim))
     for a in range(0, len(out), per):
         ids = slice(a, a + per)
         k = len(out[ids])
-        # terms that read no candidate are computed once per axiom
-        own = _Batch(model, [None if c is None else c[ids] for c in cols], None, 1.0)
-        once = [None if term.ranked else term(own) for term in terms]
         # the other columns: each axiom's ids repeated `width` times
         fixed = [None if c is None else _Rows(model.params, np.repeat(c[ids], width)) for c in cols]
         for lo in range(0, n_pool, width):
@@ -716,9 +706,7 @@ def _ranked_losses(model, terms, cols, candidates: np.ndarray) -> np.ndarray:
             rows = [f if f is None or n == width else _Rows(f, slice(0, n)) for f in fixed]
             rows[1] = _Rows(pool, slice(lo, lo + k * n))
             batch = _Batch(model, None, None, 1.0, rows, scratch[: k * n])
-            total = _sum_terms(
-                term(batch) if v is None else np.repeat(v, n) for term, v in zip(terms, once)
-            )
+            total = _sum_terms(term(batch) for term in terms)
             out[ids, lo : lo + n] = total.reshape(k, n)
     return out
 

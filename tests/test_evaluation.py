@@ -256,7 +256,7 @@ def _reference_ranks(m, ax, pool, train_axioms):
 
 
 @pytest.mark.parametrize("tag", MODEL_TAGS)
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=50, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_blocked_ranking_equals_per_candidate_reference(tag, data):
     """Raw and filtered ranks from ranking passes and score blocks equal the
@@ -289,13 +289,10 @@ def test_blocked_ranking_equals_per_candidate_reference(tag, data):
         sub, obj = int(rng.choice(subjects)), int(rng.choice(pool))
         role = int(rng.integers(2))
         axioms.append(GCI0(sub, obj) if rng.random() < 0.5 else GCI2(sub, role, obj))
-    train = frozenset()
-    if data.draw(st.booleans()):
-        train = frozenset(
-            dataclasses.replace(ax, **{"sup" if isinstance(ax, GCI0) else "filler": int(c)})
-            for ax in axioms for c in pool if rng.random() < 0.3
-        )
-    task = RankingTask(axioms, pool, train_axioms=train)
+    train = frozenset(
+        dataclasses.replace(ax, **{"sup" if isinstance(ax, GCI0) else "filler": int(c)})
+        for ax in axioms for c in pool if rng.random() < 0.3
+    )
     poisoned = data.draw(st.sampled_from([False, False, False, True]))
     if poisoned:  # every family's ranked losses read the candidate's center
         m.params["class_center"][rng.choice(pool), rng.integers(m.dim)] = np.nan
@@ -303,13 +300,18 @@ def test_blocked_ranking_equals_per_candidate_reference(tag, data):
             mock.patch.object(evaluation, "_SCORE_BLOCK", score_block):
         if poisoned:
             with pytest.raises(ValueError, match="non-finite"):
-                score_and_rank(m, task)
+                score_and_rank(m, RankingTask(axioms, pool, train_axioms=train))
             return
-        report = score_and_rank(m, task)
-    for ax, r in zip(axioms, report.rankings):
-        assert r.axiom == ax
-        got = (r.raw_rank, r.pool_size, r.filtered_rank, r.filtered_pool_size)
-        assert got == _reference_ranks(m, ax, pool, train)
+        # every example is ranked filtered by its train set, and raw only
+        reports = [
+            (score_and_rank(m, RankingTask(axioms, pool, train_axioms=t)), t)
+            for t in (train, frozenset())
+        ]
+    for report, t in reports:
+        for ax, r in zip(axioms, report.rankings):
+            assert r.axiom == ax
+            got = (r.raw_rank, r.pool_size, r.filtered_rank, r.filtered_pool_size)
+            assert got == _reference_ranks(m, ax, pool, t)
 
 
 @pytest.mark.parametrize("tag", MODEL_TAGS)
