@@ -15,18 +15,22 @@ convention::
 
 Filtered ranks additionally drop every non-true candidate whose axiom occurs
 in the train set or is entailed by any supplied deductive closure; the true
-axiom itself is never dropped.  The dropped candidates of a test axiom are
+axiom itself is never dropped.  Per block, the dropped fillers of every axiom,
 read off the task's train-set filler index (built once) and each closure's
-``entailed_fillers``; a sorted copy of the pool maps ids to pool positions,
-for the true candidates and the dropped ones, and the filtered rank takes
-the dropped candidates' comparisons off the raw counts.  Per-axiom AUC is
-the rank-derived ROC AUC ``1 - (rank - 1) / (pool - 1)``.
+``entailed_fillers_ids``, are gathered into one flat id array with an owner
+row per id, mapped to pool positions at once through a sorted copy of the
+pool, and set in one (axioms x pool) drop mask; the filtered rank and pool
+size are row counts of that mask over the raw comparisons.  A closure is
+asked only about test ids inside its theory (``KeyError`` otherwise).
+Per-axiom AUC is the rank-derived ROC AUC ``1 - (rank - 1) / (pool - 1)``.
 
 Macro aggregates average over test axioms; micro aggregates first average per
 subject class, then over subject classes (by default only classes that occur
 in the test set; a signature-wide denominator is available and treats absent
-classes as contributing zero).  Hits@n is the fraction of test axioms ranked
-at or above n.  Scoring is read-only over the model and order-independent.
+classes as contributing zero).  A subject's average is ``np.mean`` of its
+values in test order, taken for all subjects with as many test axioms at
+once.  Hits@n is the fraction of test axioms ranked at or above n.  Scoring
+is read-only over the model and order-independent.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import io
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,7 +72,8 @@ class RankingTask:
             raise ValueError("empty candidate pool")
         if len(set(self.candidates)) != len(self.candidates):
             raise ValueError("duplicate candidate ids in the pool")
-        for tag, _ in AxiomTable.from_axioms(self.axioms).variants():
+        self._tests = AxiomTable.from_axioms(self.axioms)  # the test axioms as id rows
+        for tag, _ in self._tests.variants():
             if tag not in _RANKED:
                 raise ValueError(f"ranking supports GCI0/GCI2 test axioms, got {tag}")
         # (variant, ids before the ranked slot) -> the ranked ids in the train set
@@ -86,12 +92,6 @@ class AxiomRanking:
     filtered_rank: int
     pool_size: int
     filtered_pool_size: int
-
-    def raw_auc(self) -> float:
-        return _rank_auc(self.raw_rank, self.pool_size)
-
-    def filtered_auc(self) -> float:
-        return _rank_auc(self.filtered_rank, self.filtered_pool_size)
 
 
 @dataclass
@@ -124,12 +124,6 @@ class RankingReport:
         return buf.getvalue()
 
 
-def _rank_auc(rank: int, pool: int) -> float:
-    if pool <= 1:
-        return 1.0
-    return 1.0 - (rank - 1) / (pool - 1)
-
-
 def score_and_rank(model: GeometricModel, task: RankingTask) -> RankingReport:
     candidates = np.asarray(list(task.candidates), dtype=np.int64)
     order = np.argsort(candidates)
@@ -140,20 +134,21 @@ def score_and_rank(model: GeometricModel, task: RankingTask) -> RankingReport:
         at = np.minimum(np.searchsorted(ordered, ids), len(ordered) - 1)
         return np.where(ordered[at] == ids, order[at], -1)
 
-    tests = AxiomTable.from_axioms(task.axioms)
-    groups = [(VARIANTS[c], np.flatnonzero(tests.codes == c)) for c in np.unique(tests.codes)]
+    tests = task._tests
+    groups = [(c, np.flatnonzero(tests.codes == c)) for c in np.unique(tests.codes).tolist()]
     true_idx = np.empty(len(tests), dtype=np.int64)
-    for tag, rows in groups:
-        true_idx[rows] = position(tests.cols[_RANKED[tag], rows])
+    for code, rows in groups:
+        true_idx[rows] = position(tests.cols[_RANKED[VARIANTS[code]], rows])
     if (true_idx < 0).any():
         ax = task.axioms[np.argmax(true_idx < 0)]
         raise ValueError(f"true candidate of {ax!r} is not in the pool")
 
     n_pool = len(candidates)
-    rankings: list[AxiomRanking] = [None] * len(tests)
+    ranks = np.empty((2, len(tests)), dtype=np.int64)  # raw, filtered
+    pools = np.full((2, len(tests)), n_pool, dtype=np.int64)
     block_rows = max(1, _SCORE_BLOCK // n_pool)
-    for tag, rows in groups:
-        slot = _RANKED[tag]
+    for code, rows in groups:
+        tag, slot = VARIANTS[code], _RANKED[VARIANTS[code]]
         for lo in range(0, len(rows), block_rows):
             block = rows[lo : lo + block_rows]
             scores = batch_losses(model, tag, "positive", tests[block], candidates=candidates)
@@ -162,56 +157,89 @@ def score_and_rank(model: GeometricModel, task: RankingTask) -> RankingReport:
                 ax = task.axioms[block[np.argmin(finite)]]
                 raise ValueError(f"non-finite score in the candidate pool of {ax!r}")
             # raw ranks of the whole block; the true entry ties with itself
-            t = true_idx[block]
-            true = scores[np.arange(len(block)), t][:, None]
-            better = np.count_nonzero(scores < true, axis=1)
-            ties = np.count_nonzero(scores == true, axis=1) - 1
-            raw = (1 + better + ties // 2).tolist()
-            keys = tests.cols[:slot, block].T.tolist()
-            for j, i in enumerate(block.tolist()):
-                ax = task.axioms[i]
-                # the dropped candidates: known from the train set or entailed
-                # by a closure, the true one never
-                known = task._train_fillers.get((tag, tuple(keys[j])), ())
-                sources = (known, *(dc.entailed_fillers(ax) for dc in task.closures))
-                filtered, filtered_pool = raw[j], n_pool
-                if any(sources):
-                    drop = np.zeros(n_pool, dtype=bool)
-                    for fillers in sources:
-                        at = position(np.fromiter(fillers, np.int64, count=len(fillers)))
-                        drop[at[at >= 0]] = True
-                    drop[t[j]] = False
-                    dropped = scores[j, drop]
-                    f_better = better[j] - np.count_nonzero(dropped < true[j])
-                    f_ties = ties[j] - np.count_nonzero(dropped == true[j])
-                    filtered = int(1 + f_better + f_ties // 2)
-                    filtered_pool = n_pool - len(dropped)
-                rankings[i] = AxiomRanking(ax, raw[j], filtered, n_pool, filtered_pool)
+            k, t = len(block), true_idx[block]
+            true = scores[np.arange(k), t][:, None]
+            better, equal = scores < true, scores == true
+            raw_better = np.count_nonzero(better, axis=1)
+            raw_ties = np.count_nonzero(equal, axis=1) - 1
+            ranks[:, block] = 1 + raw_better + raw_ties // 2
+            # the dropped candidates: known from the train set or entailed by
+            # a closure, one flat id array with the block row owning each id
+            ids = tests.cols[:, block].T.tolist()
+            sources = [task._train_fillers.get((tag, tuple(row[:slot])), ()) for row in ids]
+            for dc in task.closures:
+                outside = tests[block].outside(dc.theory.n_concepts, dc.theory.n_roles)
+                if outside.any():
+                    ax = task.axioms[block[np.argmax(outside)]]
+                    raise KeyError(f"{ax!r} has an id outside the closure's theory")
+                sources += [dc.entailed_fillers_ids(code, row, slot) for row in ids]
+            sizes = np.fromiter(map(len, sources), np.int64, len(sources))
+            if not sizes.any():
+                continue
+            at = position(np.fromiter(chain.from_iterable(sources), np.int64, sizes.sum()))
+            owner = np.repeat(np.arange(len(sources)) % k, sizes)
+            drop = np.zeros(scores.shape, dtype=bool)
+            drop[owner[at >= 0], at[at >= 0]] = True
+            drop[np.arange(k), t] = False
+            f_better = raw_better - np.count_nonzero(np.logical_and(better, drop, out=better), axis=1)
+            f_ties = raw_ties - np.count_nonzero(np.logical_and(equal, drop, out=equal), axis=1)
+            ranks[1, block] = 1 + f_better + f_ties // 2
+            pools[1, block] = n_pool - np.count_nonzero(drop, axis=1)
 
-    metrics = _aggregate(rankings, task, model)
-    return RankingReport(rankings, metrics)
+    rankings = [
+        AxiomRanking(ax, raw, filtered, n_pool, f_pool)
+        for ax, raw, filtered, f_pool in zip(task.axioms, *ranks.tolist(), pools[1].tolist())
+    ]
+    return RankingReport(rankings, _aggregate(ranks, pools, task, model))
 
 
-def _aggregate(rankings, task: RankingTask, model: GeometricModel) -> dict[str, float]:
-    raw_ranks = np.array([r.raw_rank for r in rankings], dtype=np.float64)
-    f_ranks = np.array([r.filtered_rank for r in rankings], dtype=np.float64)
-    raw_aucs = np.array([r.raw_auc() for r in rankings])
-    f_aucs = np.array([r.filtered_auc() for r in rankings])
+def _subject_means(subjects: np.ndarray):
+    """The function from one value per test axiom to the mean of each
+    subject's values, subjects in order of first occurrence.
+
+    Each mean equals ``np.mean`` of the subject's values listed in test
+    order: the subjects with L test axioms are gathered into one
+    C-contiguous (m, L) array, and ``mean(axis=1)`` sums each row in the
+    order ``np.mean`` sums a list of L values.
+    """
+    _, first, inverse, counts = np.unique(
+        subjects, return_index=True, return_inverse=True, return_counts=True
+    )
+    members = np.argsort(inverse, kind="stable")  # grouped by subject, in test order
+    starts = np.cumsum(counts) - counts
+    gathers = [
+        (g, members[starts[g, None] + np.arange(size)])
+        for size in np.unique(counts).tolist()
+        for g in [np.flatnonzero(counts == size)]
+    ]
+    by_first = np.argsort(first)
+
+    def means(values: np.ndarray) -> np.ndarray:
+        out = np.empty(len(counts))
+        for g, rows in gathers:
+            out[g] = values[rows].mean(axis=1)
+        return out[by_first]
+
+    return means
+
+
+def _aggregate(ranks, pools, task: RankingTask, model: GeometricModel) -> dict[str, float]:
+    """Metrics from the (raw, filtered) rows of ranks and pool sizes."""
+    ranks = ranks.astype(np.float64)
+    # rank-derived AUC; a pool of one holds only the true candidate, AUC 1
+    aucs = 1.0 - (ranks - 1) / np.maximum(pools - 1, 1)
+    subject_means = _subject_means(task._tests.cols[0])
 
     def micro(values: np.ndarray) -> float:
-        by_subject: dict[int, list[float]] = {}
-        for r, v in zip(rankings, values):
-            by_subject.setdefault(r.axiom.sub, []).append(float(v))
-        means = [float(np.mean(vs)) for vs in by_subject.values()]
+        means = subject_means(values)
         if task.micro_over_signature:
             return float(np.sum(means) / model.n_concepts)
         return float(np.mean(means))
 
     metrics: dict[str, float] = {}
-    for prefix, ranks, aucs in (("", raw_ranks, raw_aucs), ("F_", f_ranks, f_aucs)):
+    for prefix, r, auc in zip(("", "F_"), ranks, aucs):
         values = (
-            np.mean(ranks <= 10), np.mean(ranks <= 100), np.mean(ranks), micro(ranks),
-            np.mean(aucs), micro(aucs),
+            np.mean(r <= 10), np.mean(r <= 100), np.mean(r), micro(r), np.mean(auc), micro(auc),
         )
         metrics.update((prefix + name, float(v)) for name, v in zip(_BASE_METRICS, values))
     return metrics

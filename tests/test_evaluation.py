@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elkbc import evaluation, losses
-from elkbc.core import GCI0, GCI2, TOP_ID, AxiomTable, parse_theory
+from elkbc import classify, compute_closure, evaluation, losses
+from elkbc.core import GCI0, GCI2, TOP_ID, AxiomTable, Signature, Theory, parse_theory
 from elkbc.evaluation import (
     RankingReport,
     RankingTask,
@@ -244,14 +244,19 @@ def test_micro_over_signature_denominator():
     assert wide.metrics["micro_MR"] == pytest.approx(default.metrics["micro_MR"] * 2 / 8)
 
 
-def _reference_ranks(m, ax, pool, train_axioms):
+def _reference_ranks(m, ax, pool, train_axioms, closures=()):
     """(raw rank, pool, filtered rank, filtered pool) from per-candidate
-    losses of the written-out axioms and the sorting oracle."""
+    losses of the written-out axioms and the sorting oracle; a written-out
+    axiom in the train set or entailed by a closure is dropped."""
     slot = "sup" if isinstance(ax, GCI0) else "filler"
     written = [dataclasses.replace(ax, **{slot: c}) for c in pool]
     scores = list(batch_losses(m, "GCI0" if isinstance(ax, GCI0) else "GCI2", "positive", written))
     true_idx = pool.index(getattr(ax, slot))
-    keep = [c == getattr(ax, slot) or w not in train_axioms for c, w in zip(pool, written)]
+    keep = [
+        c == getattr(ax, slot)
+        or not (w in train_axioms or any(dc.entails(w) for dc in closures))
+        for c, w in zip(pool, written)
+    ]
     return (*naive_rank(scores, true_idx, [True] * len(pool)), *naive_rank(scores, true_idx, keep))
 
 
@@ -265,7 +270,9 @@ def test_blocked_ranking_equals_per_candidate_reference(tag, data):
     pass; contiguous and shuffled pools; test sets that cross the
     score-block bound; GCI0 and GCI2 axioms; one shared or several subjects;
     score ties, signed zeros, raw-only tasks, and a NaN parameter, which
-    raises."""
+    raises.  Filtered tasks drop by the train set and by the closure of a
+    small random theory over the same concepts, whose filler rows overlap
+    the train fillers and sometimes hold the true candidate."""
     chunk = data.draw(st.sampled_from([2, 5, 8]))
     n_pool = data.draw(st.sampled_from([1, 2, chunk - 1, chunk, chunk + 1, 4 * chunk + 1]))
     score_block = data.draw(st.sampled_from([1, n_pool, 3 * n_pool + 1, 1 << 20]))
@@ -293,6 +300,7 @@ def test_blocked_ranking_equals_per_candidate_reference(tag, data):
         dataclasses.replace(ax, **{"sup" if isinstance(ax, GCI0) else "filler": int(c)})
         for ax in axioms for c in pool if rng.random() < 0.3
     )
+    dc = _random_closure(rng, n_c, [*axioms, *train])
     poisoned = data.draw(st.sampled_from([False, False, False, True]))
     if poisoned:  # every family's ranked losses read the candidate's center
         m.params["class_center"][rng.choice(pool), rng.integers(m.dim)] = np.nan
@@ -300,18 +308,34 @@ def test_blocked_ranking_equals_per_candidate_reference(tag, data):
             mock.patch.object(evaluation, "_SCORE_BLOCK", score_block):
         if poisoned:
             with pytest.raises(ValueError, match="non-finite"):
-                score_and_rank(m, RankingTask(axioms, pool, train_axioms=train))
+                score_and_rank(m, RankingTask(axioms, pool, train, (dc,)))
             return
-        # every example is ranked filtered by its train set, and raw only
+        # every example is ranked filtered by its train set and closure, and raw only
         reports = [
-            (score_and_rank(m, RankingTask(axioms, pool, train_axioms=t)), t)
-            for t in (train, frozenset())
+            (score_and_rank(m, RankingTask(axioms, pool, t, closures)), t, closures)
+            for t, closures in ((train, (dc,)), (frozenset(), ()))
         ]
-    for report, t in reports:
+    for report, t, closures in reports:
         for ax, r in zip(axioms, report.rankings):
             assert r.axiom == ax
             got = (r.raw_rank, r.pool_size, r.filtered_rank, r.filtered_pool_size)
-            assert got == _reference_ranks(m, ax, pool, t)
+            assert got == _reference_ranks(m, ax, pool, t, closures)
+
+
+def _random_closure(rng, n_c, axioms):
+    """Closure of a theory over concepts ``0 .. n_c - 1`` and two roles: a
+    random share of ``axioms`` (so its rows overlap the train fillers and
+    may hold a test axiom's true filler) plus a few random subsumptions,
+    which the closure chains onto them."""
+    sig = Signature()
+    for i in range(n_c - 2):
+        sig.concepts.intern(f"c{i}")
+    for i in range(2):
+        sig.roles.intern(f"r{i}")
+    picked = [ax for ax in axioms if rng.random() < 0.3]
+    edges = [GCI0(*map(int, rng.integers(n_c, size=2))) for _ in range(int(rng.integers(4)))]
+    theory = Theory(sig, picked + edges)
+    return compute_closure(theory, *classify(theory)[:2])
 
 
 @pytest.mark.parametrize("tag", MODEL_TAGS)
@@ -400,23 +424,97 @@ def test_non_finite_score_raises(golden, poisoned, filtered):
 
 @pytest.mark.parametrize("filtered", [False, True])
 @pytest.mark.parametrize(
-    "axiom, candidates",
+    "axiom, candidates, n_model",
     [
-        (GCI0(2, 3), [2, 3, 99]),  # a candidate outside the model
-        (GCI0(2, 3), [-1, 2, 3]),
-        (GCI0(99, 3), [2, 3]),  # a test id outside the model
-        (GCI2(2, 5, 3), [2, 3]),
-        (GCI0(2, 99), [2, 3, 99]),
+        (GCI0(2, 3), [2, 3, 99], None),  # a candidate outside the model
+        (GCI0(2, 3), [-1, 2, 3], None),
+        (GCI0(99, 3), [2, 3], None),  # a test id outside the model
+        (GCI2(2, 5, 3), [2, 3], None),
+        (GCI0(2, 99), [2, 3, 99], None),
+        (GCI0(99, 3), [2, 3], 100),  # inside a larger model, outside the closure's theory
     ],
+    ids=[*(f"axiom{i}-candidates{i}" for i in range(5)), "larger-model"],
 )
-def test_ids_outside_the_model_raise_key_error(golden, filtered, axiom, candidates):
+def test_ids_outside_the_model_raise_key_error(golden, filtered, axiom, candidates, n_model):
+    """An id outside the model is a ``KeyError`` of the scoring; one inside
+    the model but outside a filtering closure's theory is a ``KeyError`` of
+    the closure check, and a raw task, which asks no closure, ranks it."""
     theory, dc = golden["theory"], golden["materialized"]
-    m = _model(theory.n_concepts, seed=2)
-    assert m.n_concepts < 99 and m.n_roles < 5  # so id 99 and role 5 are outside the model
+    m = _model(n_model or theory.n_concepts, seed=2)
+    assert theory.n_concepts < 99 and m.n_roles < 5  # id 99 and role 5 are outside the theory
+    assert (m.n_concepts > 99) == bool(n_model)  # and outside the model unless it is larger
     task = RankingTask(
         axioms=[GCI0(2, 3), axiom], candidates=candidates,
         train_axioms=frozenset(theory.axioms) if filtered else frozenset(),
         closures=(dc,) if filtered else (),
     )
+    if n_model and not filtered:
+        assert len(score_and_rank(m, task).rankings) == 2
+        return
     with pytest.raises(KeyError):
         score_and_rank(m, task)
+
+
+def _np_mean_per_subject(rankings, values):
+    """``np.mean`` of each subject's values listed in test order, subjects
+    in order of first occurrence."""
+    by_subject = {}
+    for r, v in zip(rankings, values):
+        by_subject.setdefault(r.axiom.sub, []).append(float(v))
+    return [float(np.mean(vs)) for vs in by_subject.values()]
+
+
+def _reference_metrics(rankings, n_concepts, over_signature):
+    """The report metrics from the rankings, one Python value per axiom."""
+    metrics = {}
+    for prefix, rank, pool in (
+        ("", "raw_rank", "pool_size"), ("F_", "filtered_rank", "filtered_pool_size")
+    ):
+        ranks = [getattr(r, rank) for r in rankings]
+        pools = [getattr(r, pool) for r in rankings]
+        aucs = [1.0 - (k - 1) / (p - 1) if p > 1 else 1.0 for k, p in zip(ranks, pools)]
+
+        def micro(values):
+            means = _np_mean_per_subject(rankings, values)
+            return float(np.sum(means) / n_concepts if over_signature else np.mean(means))
+
+        values = (
+            np.mean(np.array(ranks) <= 10), np.mean(np.array(ranks) <= 100),
+            np.mean(np.array(ranks, dtype=float)), micro(ranks), np.mean(aucs), micro(aucs),
+        )
+        metrics.update((prefix + name, float(v)) for name, v in zip(evaluation._BASE_METRICS, values))
+    return metrics
+
+
+@pytest.mark.parametrize("over_signature", [False, True])
+def test_micro_metrics_equal_per_subject_np_mean(over_signature):
+    """Micro metrics equal, with ``==``, the mean over subjects of the
+    per-subject ``np.mean`` of each subject's list, raw and filtered by a
+    train set.  Subject groups hold 1 to 20 test axioms (numpy's pairwise
+    sum changes its order from 8 values up): one subject per task, whose
+    mean is then the micro metric itself, and every size, several groups
+    per size, interleaved in one task, whose per-subject means are compared
+    too, since the mean over subjects can round a last-bit difference
+    away."""
+    rng = np.random.default_rng(17)
+    n_c, pool = 260, list(range(2, 199))
+    m = _model(n_c, seed=12)
+    mixed = [*range(1, 21), *rng.integers(1, 21, size=30).tolist()]
+    for sizes in [*([size] for size in range(1, 21)), mixed]:
+        subjects = rng.permutation(np.repeat(rng.permutation(n_c)[: len(sizes)], sizes))
+        axioms = [
+            GCI0(int(s), int(rng.choice(pool))) if rng.random() < 0.5
+            else GCI2(int(s), 0, int(rng.choice(pool)))
+            for s in subjects
+        ]
+        train = frozenset(
+            dataclasses.replace(ax, **{_slot(ax): int(c)})
+            for ax in axioms for c in rng.choice(pool, size=20)
+        )
+        task = RankingTask(axioms, pool, train, micro_over_signature=over_signature)
+        report = score_and_rank(m, task)
+        assert report.metrics == _reference_metrics(report.rankings, n_c, over_signature)
+    assert any(r.filtered_rank != r.raw_rank for r in report.rankings)
+    aucs = 1.0 - np.array([(r.raw_rank - 1) / (r.pool_size - 1) for r in report.rankings])
+    means = evaluation._subject_means(subjects)(aucs)
+    assert means.tolist() == _np_mean_per_subject(report.rankings, aucs)
