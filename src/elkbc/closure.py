@@ -1,39 +1,40 @@
 """Approximate deductive closure of a normalized theory, per normal form.
 
-Two cooperating rule groups extend a classified theory:
+Three rule groups extend a classified theory:
 
-* a one-shot expansion of every asserted GCI1/GCI2/GCI3/GCI1_BOT/GCI3_BOT
-  axiom, instantiating its subclass/superclass premises from the subsumption
-  index and its role premises from the role hierarchy (GCI0 and GCI0_BOT come
+* a one-shot expansion of every asserted GCI1/GCI3/GCI1_BOT/GCI3_BOT axiom,
+  instantiating its subclass/superclass premises from the subsumption index
+  and its role premises from the role hierarchy (GCI0 and GCI0_BOT come
   verbatim from the reasoner);
+* GCI2 read from the saturation's link rows: a link (A, B) in R(r), which
+  the reasoner derives with role inclusions and chains applied, gives
+  ``A [= Er.B'`` for every ``B'`` above ``B``;
 * signature-level rules that hold for arbitrary concepts: anything conjoined
   with Bot (or an unsatisfiable concept) is below everything, ``A n E [= E'``
   whenever ``E [= E'``, every provably-disjoint pair is below everything,
-  ``Bot [= Er.B`` and ``A [= Er.B`` for unsatisfiable ``A``, and
-  ``Er.A [= Top``.
+  an unsatisfiable ``A`` (Bot too) has ``A [= Er.B`` for every role and every
+  ``B``, Bot included, and ``Er.A [= Top``.
 
-The existential composition rule (``A [= Er.B``, ``B [= Er'.E``,
-``r o r' [= s`` gives ``A [= Es'.E`` for every super-role ``s'`` of ``s``,
-``s`` included) and the conjunction rule (an asserted ``L n R [= S`` with ``L``
-and ``R`` both above ``A n B`` puts ``S`` above it) can feed themselves, so
-they are iterated to a fixpoint: ``A n B [= Z`` and an asserted ``Z n A [= W``
-give ``A n B [= W``.  Every other rule is applied once, to premises read from
-the transitively closed subsumption index and role hierarchy.
+The conjunction rule (an asserted ``L n R [= S`` with ``L`` and ``R`` both
+above ``A n B`` puts ``S`` above it) can feed itself, so it is iterated to a
+fixpoint: ``A n B [= Z`` and an asserted ``Z n A [= W`` give ``A n B [= W``.
+Every other rule is applied once, to premises read from the transitively
+closed subsumption index and role hierarchy.
 
 The rule set is sound but deliberately incomplete.  Conjunctions are treated
 as unordered: ``A n B`` and ``B n A`` name the same axiom, and pair slots are
 canonicalized to (lower id, higher id).
 
 Every question goes through one query path: premise indexes over the asserted
-axioms (GCI1/GCI1_BOT by left conjunct, GCI2 by subject, GCI3/GCI3_BOT by
-filler, each built on first use from the id columns of ``Theory.table``) feed
-a per-key memo of filler rows:
+axioms (GCI1/GCI1_BOT by conjunct, GCI3/GCI3_BOT by filler, each built on
+first use from the id columns of ``Theory.table``) and the link rows feed a
+per-key memo of filler rows:
 
 * concept A: every E with ``A [= E`` (every concept when A is unsatisfiable);
 * pair {A, B}: every E with ``A n B [= E`` (Bot included when the pair is
   disjoint, in which case the row is every concept);
-* subject A: role -> every B with ``A [= Er.B`` (chain-saturated when the
-  theory has role chains);
+* subject A: role -> every B with ``A [= Er.B`` (every concept for every
+  role when A is unsatisfiable);
 * (r, A): every E with ``Er.A [= E`` (Bot included for ``Er.A [= Bot``).
 
 One query table maps each GCI variant to its key (its leading id columns), its
@@ -74,8 +75,6 @@ from .core import (
 )
 from .reasoner import RoleHierarchy, SubsumptionIndex
 
-_GCI2 = VARIANTS.index("GCI2")
-
 
 class ClosureCapError(RuntimeError):
     """Materialization refused: the GCI1 bound |C|^3 exceeds the cap."""
@@ -113,14 +112,6 @@ class DeductiveClosure:
             by_conjunct[left].append((right, sup))
             by_conjunct[right].append((left, sup))
         return by_conjunct
-
-    @cached_property
-    def _gci2_by_subject(self) -> dict[int, list[tuple[int, int]]]:
-        """Asserted ``x [= Eq.f`` as x -> [(q, f)]."""
-        by_subject = defaultdict(list)
-        for sub, role, filler in self.theory.table.ids_of("GCI2"):
-            by_subject[sub].append((role, filler))
-        return by_subject
 
     @cached_property
     def _gci3_by_filler(self) -> dict[int, list[tuple[int, int | None]]]:
@@ -163,9 +154,15 @@ class DeductiveClosure:
     def _subject_row(self, a: int) -> dict[int, frozenset[int]]:
         row = self._subjects.get(a)
         if row is None:
-            if self.hierarchy.chains:
-                return self._chain_edges(a)
-            row = {r: frozenset(fs) for r, fs in self._base_gci2_edges(a).items()}
+            # a link (a, b) in R(r) gives a [= Er.b' for every b' above b
+            if self._unsat(a):
+                row = dict.fromkeys(range(self.theory.n_roles), self._everything)
+            else:
+                sup = self.index.sup
+                row = {
+                    r: frozenset().union(*(sup[b] for b in targets))
+                    for r, targets in self.index.successors[a].items()
+                }
             self._subjects[a] = row
         return row
 
@@ -189,69 +186,6 @@ class DeductiveClosure:
             self._existentials[(r, a)] = row
         return row
 
-    def _base_gci2_edges(self, a: int) -> dict[int, set[int]]:
-        """Non-chain entailed (r -> fillers) for subject ``a``."""
-        sup = self.index.sup
-        rsup = self.hierarchy.rsup
-        edges: dict[int, set[int]] = defaultdict(set)
-        for x in sup[a]:
-            for q, f in self._gci2_by_subject.get(x, ()):
-                fillers = sup[f]
-                for r in rsup[q]:
-                    edges[r].update(fillers)
-        if self._unsat(a):
-            non_bot = self._everything - {BOT_ID}
-            for r in range(self.theory.n_roles):
-                edges[r].update(non_bot)
-        return edges
-
-    def _chain_edges(self, a: int) -> dict[int, frozenset[int]]:
-        """Chain-saturated GCI2 edges from ``a``, expanded over every subject
-        the saturation can reach (fillers become composable subjects); every
-        subject of the saturated universe gets its row published."""
-        universe: dict[int, dict[int, set[int]]] = {}
-
-        def expand(start: int) -> None:
-            frontier = [start]
-            while frontier:
-                x = frontier.pop()
-                if x in universe:
-                    continue
-                universe[x] = self._base_gci2_edges(x)
-                frontier.extend(
-                    m for fillers in universe[x].values() for m in fillers if m not in universe
-                )
-
-        expand(a)
-        changed = True
-        while changed:
-            changed = False
-            for ch in self.hierarchy.chains:
-                for x in list(universe):
-                    edges = universe[x]
-                    for m in list(edges.get(ch.first, ())):
-                        if m not in universe:
-                            expand(m)
-                        targets = universe[m].get(ch.second, ())
-                        if not targets:
-                            continue
-                        for s in self.hierarchy.rsup[ch.sup]:
-                            dest = edges.setdefault(s, set())
-                            before = len(dest)
-                            dest.update(targets)
-                            if len(dest) != before:
-                                changed = True
-            for x in list(universe):
-                for fillers in universe[x].values():
-                    for m in list(fillers):
-                        if m not in universe:
-                            expand(m)
-                            changed = True
-        for x, edges in universe.items():
-            if x not in self._subjects:
-                self._subjects[x] = {r: frozenset(fs) for r, fs in edges.items()}
-        return self._subjects[a]
-
     #: GCI variant code -> (key columns, row of the key, answer column); the
     #: key is the leading id columns, and answer column None asks for Bot
     _QUERIES = {
@@ -274,8 +208,6 @@ class DeductiveClosure:
         (`.nf` slot order) is entailed; the ids are not checked."""
         keys, row, answer = self._QUERIES[code]
         value = BOT_ID if answer is None else ids[answer]
-        if code == _GCI2 and value != BOT_ID and self._unsat(ids[0]):
-            return True  # Bot and unsatisfiable subjects reach every filler
         return value in row(self, *ids[:keys])
 
     def entailed_fillers_ids(self, code: int, ids: Sequence[int], col: int) -> frozenset[int]:

@@ -384,7 +384,7 @@ class _Normalizer:
         if self._atomic(expr):
             return self.concept_id(expr)
         fresh = self.fresh_concept(expr)
-        self.norm_sub_id(fresh, expr)
+        self.norm_sub(Name(self.sig.concepts.name_of(fresh)), expr)
         return fresh
 
     def _emit_gci1(self, left: int, right: int, sup: int) -> None:
@@ -410,17 +410,6 @@ class _Normalizer:
             self.out.append(GCI0Bot(sub))
         else:
             self.out.append(GCI0(sub, sup))
-
-    def norm_sub_id(self, sub_id: int, sup: ConceptExpr) -> None:
-        if isinstance(sup, And):
-            self.norm_sub_id(sub_id, sup.left)
-            self.norm_sub_id(sub_id, sup.right)
-            return
-        if isinstance(sup, Some):
-            filler = self.name_rhs(sup.filler)
-            self.out.append(GCI2(sub_id, self.sig.roles.intern(sup.role), filler))
-            return
-        self._emit_gci0(sub_id, self.concept_id(sup))
 
     def norm_sub(self, sub: ConceptExpr, sup: ConceptExpr) -> None:
         if isinstance(sub, Bot):

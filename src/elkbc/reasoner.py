@@ -24,8 +24,10 @@ re-scan-everything fixpoint lives in the test suite as the independent oracle.
 Saturation holds S as one set per concept and R as each concept's successor
 rows, plus predecessor rows for CR4, CR5 and CR7.  At the end the predecessor
 rows are dropped and S and the successor rows are frozen in place, one row at
-a time, so each relation is held once; ``RoleLinkIndex.pairs(r)`` builds R(r)
-only when asked.  ``classify`` is sequential and deterministic; its results
+a time, so each relation is held once: ``SubsumptionIndex`` and
+``RoleLinkIndex`` share the one tuple of successor rows, which the closure
+reads its GCI2 rows from, and ``RoleLinkIndex.pairs(r)`` builds R(r) only when
+asked.  ``classify`` is sequential and deterministic; its results
 are not modified after it returns and are safe for concurrent readers.
 """
 
@@ -34,14 +36,17 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from .core import BOT_ID, RI1, TOP_ID, VARIANTS, Theory
+from .core import BOT_ID, TOP_ID, Theory
 
 
 @dataclass(frozen=True)
 class SubsumptionIndex:
-    """All entailed superclasses per concept (reflexive, transitively closed)."""
+    """All entailed superclasses per concept (reflexive, transitively closed),
+    and the saturation's link rows: ``successors[a][r]`` is every B with
+    (a, B) in R(r), the row ``RoleLinkIndex`` holds too."""
 
     sup: tuple[frozenset[int], ...]
+    successors: tuple[dict[int, frozenset[int]], ...]
 
     def is_subclass(self, a: int, b: int) -> bool:
         """True when a [= b is entailed; unsatisfiable a is below everything."""
@@ -56,10 +61,10 @@ class SubsumptionIndex:
 
 @dataclass(frozen=True)
 class RoleHierarchy:
-    """Reflexive-transitive closure of simple role inclusions, plus chains."""
+    """Reflexive-transitive closure of simple role inclusions; role chains
+    act through the link relation R (CR7)."""
 
     rsup: tuple[frozenset[int], ...]
-    chains: tuple[RI1, ...]
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,6 @@ def classify(theory: Theory) -> tuple[SubsumptionIndex, RoleHierarchy, RoleLinkI
     gci3_by_role_filler: dict[tuple[int, int], list[int]] = defaultdict(list)
     for r, a, e in table.ids_of("GCI3", "GCI3_BOT"):
         gci3_by_role_filler[(r, a)].append(BOT_ID if e < 0 else e)
-    chains: tuple[RI1, ...] = tuple(table[table.codes == VARIANTS.index("RI1")])
 
     rsup = _role_closure(n_r, table.ids_of("RI0"))
     chain_by_first: dict[int, list[tuple[int, int]]] = defaultdict(list)
@@ -199,9 +203,10 @@ def classify(theory: Theory) -> tuple[SubsumptionIndex, RoleHierarchy, RoleLinkI
         sup[a] = frozenset(sup[a])
         out_by_role[a] = {r: frozenset(bs) for r, bs in out_by_role[a].items()}
 
-    hierarchy = RoleHierarchy(rsup=tuple(frozenset(s) for s in rsup), chains=chains)
-    links = RoleLinkIndex(successors=tuple(out_by_role), n_roles=n_r)
-    return SubsumptionIndex(sup=tuple(sup)), hierarchy, links
+    index = SubsumptionIndex(sup=tuple(sup), successors=tuple(out_by_role))
+    hierarchy = RoleHierarchy(rsup=tuple(frozenset(s) for s in rsup))
+    links = RoleLinkIndex(successors=index.successors, n_roles=n_r)
+    return index, hierarchy, links
 
 
 def dump_subsumptions(theory: Theory, index: SubsumptionIndex) -> str:

@@ -212,8 +212,7 @@ def naive_closure(theory: Theory):
     for a in unsat:
         for r in range(n_r):
             for b in range(n_c):
-                if b != BOT_ID:
-                    gci2.setdefault((a, r), set()).add(b)
+                gci2.setdefault((a, r), set()).add(b)
     for r in range(n_r):
         for a in range(n_c):
             if a != BOT_ID:
