@@ -12,7 +12,11 @@ Input axioms use the `.elpp` line grammar::
 
 ``and`` accepts more than two arguments and associates to the left.  The words
 ``and``, ``some``, ``one``, ``bot``, ``top`` are reserved; ``o`` is reserved
-inside ``rsub`` chains.  ``#`` starts a comment line.
+inside ``rsub`` chains.  A concept name may not have the form ``{...}`` (begin
+with ``{`` and end with ``}``): that is how nominals are named once normalized,
+so ``{a}`` would be the nominal ``one(a)``.  Individual names need no such rule,
+since ``one({x})`` names the concept ``{{x}}``, itself of that form.  ``#``
+starts a comment line.
 
 Rewriting introduces fresh concept names ``_N1, _N2, ...`` and fresh role
 names ``_u1, _u2, ...`` numbered in first-use order; subexpressions are
@@ -27,6 +31,7 @@ function of its input: results carry a per-invocation fresh-name ledger.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -45,6 +50,7 @@ from .core import (
     ParseError,
     Signature,
     Theory,
+    _collector_paused,
 )
 
 _RESERVED = {"and", "some", "one", "bot", "top", "o"}
@@ -158,134 +164,135 @@ def axiom_to_str(ax: InputAxiom) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _Tokens:
-    def __init__(self, line: str, line_no: int):
-        self.items: list[str] = []
-        self.line_no = line_no
-        buf = []
-        for ch in line:
-            if ch in "(),":
-                if buf:
-                    self.items.append("".join(buf))
-                    buf = []
-                self.items.append(ch)
-            elif ch.isspace():
-                if buf:
-                    self.items.append("".join(buf))
-                    buf = []
-            else:
-                buf.append(ch)
-        if buf:
-            self.items.append("".join(buf))
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.items[self.pos] if self.pos < len(self.items) else None
-
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(self.line_no, "unexpected end of line")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise ParseError(self.line_no, f"expected {tok!r}, got {got!r} at token {self.pos}")
-
-    def name(self, what: str = "name") -> str:
-        tok = self.next()
-        if tok in "()," or tok in _RESERVED:
-            raise ParseError(self.line_no, f"expected {what}, got {tok!r} at token {self.pos}")
-        return tok
+_TOKENS = re.compile(r"[(),]|[^\s(),]+").findall
+#: tokens that cannot be a name
+_NOT_A_NAME = frozenset("(),") | _RESERVED
+_BOT = Bot()
+_TOP = Top()
 
 
-def _parse_concept(ts: _Tokens) -> ConceptExpr:
-    tok = ts.next()
+class _Unexpected(Exception):
+    """A malformed line; the message lacks only the line number."""
+
+
+def _expected(toks: list[str], i: int, what: str) -> _Unexpected:
+    return _Unexpected(f"expected {what}, got {toks[i]!r} at token {i + 1}")
+
+
+def _name(toks: list[str], i: int, what: str) -> str:
+    tok = toks[i]
+    if tok in _NOT_A_NAME:
+        raise _expected(toks, i, what)
+    return tok
+
+
+def _concept(toks: list[str], i: int, names: dict[str, Name]) -> tuple[ConceptExpr, int]:
+    """The concept expression starting at token ``i`` and the index after it;
+    ``names`` holds the one ``Name`` per distinct name of the call."""
+    tok = toks[i]
+    if tok not in _NOT_A_NAME:
+        expr = names.get(tok)
+        if expr is None:
+            if tok[0] == "{" and tok[-1] == "}":
+                raise _Unexpected(f"concept name {tok!r} at token {i + 1} has a nominal's form")
+            expr = names[tok] = Name(tok)
+        return expr, i + 1
     if tok == "bot":
-        return Bot()
+        return _BOT, i + 1
     if tok == "top":
-        return Top()
+        return _TOP, i + 1
+    if tok not in ("and", "some", "one"):
+        raise _expected(toks, i, "concept")
+    if toks[i + 1] != "(":
+        raise _expected(toks, i + 1, "'('")
     if tok == "and":
-        ts.expect("(")
-        expr = _parse_concept(ts)
-        ts.expect(",")
-        expr = And(expr, _parse_concept(ts))
-        while ts.peek() == ",":
-            ts.next()
-            expr = And(expr, _parse_concept(ts))
-        ts.expect(")")
-        return expr
-    if tok == "some":
-        ts.expect("(")
-        role = ts.name("role name")
-        ts.expect(",")
-        filler = _parse_concept(ts)
-        ts.expect(")")
-        return Some(role, filler)
-    if tok == "one":
-        ts.expect("(")
-        ind = ts.name("individual name")
-        ts.expect(")")
-        return Nominal(ind)
-    if tok in "()," or tok in _RESERVED:
-        raise ParseError(ts.line_no, f"expected concept, got {tok!r} at token {ts.pos}")
-    return Name(tok)
+        expr, i = _concept(toks, i + 2, names)
+        if toks[i] != ",":
+            raise _expected(toks, i, "','")
+        while toks[i] == ",":
+            right, i = _concept(toks, i + 1, names)
+            expr = And(expr, right)
+    elif tok == "some":
+        role = _name(toks, i + 2, "role name")
+        if toks[i + 3] != ",":
+            raise _expected(toks, i + 3, "','")
+        filler, i = _concept(toks, i + 4, names)
+        expr = Some(role, filler)
+    else:
+        expr = Nominal(_name(toks, i + 2, "individual name"))
+        i += 3
+    if toks[i] != ")":
+        raise _expected(toks, i, "')'")
+    return expr, i + 1
 
 
-def _parse_axiom(ts: _Tokens) -> InputAxiom:
-    head = ts.next()
-    ts.expect("(")
-    if head == "sub":
-        a = _parse_concept(ts)
-        ts.expect(",")
-        b = _parse_concept(ts)
-        ts.expect(")")
-        return Sub(a, b)
-    if head == "equiv":
-        a = _parse_concept(ts)
-        ts.expect(",")
-        b = _parse_concept(ts)
-        ts.expect(")")
-        return Equiv(a, b)
-    if head == "instance":
-        c = _parse_concept(ts)
-        ts.expect(",")
-        ind = ts.name("individual name")
-        ts.expect(")")
-        return Instance(c, ind)
-    if head == "role":
-        r = ts.name("role name")
-        ts.expect(",")
-        a = ts.name("individual name")
-        ts.expect(",")
-        b = ts.name("individual name")
-        ts.expect(")")
-        return RoleAssertion(r, a, b)
-    if head == "rsub":
-        chain = [ts.name("role name")]
-        while ts.peek() == "o":
-            ts.next()
-            chain.append(ts.name("role name"))
-        ts.expect(",")
-        sup = ts.name("role name")
-        ts.expect(")")
-        return RoleChainSub(tuple(chain), sup)
-    raise ParseError(ts.line_no, f"unknown axiom form {head!r}")
+def _axiom(toks: list[str], names: dict[str, Name]) -> InputAxiom:
+    """The input axiom that is the whole token list ``toks``."""
+    head = toks[0]
+    if toks[1] != "(":
+        raise _expected(toks, 1, "'('")
+    if head == "sub" or head == "equiv":
+        left, i = _concept(toks, 2, names)
+        if toks[i] != ",":
+            raise _expected(toks, i, "','")
+        right, i = _concept(toks, i + 1, names)
+        ax = (Sub if head == "sub" else Equiv)(left, right)
+    elif head == "instance":
+        concept, i = _concept(toks, 2, names)
+        if toks[i] != ",":
+            raise _expected(toks, i, "','")
+        ax = Instance(concept, _name(toks, i + 1, "individual name"))
+        i += 2
+    elif head == "role":
+        role = _name(toks, 2, "role name")
+        if toks[3] != ",":
+            raise _expected(toks, 3, "','")
+        subject = _name(toks, 4, "individual name")
+        if toks[5] != ",":
+            raise _expected(toks, 5, "','")
+        ax = RoleAssertion(role, subject, _name(toks, 6, "individual name"))
+        i = 7
+    elif head == "rsub":
+        chain = [_name(toks, 2, "role name")]
+        i = 3
+        while toks[i] == "o":
+            chain.append(_name(toks, i + 1, "role name"))
+            i += 2
+        if toks[i] != ",":
+            raise _expected(toks, i, "','")
+        ax = RoleChainSub(tuple(chain), _name(toks, i + 1, "role name"))
+        i += 2
+    else:
+        raise _Unexpected(f"unknown axiom form {head!r}")
+    if toks[i] != ")":
+        raise _expected(toks, i, "')'")
+    if i + 1 < len(toks):
+        raise _Unexpected(f"trailing tokens after axiom: {toks[i + 1]!r}")
+    return ax
 
 
+@_collector_paused()
 def parse_input(text: str) -> list[InputAxiom]:
-    """Parse `.elpp` text into input axioms; raises ParseError with position."""
+    """Parse `.elpp` text into input axioms; raises ParseError with position.
+
+    Each line is one ``re.findall`` token list read by an index-based
+    recursive descent.  A concept name read twice yields the same ``Name``
+    object within a call, and ``bot`` / ``top`` one ``Bot`` / ``Top`` each.
+    The cyclic collector is paused while it runs (see
+    ``core._collector_paused``).
+    """
+    names: dict[str, Name] = {}
     axioms = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        ts = _Tokens(line, line_no)
-        axioms.append(_parse_axiom(ts))
-        if ts.peek() is not None:
-            raise ParseError(line_no, f"trailing tokens after axiom: {ts.peek()!r}")
+        try:
+            axioms.append(_axiom(_TOKENS(line), names))
+        except IndexError:  # the reader indexes past the line's last token
+            raise ParseError(line_no, "unexpected end of line") from None
+        except _Unexpected as exc:
+            raise ParseError(line_no, str(exc)) from None
     return axioms
 
 
@@ -485,11 +492,13 @@ class _Normalizer:
                 self.norm_chain(ax.chain, ax.sup)
 
 
+@_collector_paused()
 def normalize(axioms: list[InputAxiom]) -> tuple[Theory, list[tuple[str, str]]]:
     """Rewrite input axioms into a normalized Theory.
 
     Returns the theory and the fresh-name ledger: ``(fresh name, expression it
-    stands for)`` pairs in introduction order.
+    stands for)`` pairs in introduction order.  The cyclic collector is paused
+    while it runs (see ``core._collector_paused``).
     """
     norm = _Normalizer()
     norm.run(axioms)

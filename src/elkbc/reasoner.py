@@ -56,7 +56,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .core import BOT_ID, TOP_ID, Theory
+from .core import BOT_ID, TOP_ID, Theory, _collector_paused
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,16 @@ def _told_rows(n_c: int, told: dict[int, list[int]]) -> list[frozenset[int]]:
     return rows
 
 
+@_collector_paused()
 def classify(theory: Theory) -> tuple[SubsumptionIndex, RoleHierarchy, RoleLinkIndex]:
+    """Saturate ``theory`` under CR0-CR7 (see the module docstring) and return
+    its subsumption index, role hierarchy and role link relation.
+
+    The cyclic collector is paused while it runs: its rows and link sets
+    stay alive and form no cycles, so a generation-2 collection during the
+    call would traverse them and the caller's objects and free nothing (see
+    ``core._collector_paused``).
+    """
     n_c = theory.n_concepts
     n_r = theory.n_roles
 

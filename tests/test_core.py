@@ -16,13 +16,16 @@ from elkbc.core import (
     ParseError,
     TOP,
     TOP_ID,
+    Theory,
     axiom_slots,
     axiom_tag,
+    parse_axiom,
     parse_theory,
     serialize_theory,
     signature_stats,
 )
 from elkbc.toy import golden_theory
+from oracles import random_theory
 
 
 def test_reserved_concepts():
@@ -158,3 +161,61 @@ def test_table_round_trips_mixed_lists(axioms, picks):
     for ax in axioms:
         by_variant.setdefault(axiom_tag(ax), []).append(ax)
     assert [(tag, list(rows)) for tag, rows in table.variants()] == list(by_variant.items())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rnd=st.randoms(use_true_random=False))
+def test_reader_gives_serialized_theory_back(seed, rnd):
+    """Blank lines, comments, ``#individual`` directives and extra
+    whitespace mixed into ``serialize_theory`` text leave the theory as it was,
+    with the directives' individuals added in order."""
+    theory = random_theory(np.random.default_rng(seed))
+    lines, individuals = [], []
+    for line in serialize_theory(theory).splitlines():
+        lines.append(rnd.choice(["", " ", "\t"]) + line.replace(" ", rnd.choice([" ", "  ", "\t"])))
+        extra = rnd.choice(["", "   ", "# GCI9 x", "#", "#concepts x y", None, None])
+        if extra is None:
+            individuals.append(f"i{rnd.randrange(4)}")
+            extra = f"#individual {individuals[-1]} "
+        lines.append(extra)
+    sig = theory.signature.copy()
+    for name in individuals:
+        sig.individuals.intern(name)
+    assert parse_theory("\n".join(lines)) == Theory(sig, theory.axioms)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("GCI0 A B\nGCI9 A B", "line 2: unknown axiom tag 'GCI9'"),
+        ("\n  GCI1 A  B ", "line 2: GCI1 expects 3 names, got 2 ('GCI1 A  B')"),
+        ("RI0 r s t", "line 1: RI0 expects 2 names, got 3 ('RI0 r s t')"),
+        (f"#role r\nGCI3_BOT r {BOT}", f"line 2: GCI3_BOT must not name {BOT} explicitly"),
+        (f"GCI1_BOT A {BOT}", f"line 1: GCI1_BOT must not name {BOT} explicitly"),
+        (f"GCI0_BOT {BOT}", f"line 1: GCI0_BOT must not name {BOT} explicitly"),
+        ("# c\n#individual a b", "line 2: directive #individual expects exactly one name"),
+        ("#concept", "line 1: directive #concept expects exactly one name"),
+    ],
+)
+def test_reader_error_texts(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_theory(text)
+    assert str(err.value) == message
+
+
+def test_nominal_names_read_from_nf():
+    t = parse_theory("GCI0 {a} B\n#individual a\n")
+    assert t.signature.concepts.name_of(t.axioms[0].sub) == "{a}"
+
+
+def test_parse_axiom_needs_the_signature():
+    sig = parse_theory("GCI2 A r B\n").signature
+    assert parse_axiom(" GCI2 A r B ", sig) == GCI2(2, 0, 3)
+    for line, unknown in [("GCI2 A s B", "'s'"), ("GCI0 A C", "'C'")]:
+        with pytest.raises(ParseError) as err:
+            parse_axiom(line, sig)
+        assert str(err.value) == f"line 1: unknown name: {unknown} (not in the theory signature)"
+    with pytest.raises(ParseError, match="not an axiom line"):
+        parse_axiom("# GCI0 A B", sig)
+    with pytest.raises(ParseError, match="expects 2 names"):
+        parse_axiom("GCI0 A", sig)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elkbc.core import (
     GCI0,
@@ -18,12 +20,17 @@ from elkbc.core import (
 from elkbc.normalize import (
     And,
     Bot,
+    Equiv,
+    Instance,
     Name,
     Nominal,
+    RoleAssertion,
     RoleChainSub,
     Some,
     Sub,
+    Top,
     axiom_to_str,
+    expr_to_str,
     normalize,
     parse_input,
 )
@@ -160,6 +167,146 @@ def test_parse_errors_carry_position():
         parse_input("sub(A, B) trailing")
     with pytest.raises(ParseError):
         parse_input("frob(A, B)")
+
+
+# -- the reader against printed axioms and recorded errors ------------------
+
+_RESERVED_WORDS = {"and", "some", "one", "bot", "top", "o"}
+# names may hold braces, '#' and non-ASCII letters, never whitespace or "(),"
+_WORDS = st.text(alphabet="abXY_:#{}é7", min_size=1, max_size=4).filter(
+    lambda w: w not in _RESERVED_WORDS
+)
+_CONCEPT_NAMES = _WORDS.filter(lambda w: not (w[0] == "{" and w[-1] == "}"))
+_CONCEPTS = st.recursive(
+    st.one_of(
+        st.builds(Name, _CONCEPT_NAMES),
+        st.builds(Nominal, _WORDS),
+        st.just(Bot()),
+        st.just(Top()),
+    ),
+    lambda inner: st.one_of(st.builds(And, inner, inner), st.builds(Some, _WORDS, inner)),
+    max_leaves=6,
+)
+_INPUT_AXIOMS = st.one_of(
+    st.builds(Sub, _CONCEPTS, _CONCEPTS),
+    st.builds(Equiv, _CONCEPTS, _CONCEPTS),
+    st.builds(Instance, _CONCEPTS, _WORDS),
+    st.builds(RoleAssertion, _WORDS, _WORDS, _WORDS),
+    st.builds(RoleChainSub, st.lists(_WORDS, min_size=1, max_size=4).map(tuple), _WORDS),
+)
+# whitespace to str.isspace that str.splitlines does not break lines at
+_SPACES = ["", " ", "\t", "  ", "\u00a0", "\u3000"]
+
+
+def _nary(expr) -> str:
+    """``expr_to_str`` with each left-nested conjunction printed n-ary."""
+    if isinstance(expr, And):
+        args = [expr.right]
+        while isinstance(expr.left, And):
+            expr = expr.left
+            args.append(expr.right)
+        args.append(expr.left)
+        return "and(" + ",".join(_nary(a) for a in reversed(args)) + ")"
+    if isinstance(expr, Some):
+        return f"some({expr.role},{_nary(expr.filler)})"
+    return expr_to_str(expr)
+
+
+def _respace(line: str, rnd) -> str:
+    """The line with random whitespace around punctuation and in place of
+    each space, and around the whole line."""
+    out = [rnd.choice(_SPACES)]
+    for ch in line:
+        if ch in "(),":
+            out += [rnd.choice(_SPACES), ch, rnd.choice(_SPACES)]
+        elif ch == " ":
+            out.append(rnd.choice(_SPACES[1:]))
+        else:
+            out.append(ch)
+    return "".join(out + [rnd.choice(_SPACES)])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    axioms=st.lists(_INPUT_AXIOMS, min_size=1, max_size=6), rnd=st.randoms(use_true_random=False)
+)
+def test_reader_gives_printed_axioms_back(axioms, rnd):
+    lines = []
+    for ax in axioms:
+        line = axiom_to_str(ax)
+        if isinstance(ax, Sub) and rnd.random() < 0.5:
+            line = f"sub({_nary(ax.sub)}, {_nary(ax.sup)})"
+        lines.append(_respace(line, rnd))
+        if rnd.random() < 0.2:
+            lines.append(rnd.choice(["", "  ", "# sub(A, B)", " #x"]))
+    assert parse_input("\n".join(lines)) == axioms
+
+
+#: the exact ParseError texts of the per-character tokenizer this reader replaced
+_ERROR_TEXTS = [
+    ("sub(,A, B)", "line 1: expected concept, got ',' at token 3"),
+    ("sub(A B, C)", "line 1: expected ',', got 'B' at token 4"),
+    ("sub(one(a b), C)", "line 1: expected ')', got 'b' at token 6"),
+    ("sub(some(r), C)", "line 1: expected ',', got ')' at token 6"),
+    ("sub(and(A,B,), C)", "line 1: expected concept, got ')' at token 9"),
+    ("rsub(r o, s)", "line 1: expected role name, got ',' at token 5"),
+    ("rsub(, s)", "line 1: expected role name, got ',' at token 3"),
+    ("sub(", "line 1: unexpected end of line"),
+    ("sub", "line 1: unexpected end of line"),
+    ("(", "line 1: unexpected end of line"),
+    ("sub(A, B", "line 1: unexpected end of line"),
+    ("role(r, a, top)", "line 1: expected individual name, got 'top' at token 7"),
+    ("frob(A, B)", "line 1: unknown axiom form 'frob'"),
+    ("sub(A, B) trailing", "line 1: trailing tokens after axiom: 'trailing'"),
+    ("sub(and(A), B)", "line 1: expected ',', got ')' at token 6"),
+    ("sub(some(and, A), B)", "line 1: expected role name, got 'and' at token 5"),
+    ("role(r, a)", "line 1: expected ',', got ')' at token 6"),
+    ("sub(A, B))", "line 1: trailing tokens after axiom: ')'"),
+    ("rsub(r, s o t)", "line 1: expected ')', got 'o' at token 6"),
+    ("sub(one(), C)", "line 1: expected individual name, got ')' at token 5"),
+    ("sub(A, and)", "line 1: expected '(', got ')' at token 6"),
+    ("sub(A,B)\nsub(C", "line 2: unexpected end of line"),
+]
+
+
+@pytest.mark.parametrize("line,message", _ERROR_TEXTS)
+def test_parse_error_texts(line, message):
+    with pytest.raises(ParseError) as err:
+        parse_input(line)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "line,token",
+    [
+        ("sub({a}, B)", 3),
+        ("sub(B, some(r, {a}))", 9),
+        ("sub(and(A, {}), B)", 7),
+        ("instance({a}, b)", 3),
+        ("equiv(A, {a} )", 5),
+    ],
+)
+def test_concept_name_of_nominal_form_rejected(line, token):
+    with pytest.raises(ParseError) as err:
+        parse_input(line)
+    assert str(err.value).startswith("line 1: concept name ")
+    assert f"at token {token} " in str(err.value)
+
+
+def test_named_concept_is_not_the_nominal():
+    # read as a concept name, {a} would be one(a), and a would get type B
+    with pytest.raises(ParseError):
+        parse_input("sub({a}, B)\ninstance(C, a)")
+    # an individual may have that form: its nominal is {{x}}, a fresh name
+    theory, _ = normalize(parse_input("instance(C, {x})\nsub(one({x}), D)"))
+    assert "{{x}}" in theory.signature.concepts
+    assert "{x}" not in theory.signature.concepts
+
+
+def test_reader_shares_one_name_per_distinct_name():
+    first, second = parse_input("sub(A, B)\nsub(B, some(r, A))")
+    assert first.sup is second.sub
+    assert first.sub is second.sup.filler
 
 
 # -- conservativity against hand-normalized references -----------------------
