@@ -19,8 +19,9 @@ axiom itself is never dropped.  Per block, the dropped fillers of every axiom,
 read off the task's train-set filler index (built once) and each closure's
 ``entailed_fillers_ids``, are gathered into one flat id array with an owner
 row per id, mapped to pool positions at once through a sorted copy of the
-pool, and set in one (axioms x pool) drop mask; the filtered rank and pool
-size are row counts of that mask over the raw comparisons.  A closure is
+pool (the task builds the pool's id array and that copy once), and set in
+one (axioms x pool) drop mask; the filtered rank and pool size are row
+counts of that mask over the raw comparisons.  A closure is
 asked only about test ids inside its theory (``KeyError`` otherwise).
 Per-axiom AUC is the rank-derived ROC AUC ``1 - (rank - 1) / (pool - 1)``.
 
@@ -70,7 +71,11 @@ class RankingTask:
             raise ValueError("ranking task needs at least one test axiom")
         if not len(self.candidates):
             raise ValueError("empty candidate pool")
-        if len(set(self.candidates)) != len(self.candidates):
+        # the pool as ids, and the sorted copy that maps an id to its position
+        self._pool = np.asarray(list(self.candidates), dtype=np.int64)
+        self._order = np.argsort(self._pool)
+        self._ordered = self._pool[self._order]
+        if (self._ordered[1:] == self._ordered[:-1]).any():
             raise ValueError("duplicate candidate ids in the pool")
         self._tests = AxiomTable.from_axioms(self.axioms)  # the test axioms as id rows
         for tag, _ in self._tests.variants():
@@ -125,9 +130,7 @@ class RankingReport:
 
 
 def score_and_rank(model: GeometricModel, task: RankingTask) -> RankingReport:
-    candidates = np.asarray(list(task.candidates), dtype=np.int64)
-    order = np.argsort(candidates)
-    ordered = candidates[order]
+    candidates, order, ordered = task._pool, task._order, task._ordered
 
     def position(ids: np.ndarray) -> np.ndarray:
         """Pool index of each id, -1 for ids outside the pool."""

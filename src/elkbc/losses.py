@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, Union
 
@@ -165,8 +166,14 @@ class Gradient(dict[str, np.ndarray]):
     gradient's own size (at least ``_SETTLE_FLOOR``), a larger push being
     recorded in row slices of that size: that bounds the settle's
     temporaries and how long a push's arrays stay alive.  ``touched`` holds
-    a boolean row mask per block: the rows settled since the optimizer last
-    cleared them.
+    a boolean row mask per block: the rows settled or densely added since
+    ``zero_touched`` last cleared them.
+
+    ``zero_gradient`` fences its arrays: they are read-only, and only
+    ``settle``, ``add_dense`` and ``zero_touched`` write them.  So every row
+    of a fenced block that ``touched`` does not mark is +0, and a reader of
+    the derivatives needs only the touched rows.  Arrays given to the
+    constructor keep their own flags.
 
     ``total_loss`` also sets, per (variant, polarity) group it summed, keyed
     ``"GCI0/positive"`` in group order, ``group_means`` (the group's mean
@@ -229,14 +236,42 @@ class Gradient(dict[str, np.ndarray]):
             at = end
         out = np.bincount(index, weights, cur.size).reshape(cur.shape)
         _mend_negative_zeros(out, cur, index[start:], weights[start:])
-        g[rows] = out
-        self.touched.setdefault(block, np.zeros(len(g), bool))[rows] = True
+        with _unfenced(g):
+            g[rows] = out
+        self._touch(block, rows)
 
     def add_dense(self, block: str, values: np.ndarray) -> None:
         """Add ``values`` onto every row of the block, after its pushes."""
         self.settle()
-        self[block] += values
-        self.touched.setdefault(block, np.zeros(len(values), bool))[:] = True
+        with _unfenced(self[block]) as g:
+            g += values
+        self._touch(block, slice(None))
+
+    def zero_touched(self) -> None:
+        """Write +0 into the touched rows of every block and clear the masks,
+        so that a fenced gradient is all +0 again."""
+        for block, touched in self.touched.items():
+            rows = np.flatnonzero(touched)
+            with _unfenced(self[block]) as g:
+                g[rows] = 0.0
+            touched[rows] = False
+
+    def _touch(self, block: str, rows) -> None:
+        if block not in self.touched:
+            self.touched[block] = np.zeros(len(self[block]), bool)
+        self.touched[block][rows] = True
+
+
+@contextmanager
+def _unfenced(g: np.ndarray):
+    """``g``, writeable for the block's duration; a fenced (read-only) array
+    is read-only again after it."""
+    fenced = not g.flags.writeable
+    g.flags.writeable = True
+    try:
+        yield g
+    finally:
+        g.flags.writeable = not fenced
 
 
 def _mend_negative_zeros(out, cur, index, weights) -> None:
@@ -252,8 +287,12 @@ def _mend_negative_zeros(out, cur, index, weights) -> None:
 
 
 def zero_gradient(model: GeometricModel) -> Gradient:
+    """A fenced gradient of +0 arrays shaped like the model's blocks."""
     # np.zeros maps its pages lazily: rows no derivative reaches are never written
-    return Gradient({k: np.zeros(v.shape, v.dtype) for k, v in model.params.items()})
+    grad = Gradient({k: np.zeros(v.shape, v.dtype) for k, v in model.params.items()})
+    for g in grad.values():
+        g.flags.writeable = False
+    return grad
 
 
 def param_shapes(tag: str, n_concepts: int, n_roles: int, dim: int) -> dict[str, tuple]:
@@ -275,7 +314,11 @@ def _norm(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _unit(v: np.ndarray, nrm: np.ndarray) -> np.ndarray:
-    return np.divide(v, nrm[..., None], out=np.zeros_like(v), where=(nrm > 0)[..., None])
+    """``v`` over its row norms ``nrm``; +0 rows where a norm is not > 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = v / nrm[..., None]
+    u[~(nrm > 0)] = 0.0
+    return u
 
 
 _BLOCKS = {
@@ -745,7 +788,8 @@ def bump_regularizer(model: GeometricModel, grad: Gradient | None = None) -> flo
     bumps = model.params["class_bump"]
     nrm = _norm(bumps)
     if grad is not None:
-        d = (model.reg_lambda / len(bumps)) * _unit(bumps, nrm)
+        d = _unit(bumps, nrm)
+        d *= model.reg_lambda / len(bumps)
         _as_gradient(grad).add_dense("class_bump", d)
     return float(model.reg_lambda * nrm.mean())
 

@@ -15,9 +15,11 @@ training positives).
 
 A step writes only the live rows of each parameter block, keeps Adam
 moments for those rows alone, and equals the dense step bit for bit (see
-``_Adam``).  The gradient is one buffer for the whole run: the loss pushes
-settle into it once per step, and the step zeros again the rows they
-touched.
+``_Adam``).  The gradient is one fenced buffer for the whole run (see
+``Gradient``): only its own methods write it, so the rows the step's pushes
+and dense adds touched are the only rows not +0.  The step checks those
+rows for non-finite values before it moves anything, and zeros them again
+after.
 
 Everything is deterministic given (seed, config, theory): initialization and
 shuffling derive PCG64 streams from the run seed, and each step's negatives
@@ -154,18 +156,22 @@ def _checked_loss(model: GeometricModel, batch: list[LossRequest], grad: Gradien
     return loss
 
 
-def _check_finite(name: str, g: np.ndarray) -> None:
-    if not np.all(np.isfinite(g)):
-        raise TrainingError(f"non-finite gradient in block {name}")
+def _check_finite(grad: Gradient) -> None:
+    """Raise TrainingError when an entry of the fenced gradient is not
+    finite; only its touched rows can be anything but +0, so only they are
+    read."""
+    for name, touched in grad.touched.items():
+        g, rows = grad[name], np.flatnonzero(touched)
+        if not np.isfinite(g if len(rows) == len(g) else g[rows]).all():
+            raise TrainingError(f"non-finite gradient in block {name}")
 
 
 def gradient(model: GeometricModel, batch: list[LossRequest]) -> Gradient:
-    """Gradient of ``total_loss`` over the batch, every row of every block;
-    rejects non-finite values."""
+    """Gradient of ``total_loss`` over the batch, every row of every block,
+    as a fenced ``Gradient``; rejects non-finite values."""
     grad = zero_gradient(model)
     _checked_loss(model, batch, grad)
-    for name, g in grad.items():
-        _check_finite(name, g)
+    _check_finite(grad)
     return grad
 
 
@@ -215,11 +221,11 @@ class _Adam:
         self._buffers: dict[tuple, tuple[np.ndarray, ...]] = {}  # page shape -> buffers
 
     def step(self, params: dict[str, np.ndarray], grad: Gradient, lr: float) -> None:
-        """Apply ``grad``, whose touched rows are those its pushes settled,
-        then zero those rows again; raises TrainingError, before any
-        parameter or moment moves, when a gradient entry is not finite."""
-        for name, g in grad.items():
-            _check_finite(name, g)
+        """Apply the fenced ``grad`` (``zero_gradient``'s), whose touched rows
+        are its only rows not +0, then zero those rows again; raises
+        TrainingError, before any parameter or moment moves, when a gradient
+        entry is not finite."""
+        _check_finite(grad)
         self.t += 1
         c1, c2 = 1 - self.beta1**self.t, 1 - self.beta2**self.t
         for name, g in grad.items():
@@ -228,9 +234,7 @@ class _Adam:
                 live.add(np.flatnonzero(touched & ~live.is_live))
             clamp = name.endswith("_radius") or name.endswith("_offset")
             self._update(params[name], g, live, lr, c1, c2, clamp)
-            if touched is not None:
-                g[np.flatnonzero(touched)] = 0.0
-                touched[:] = False
+        grad.zero_touched()
 
     def _update(self, p, g, live: _LiveRows, lr, c1, c2, clamp: bool) -> None:
         b1, b2, eps = self.beta1, self.beta2, self.eps
@@ -302,7 +306,7 @@ def train(
         reg_lambda=cfg.reg_lambda,
     )
     adam = _Adam(model)
-    grad = zero_gradient(model)  # one buffer; each step zeros the rows it touched
+    grad = zero_gradient(model)  # one fenced buffer; each step zeros the rows it touched
     lr = cfg.learning_rate
     if cfg.validation is None:
         validation = table[np.concatenate(list(rows_of.values()))]

@@ -531,7 +531,8 @@ class DenseAdam:
     """Adam that rewrites every row of every block on every step, then
     clamps every radius and offset block to be non-negative.  It stands in
     for the trainer's optimizer: same constructor, and ``step`` also zeros
-    the gradient buffer for the next step."""
+    the fenced gradient buffer for the next step, through its own
+    ``zero_touched``."""
 
     def __init__(self, model, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
@@ -548,7 +549,7 @@ class DenseAdam:
             m_hat = self.m[name] / (1 - b1**self.t)
             v_hat = self.v[name] / (1 - b2**self.t)
             params[name] -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            g[...] = 0.0
+        grad.zero_touched()
         for name, arr in params.items():
             if name.endswith("_radius") or name.endswith("_offset"):
                 np.maximum(arr, 0.0, out=arr)

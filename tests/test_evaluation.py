@@ -56,6 +56,24 @@ def test_duplicate_candidates_rejected():
         RankingTask(axioms=[GCI0(2, 3)], candidates=[2, 3, 3, 3, 4, 5, 5])
 
 
+def test_pool_as_list_range_or_array_ranks_alike(golden):
+    """The task builds its pool once: a list, a range and an array of the
+    same ids give the same report, and so does ranking one task twice."""
+    theory, dc = golden["theory"], golden["materialized"]
+    m = _model(theory.n_concepts, seed=5, quantize=1)  # ties between candidates
+    n = theory.n_concepts
+    axioms = [ax for ax in theory.axioms if isinstance(ax, (GCI0, GCI2))]
+    reports = []
+    for pool in (list(range(n)), range(n), np.arange(n), np.arange(n, dtype=np.int32)):
+        task = RankingTask(axioms, pool, frozenset(axioms[:2]), (dc,))
+        for _ in range(2):
+            report = score_and_rank(m, task)
+            reports.append((report.to_json(), report.to_csv()))
+    assert all(report == reports[0] for report in reports)
+    with pytest.raises(ValueError, match="duplicate"):
+        RankingTask(axioms, np.array([3, 1, 3]))
+
+
 def test_all_tied_mid_rank():
     m = _model(12)
     # identical candidate geometry: every score ties

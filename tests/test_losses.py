@@ -795,3 +795,34 @@ def test_loss_pushes_settle_to_sequential_add_at(tag, data):
         want = sequential_scatter(zero_gradient(m), recorded)
         for name in start:
             assert grad[name].tobytes() == want[name].tobytes(), ("total_loss", name)
+
+
+#: entries of ``_unit``'s rows: signed zeros, subnormals, NaN, infinities,
+#: values whose squares overflow, and ordinary floats
+_UNIT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, np.nan, np.inf, -np.inf, 1e300]),
+    st.floats(-1e3, 1e3),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_unit_equals_masked_divide(data):
+    """``_unit`` has the bytes of dividing only the rows whose norm is > 0
+    into a +0 output, on rows that are all zero, all -0, subnormal, NaN,
+    +-inf or mixed, with norms from ``_norm`` or set to 0, -0, NaN, +-inf
+    or a negative value."""
+    n_rows, dim = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    rows = []
+    for _ in range(n_rows):
+        fill = data.draw(st.one_of(st.none(), _UNIT_VALUES))
+        rows.append([fill] * dim if fill is not None else
+                    data.draw(st.lists(_UNIT_VALUES, min_size=dim, max_size=dim)))
+    v = np.array(rows, dtype=float)
+    with np.errstate(all="ignore"):
+        nrm = losses._norm(v)
+    for i in range(n_rows):
+        nrm[i] = data.draw(st.sampled_from([nrm[i], 0.0, -0.0, np.nan, np.inf, -np.inf, -1.0]))
+    with np.errstate(all="ignore"):
+        want = np.divide(v, nrm[:, None], out=np.zeros_like(v), where=(nrm > 0)[:, None])
+    assert losses._unit(v, nrm).tobytes() == want.tobytes()

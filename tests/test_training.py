@@ -369,12 +369,40 @@ class TestTrainLoop:
         def poisoned(model, requests, grad=None):
             loss = real_total_loss(model, requests, grad=grad)
             if grad is not None:
-                grad["class_center"][0, 0] = np.nan
+                _send(grad, "class_center", 0, np.nan)
             return loss
 
         monkeypatch.setattr(training, "total_loss", poisoned)
         with pytest.raises(TrainingError, match="gradient"):
             train(parse_theory(TOY), _cfg(epochs=1))
+
+    def test_direct_write_into_the_training_gradient_raises(self, monkeypatch):
+        real_total_loss = training.total_loss
+
+        def writing(model, requests, grad=None):
+            loss = real_total_loss(model, requests, grad=grad)
+            if grad is not None:
+                grad["class_center"][0, 0] = 1.0
+            return loss
+
+        monkeypatch.setattr(training, "total_loss", writing)
+        with pytest.raises(ValueError, match="read-only"):
+            train(parse_theory(TOY), _cfg(epochs=1))
+
+
+def _send(grad, block, row, value, dense=False):
+    """Put ``value`` into the first entry of one row of the block through the
+    gradient's own writers: a settled push, or a dense add of zeros
+    elsewhere."""
+    d = np.zeros((1, *grad[block].shape[1:]))
+    d.reshape(-1)[0] = value
+    if dense:
+        values = np.zeros(grad[block].shape)
+        values[row] = d[0]
+        grad.add_dense(block, values)
+    else:
+        grad.push(block, np.array([row]), d, 1.0)
+        grad.settle()
 
 
 def _train_outcome(theory, cfg, dc=None, dense=False):
@@ -435,7 +463,7 @@ class TestRowSparseAdam:
         def poisoned(model, requests, grad=None):
             loss = real_total_loss(model, requests, grad=grad)
             if grad is not None:
-                grad[block][ids.id_of(row)] = np.nan
+                _send(grad, block, ids.id_of(row), np.nan)
             return loss
 
         monkeypatch.setattr(training, "total_loss", poisoned)
@@ -471,33 +499,66 @@ def _adam_state(adam, params):
     return state, adam.t
 
 
-class TestAdamGuard:
-    """A non-finite gradient entry anywhere in a block stops the step before
-    any parameter or moment moves, whether a push reached its row or not."""
+#: a row the pushes reach, a concept no axiom mentions, the regularizer's
+#: dense block, a role no axiom mentions
+_GUARDED_ROWS = [("class_center", "A"), ("class_offset", "G"), ("class_bump", "F"),
+                 ("role_head_center", "s")]
 
-    @pytest.mark.parametrize("block, row", [
-        ("class_center", "A"),  # a row the pushes reach
-        ("class_offset", "G"),  # a concept no axiom mentions
-        ("class_bump", "F"),  # the regularizer's dense block
-        ("role_head_center", "s"),  # a role no axiom mentions
-    ])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_entry_stops_the_step(self, block, row, value):
+
+class TestAdamGuard:
+    """A non-finite gradient entry in any row of any block, sent through a
+    push or a dense add, stops the step before any parameter or moment
+    moves; the fenced buffer takes no other writes."""
+
+    def _stepped(self):
+        """A box2el model, its optimizer after two steps (live rows with
+        nonzero moments) and the gradient of a third, not yet applied."""
         theory = parse_theory(TOY + "#role s\n")
-        ids = theory.signature.roles if block.startswith("role") else theory.signature.concepts
         model = init_model("box2el", theory.n_concepts, theory.n_roles, 3, seed=0,
                            reg_lambda=0.1)
         adam, grad = training._Adam(model), zero_gradient(model)
         requests = [LossRequest(theory.table, "positive")]
-        for _ in range(2):  # live rows with nonzero moments
+        for _ in range(2):
             total_loss(model, requests, grad=grad)
             adam.step(model.params, grad, 0.1)
         total_loss(model, requests, grad=grad)
-        grad[block][ids.id_of(row)] = value
+        return theory, model, adam, grad
+
+    def _assert_stops(self, block, row, value, dense):
+        theory, model, adam, grad = self._stepped()
+        ids = theory.signature.roles if block.startswith("role") else theory.signature.concepts
+        _send(grad, block, ids.id_of(row), value, dense=dense)
         before = _adam_state(adam, model.params)
         with pytest.raises(TrainingError, match=f"block {block}"):
             adam.step(model.params, grad, 0.1)
         assert _adam_state(adam, model.params) == before
+
+    @pytest.mark.parametrize("block, row", _GUARDED_ROWS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_stops_the_step(self, block, row, value):
+        self._assert_stops(block, row, value, dense=False)
+
+    @pytest.mark.parametrize("block, row", _GUARDED_ROWS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_dense_add_stops_the_step(self, block, row, value):
+        self._assert_stops(block, row, value, dense=True)
+
+    def test_direct_write_raises(self):
+        _, model, adam, grad = self._stepped()
+        for name, g in grad.items():
+            with pytest.raises(ValueError, match="read-only"):
+                g[0] = np.nan
+            with pytest.raises(ValueError, match="read-only"):
+                g += 1.0
+        assert not any(g.flags.writeable for g in gradient(model, []).values())
+
+    def test_step_leaves_the_buffer_all_positive_zero(self):
+        _, model, adam, grad = self._stepped()
+        adam.step(model.params, grad, 0.1)
+        for name, g in grad.items():
+            assert g.tobytes() == np.zeros_like(g).tobytes(), name
+            assert not g.flags.writeable, name
+            assert not grad.touched.get(name, np.zeros(1, bool)).any(), name
 
 
 def _saved_checkpoint(tmp_path):
