@@ -38,12 +38,14 @@ per-key memo of filler rows:
 * (r, A): every E with ``Er.A [= E`` (Bot included for ``Er.A [= Bot``).
 
 One query table maps each GCI variant to its key (its leading id columns), its
-row and its answer column, which is Bot for the three ``_BOT`` variants.
-``entails_ids(code, ids)`` asks whether the answer is in the row of the key;
-``entailed_fillers_ids(code, ids, col)`` is that row when ``col`` is the answer
-column and otherwise asks every concept once, memoized per fixed remainder.
-The id queries check nothing (the sampler asks them with ids it holds);
-``entails`` and ``entailed_fillers`` take a dataclass, check its ids
+row and its answer column: the rightmost concept (``core.RIGHTMOST_COL``), or
+Bot for the three ``_BOT`` variants.  ``entails_ids(code, ids)`` asks whether
+the answer is in the row of the key.  ``entailed_fillers_ids(code, ids)``
+answers the rightmost concept: it is the row of the key for GCI0-GCI3; for a
+``_BOT`` form, whose rightmost concept is part of the key, it asks every
+concept once, memoized per (variant, remainder), without storing the rows it
+probes.  The id queries check nothing (the sampler asks them with ids it
+holds); ``entails`` and ``entailed_fillers`` take a dataclass, check its ids
 (``KeyError``) and ask them.
 
 The two modes answer identically; ``materialized`` additionally
@@ -67,13 +69,14 @@ from .core import (
     BOT_ID,
     GCI0,
     GCI0Bot,
+    RIGHTMOST_COL,
     SLOT_NAMES,
     TOP_ID,
     VARIANTS,
     NormalizedAxiom,
     Theory,
 )
-from .reasoner import RoleHierarchy, SubsumptionIndex
+from .reasoner import RoleHierarchy, SubsumptionIndex, gci1_by_conjunct
 
 
 class ClosureCapError(RuntimeError):
@@ -104,14 +107,7 @@ class DeductiveClosure:
 
     @cached_property
     def _gci1_by_conjunct(self) -> dict[int, list[tuple[int, int]]]:
-        """Asserted ``l n r [= s`` as l -> [(r, s)] and r -> [(l, s)]; GCI1_BOT
-        has s = Bot."""
-        by_conjunct = defaultdict(list)
-        for left, right, sup in self.theory.table.ids_of("GCI1", "GCI1_BOT"):
-            sup = BOT_ID if sup < 0 else sup
-            by_conjunct[left].append((right, sup))
-            by_conjunct[right].append((left, sup))
-        return by_conjunct
+        return gci1_by_conjunct(self.theory.table)
 
     @cached_property
     def _gci3_by_filler(self) -> dict[int, list[tuple[int, int | None]]]:
@@ -128,10 +124,12 @@ class DeductiveClosure:
 
     # -- rows -----------------------------------------------------------------
 
-    def _sup_row(self, a: int) -> frozenset[int]:
+    # a row built with ``store=False`` is not memoized (``_sup_row`` has no memo)
+
+    def _sup_row(self, a: int, store: bool = True) -> frozenset[int]:
         return self._everything if self._unsat(a) else self.index.sup[a]
 
-    def _pair_row(self, a: int, b: int) -> frozenset[int]:
+    def _pair_row(self, a: int, b: int, store: bool = True) -> frozenset[int]:
         key = _canon(a, b)
         row = self._pairs.get(key)
         if row is None:
@@ -148,7 +146,8 @@ class DeductiveClosure:
                         found |= new
                         todo.extend(new)
             row = self._everything if BOT_ID in found else frozenset(found)
-            self._pairs[key] = row
+            if store:
+                self._pairs[key] = row
         return row
 
     def _subject_row(self, a: int) -> dict[int, frozenset[int]]:
@@ -169,7 +168,7 @@ class DeductiveClosure:
     def _role_row(self, a: int, r: int) -> frozenset[int]:
         return self._subject_row(a).get(r, frozenset())
 
-    def _existential_row(self, r: int, a: int) -> frozenset[int]:
+    def _existential_row(self, r: int, a: int, store: bool = True) -> frozenset[int]:
         row = self._existentials.get((r, a))
         if row is None:
             sup = self.index.sup
@@ -183,22 +182,25 @@ class DeductiveClosure:
                         else:
                             found |= sup[s]
             row = frozenset(found)
-            self._existentials[(r, a)] = row
+            if store:
+                self._existentials[(r, a)] = row
         return row
 
     #: GCI variant code -> (key columns, row of the key, answer column); the
-    #: key is the leading id columns, and answer column None asks for Bot
+    #: key is the leading id columns, the answer column the rightmost concept,
+    #: and None (the _BOT forms) asks for Bot
     _QUERIES = {
-        VARIANTS.index(tag): query
-        for tag, query in {
-            "GCI0": (1, _sup_row, 1),
-            "GCI1": (2, _pair_row, 2),
-            "GCI2": (2, _role_row, 2),
-            "GCI3": (2, _existential_row, 2),
-            "GCI0_BOT": (1, _sup_row, None),
-            "GCI1_BOT": (2, _pair_row, None),
-            "GCI3_BOT": (2, _existential_row, None),
-        }.items()
+        VARIANTS.index(tag): (keys, row, None if tag.endswith("_BOT") else col)
+        for tag, keys, row in (
+            ("GCI0", 1, _sup_row),
+            ("GCI1", 2, _pair_row),
+            ("GCI2", 2, _role_row),
+            ("GCI3", 2, _existential_row),
+            ("GCI0_BOT", 1, _sup_row),
+            ("GCI1_BOT", 2, _pair_row),
+            ("GCI3_BOT", 2, _existential_row),
+        )
+        for col in [int(RIGHTMOST_COL[VARIANTS.index(tag)])]
     }
 
     # -- queries ----------------------------------------------------------------
@@ -210,30 +212,26 @@ class DeductiveClosure:
         value = BOT_ID if answer is None else ids[answer]
         return value in row(self, *ids[:keys])
 
-    def entailed_fillers_ids(self, code: int, ids: Sequence[int], col: int) -> frozenset[int]:
-        """Every concept v such that the id row with ``ids[col] = v`` is
-        entailed; the ids are not checked and ``ids[col]`` is not read."""
+    def entailed_fillers_ids(self, code: int, ids: Sequence[int]) -> frozenset[int]:
+        """Every concept v such that the id row with its rightmost concept set
+        to v is entailed; the ids are not checked and that concept is not read."""
         keys, row, answer = self._QUERIES[code]
-        if col == answer:
+        if answer is not None:
             return row(self, *ids[:keys])
-        probe = list(ids)
-        probe[col] = -1
-        key = (code, col, *probe)
-        hit = self._slot_sets.get(key)
+        # a _BOT form: its rightmost concept is the key's last column, so
+        # every concept is asked once; the probes' rows are not stored
+        fixed = tuple(ids[: keys - 1])
+        hit = self._slot_sets.get((code, *fixed))
         if hit is None:
-            found = []
-            for v in range(self.theory.n_concepts):
-                probe[col] = v
-                if self.entails_ids(code, probe):
-                    found.append(v)
-            hit = frozenset(found)
-            self._slot_sets[key] = hit
+            n_c = self.theory.n_concepts
+            hit = frozenset(v for v in range(n_c) if BOT_ID in row(self, *fixed, v, store=False))
+            self._slot_sets[(code, *fixed)] = hit
         return hit
 
     def answer_column(self, code: int) -> int | None:
-        """The column whose fillers ``entailed_fillers_ids`` answers with one
-        row for GCI variant ``code``: its rightmost concept, None for the
-        ``_BOT`` variants (their answer is Bot)."""
+        """The answer column of GCI variant ``code``: its rightmost concept,
+        whose fillers ``entailed_fillers_ids`` answers with one row, or None
+        for the ``_BOT`` variants (their answer is Bot)."""
         return self._QUERIES[code][2]
 
     def _ids(self, ax: NormalizedAxiom) -> tuple[int, list[int]]:
@@ -252,21 +250,11 @@ class DeductiveClosure:
     def entails(self, ax: NormalizedAxiom) -> bool:
         return self.entails_ids(*self._ids(ax))
 
-    def entailed_fillers(self, ax: NormalizedAxiom, slot: str | None = None) -> frozenset[int]:
-        """Every concept v such that ``ax`` with ``slot`` set to v is entailed.
-
-        ``slot`` names a concept slot and defaults to the rightmost one (E for
-        GCI1).  The rightmost slot of GCI0-GCI3 is one row; any other slot asks
-        every concept once and is memoized per fixed remainder.  Biased
-        negative sampling and filtered ranking both use this query.
-        """
-        code, ids = self._ids(ax)
-        names, kinds = SLOT_NAMES[VARIANTS[code]], _SLOT_KINDS[VARIANTS[code]]
-        slots = [name for name, kind in zip(names, kinds) if kind == "c"]
-        slot = slot or slots[-1]
-        if slot not in slots:
-            raise ValueError(f"{slot!r} is not a concept slot of {ax!r}")
-        return self.entailed_fillers_ids(code, ids, names.index(slot))
+    def entailed_fillers(self, ax: NormalizedAxiom) -> frozenset[int]:
+        """Every concept v such that ``ax`` with its rightmost concept set to
+        v is entailed (``entailed_fillers_ids``).  Biased negative sampling
+        and filtered ranking both use this query."""
+        return self.entailed_fillers_ids(*self._ids(ax))
 
     # -- enumeration (materialized mode) ---------------------------------------
 
@@ -274,11 +262,13 @@ class DeductiveClosure:
         if not self.materialized:
             raise ValueError("enumeration requires a materialized closure")
 
+    @cached_property
     def _all_pair_rows(self) -> dict[tuple[int, int], frozenset[int]]:
         self._enumerable()
         n_c = self.theory.n_concepts
         return {(a, b): self._pair_row(a, b) for a in range(n_c) for b in range(a, n_c)}
 
+    @cached_property
     def _all_existential_rows(self) -> dict[tuple[int, int], frozenset[int]]:
         self._enumerable()
         return {
@@ -289,12 +279,12 @@ class DeductiveClosure:
 
     @cached_property
     def gci1(self) -> dict[tuple[int, int], frozenset[int]]:
-        rows = self._all_pair_rows().items()
+        rows = self._all_pair_rows.items()
         return {pair: rest for pair, row in rows if (rest := row - {BOT_ID})}
 
     @cached_property
     def gci1_bot(self) -> set[tuple[int, int]]:
-        return {pair for pair, row in self._all_pair_rows().items() if BOT_ID in row}
+        return {pair for pair, row in self._all_pair_rows.items() if BOT_ID in row}
 
     @cached_property
     def gci2(self) -> dict[tuple[int, int], frozenset[int]]:
@@ -308,12 +298,12 @@ class DeductiveClosure:
 
     @cached_property
     def gci3(self) -> dict[tuple[int, int], frozenset[int]]:
-        rows = self._all_existential_rows().items()
+        rows = self._all_existential_rows.items()
         return {key: rest for key, row in rows if (rest := row - {BOT_ID})}
 
     @cached_property
     def gci3_bot(self) -> set[tuple[int, int]]:
-        return {key for key, row in self._all_existential_rows().items() if BOT_ID in row}
+        return {key for key, row in self._all_existential_rows.items() if BOT_ID in row}
 
     def counts(self) -> dict[str, int]:
         """Materialized axiom count per variant (GCI0 family from the index)."""

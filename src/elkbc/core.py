@@ -194,6 +194,12 @@ _KIND_OF_SLOT = np.array([
     [{"c": 1, "r": 2}[k] for k in _SLOT_KINDS[tag]] + [0] * (3 - len(_SLOT_KINDS[tag]))
     for tag in VARIANTS
 ])
+#: variant code -> id-table column of its rightmost concept, -1 for RI0/RI1:
+#: the one slot a negative corrupts, the closure's filler queries answer and
+#: ranking replaces
+RIGHTMOST_COL = np.array([
+    max((j for j, k in enumerate(_SLOT_KINDS[tag]) if k == "c"), default=-1) for tag in VARIANTS
+])
 
 
 def axiom_tag(ax: NormalizedAxiom) -> str:

@@ -47,12 +47,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closure import DeductiveClosure
-from .core import SLOT_NAMES, VARIANTS, AxiomTable, NormalizedAxiom
+from .core import RIGHTMOST_COL, VARIANTS, AxiomTable, NormalizedAxiom
 from .losses import GeometricModel, batch_losses
 
 _BASE_METRICS = ("H@10", "H@100", "macro_MR", "micro_MR", "macro_AUC", "micro_AUC")
-#: rankable variant -> id-table column of its ranked slot (the rightmost concept, the last slot)
-_RANKED = {"GCI0": SLOT_NAMES["GCI0"].index("sup"), "GCI2": SLOT_NAMES["GCI2"].index("filler")}
+#: rankable variant -> id-table column of its ranked slot, the rightmost concept
+_RANKED = {tag: int(RIGHTMOST_COL[VARIANTS.index(tag)]) for tag in ("GCI0", "GCI2")}
 #: most test-axiom scores held at once (one row per axiom of a block; a
 #: single axiom's row may exceed it), so a full test set is never one block
 _SCORE_BLOCK = 1 << 20
@@ -175,7 +175,7 @@ def score_and_rank(model: GeometricModel, task: RankingTask) -> RankingReport:
                 if outside.any():
                     ax = task.axioms[block[np.argmax(outside)]]
                     raise KeyError(f"{ax!r} has an id outside the closure's theory")
-                sources += [dc.entailed_fillers_ids(code, row, slot) for row in ids]
+                sources += [dc.entailed_fillers_ids(code, row) for row in ids]
             sizes = np.fromiter(map(len, sources), np.int64, len(sources))
             if not sizes.any():
                 continue

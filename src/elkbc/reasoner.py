@@ -25,7 +25,8 @@ re-scan-everything fixpoint lives in the test suite as the independent oracle.
   GCI0_BOT edges, plus CR0's edge from every concept to Top) emits its
   strongly connected components sinks first.  Each component gets one
   frozenset, the reflexive-transitive CR1 closure T of its members, and that
-  row is every member's starting S.
+  row is every member's starting S.  The same routine, without the edge to
+  Top, closes the RI0 graph into the role hierarchy.
 * Rows by key intersection.  CR2 and CR3 fire only on the members a row
   gains that are keys of the GCI1 and GCI2 premise indexes, and CR4 reads
   ``S(b) & F3[r]``, F3[r] being the fillers of role r's GCI3s.  A concept
@@ -56,7 +57,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .core import BOT_ID, TOP_ID, Theory, _collector_paused
+from .core import BOT_ID, TOP_ID, AxiomTable, Theory, _collector_paused
 
 
 @dataclass(frozen=True)
@@ -102,44 +103,38 @@ class RoleLinkIndex:
         return frozenset((a, b) for a, row in enumerate(self.successors) for b in row.get(r, ()))
 
 
-def _role_closure(n_roles: int, ri0) -> list[set[int]]:
-    direct = defaultdict(set)
-    for sub, sup, _ in ri0:
-        direct[sub].add(sup)
-    rsup = []
-    for r in range(n_roles):
-        seen = {r}
-        stack = [r]
-        while stack:
-            q = stack.pop()
-            for s in direct.get(q, ()):
-                if s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        rsup.append(seen)
-    return rsup
+def gci1_by_conjunct(table: AxiomTable) -> dict[int, list[tuple[int, int]]]:
+    """The asserted ``l n r [= s`` of ``table`` as l -> [(r, s)] and
+    r -> [(l, s)]; GCI1_BOT has s = Bot."""
+    by_conjunct: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for left, right, sup in table.ids_of("GCI1", "GCI1_BOT"):
+        sup = BOT_ID if sup < 0 else sup
+        by_conjunct[left].append((right, sup))
+        by_conjunct[right].append((left, sup))
+    return by_conjunct
 
 
-def _told_rows(n_c: int, told: dict[int, list[int]]) -> list[frozenset[int]]:
-    """T[x] per concept: the reflexive-transitive closure of the told edges
-    ``told`` (a concept with none has the one edge to Top).  One iterative
-    Tarjan pass emits the strongly connected components sinks first; each
-    component's one frozenset, shared by its members, unions its successors'
-    rows."""
-    top = (TOP_ID,)
-    index = [-1] * n_c
-    low = [0] * n_c
-    comp = [-1] * n_c
-    rows: list = [None] * n_c
+def _told_rows(
+    n: int, told: dict[int, list[int]], default: tuple[int, ...]
+) -> list[frozenset[int]]:
+    """T[x] per node of ``range(n)``: the reflexive-transitive closure of the
+    told edges ``told`` (a node with none has the edges ``default``: Top for
+    concepts, none for roles).  One iterative Tarjan pass emits the strongly
+    connected components sinks first; each component's one frozenset, shared
+    by its members, unions its successors' rows."""
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    rows: list = [None] * n
     stack: list[int] = []
     counter = n_done = 0
-    for root in range(n_c):
+    for root in range(n):
         if index[root] >= 0:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        work = [(root, iter(told.get(root, top)))]
+        work = [(root, iter(told.get(root, default)))]
         while work:
             v, it = work[-1]
             for w in it:
@@ -147,7 +142,7 @@ def _told_rows(n_c: int, told: dict[int, list[int]]) -> list[frozenset[int]]:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    work.append((w, iter(told.get(w, top))))
+                    work.append((w, iter(told.get(w, default))))
                     break
                 if comp[w] < 0 and index[w] < low[v]:
                     low[v] = index[w]
@@ -163,7 +158,9 @@ def _told_rows(n_c: int, told: dict[int, list[int]]) -> list[frozenset[int]]:
                         comp[m] = n_done
                     # successors' rows are told-closed, so a row that
                     # already holds w holds all of w's row
-                    outside = [w for m in members for w in told.get(m, top) if comp[w] != n_done]
+                    outside = [
+                        w for m in members for w in told.get(m, default) if comp[w] != n_done
+                    ]
                     acc = set(members)
                     for w in outside:
                         if w not in acc:
@@ -194,10 +191,7 @@ def classify(theory: Theory) -> tuple[SubsumptionIndex, RoleHierarchy, RoleLinkI
     told: dict[int, list[int]] = defaultdict(lambda: [TOP_ID])  # CR0's Top, then CR1's
     for a, b, _ in table.ids_of("GCI0", "GCI0_BOT"):
         told[a].append(BOT_ID if b < 0 else b)
-    gci1_by_conjunct: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for a, b, e in table.ids_of("GCI1", "GCI1_BOT"):
-        gci1_by_conjunct[a].append((b, BOT_ID if e < 0 else e))
-        gci1_by_conjunct[b].append((a, BOT_ID if e < 0 else e))
+    by_conjunct = gci1_by_conjunct(table)
     gci2_by_sub: dict[int, dict[int, list[int]]] = defaultdict(dict)
     for a, r, b in table.ids_of("GCI2"):
         gci2_by_sub[a].setdefault(r, []).append(b)
@@ -206,12 +200,15 @@ def classify(theory: Theory) -> tuple[SubsumptionIndex, RoleHierarchy, RoleLinkI
     for r, a, e in table.ids_of("GCI3", "GCI3_BOT"):
         gci3_by_role_filler[(r, a)].append(BOT_ID if e < 0 else e)
         fillers_of_role[r].add(a)
-    conjuncts = frozenset(gci1_by_conjunct)
+    conjuncts = frozenset(by_conjunct)
     gci2_subs = frozenset(gci2_by_sub)
     fillers = {r: frozenset(f) for r, f in fillers_of_role.items()}
     no_fillers: frozenset[int] = frozenset()
 
-    rsup = _role_closure(n_r, table.ids_of("RI0"))
+    role_told: dict[int, list[int]] = defaultdict(list)
+    for r, s, _ in table.ids_of("RI0"):
+        role_told[r].append(s)
+    rsup = _told_rows(n_r, role_told, ())
     lifts = [[s for s in supers if s != r] for r, supers in enumerate(rsup)]
     chain_by_first: dict[int, list[tuple[int, int]]] = defaultdict(list)
     chain_by_second: dict[int, list[tuple[int, int]]] = defaultdict(list)
@@ -219,7 +216,7 @@ def classify(theory: Theory) -> tuple[SubsumptionIndex, RoleHierarchy, RoleLinkI
         chain_by_first[first].append((second, s))
         chain_by_second[second].append((first, s))
 
-    sup: list[frozenset[int] | set[int]] = _told_rows(n_c, told)
+    sup: list[frozenset[int] | set[int]] = _told_rows(n_c, told, (TOP_ID,))
     del told
     bot_told = sup[BOT_ID]
     sup[BOT_ID] = frozenset(range(n_c))
@@ -235,7 +232,7 @@ def classify(theory: Theory) -> tuple[SubsumptionIndex, RoleHierarchy, RoleLinkI
         derived = [
             e
             for x in new & conjuncts
-            for other, e in gci1_by_conjunct[x]
+            for other, e in by_conjunct[x]
             if other in row and e not in row
         ]
         if derived:
@@ -316,7 +313,7 @@ def classify(theory: Theory) -> tuple[SubsumptionIndex, RoleHierarchy, RoleLinkI
         out_by_role[a] = {r: frozenset(bs) for r, bs in out_by_role[a].items()}
 
     index = SubsumptionIndex(sup=tuple(sup), successors=tuple(out_by_role))
-    hierarchy = RoleHierarchy(rsup=tuple(frozenset(s) for s in rsup))
+    hierarchy = RoleHierarchy(rsup=tuple(rsup))
     links = RoleLinkIndex(successors=index.successors, n_roles=n_r)
     return index, hierarchy, links
 

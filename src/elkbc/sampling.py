@@ -1,22 +1,24 @@
 """Corrupted-axiom (negative) generation per normal form.
 
 A corruption resamples exactly one concept slot of an axiom from a candidate
-pool.  By default the rightmost concept is corrupted (the superclass of GCI0
-and GCI3, the filler of GCI2, the right conjunct of GCI1_BOT, the single
-concept of the unary Bot forms); the slot is configurable per variant except
-for GCI1, whose corruptible slot is always the superclass E.  The default
-pool is every concept name except Top and Bot; domain-specific pools (protein
-nominals, function classes) can be passed explicitly, without repeats.
+pool: its rightmost concept (``core.RIGHTMOST_COL``: the superclass of GCI0,
+GCI1 and GCI3, the filler of GCI2, the right conjunct of GCI1_BOT, the single
+concept of GCI0_BOT and the filler of GCI3_BOT), the slot whose entailed
+fillers the closure answers and ranking replaces.  The default pool is every
+concept name except Top and Bot; domain-specific pools (protein nominals,
+function classes) can be passed explicitly, without repeats.
 
 Modes:
 
 * ``random``    -- uniform draw, only the identity corruption is rejected;
 * ``filtered``  -- draws entailed by the deductive closure are rejected and
                    redrawn (up to ``retry_limit``), so no emitted negative is
-                   provable;
+                   provable: each row of GCI0-GCI3 is tested against its one
+                   filler row, each candidate of a ``_BOT`` form with one
+                   point query;
 * ``biased``    -- with probability ``bias_p`` the replacement is drawn
                    uniformly from the closure's ``entailed_fillers`` of the
-                   slot, in ascending id order (an entailed negative on
+                   row, in ascending id order (an entailed negative on
                    purpose), otherwise as in ``random``.
 
 ``sample_batch`` takes axioms as an ``AxiomTable`` (or dataclasses) and returns
@@ -59,18 +61,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closure import DeductiveClosure
-from .core import BOT_ID, SLOT_NAMES, TOP_ID, VARIANTS, AxiomTable, NormalizedAxiom
-
-#: variant -> (default slot, allowed slots)
-SLOT_POLICIES: dict[str, tuple[str, tuple[str, ...]]] = {
-    "GCI0": ("sup", ("sub", "sup")),
-    "GCI1": ("sup", ("sup",)),
-    "GCI2": ("filler", ("sub", "filler")),
-    "GCI3": ("sup", ("filler", "sup")),
-    "GCI0_BOT": ("sub", ("sub",)),
-    "GCI1_BOT": ("right", ("left", "right")),
-    "GCI3_BOT": ("filler", ("filler",)),
-}
+from .core import BOT_ID, RIGHTMOST_COL, TOP_ID, VARIANTS, AxiomTable, NormalizedAxiom
 
 _MASK = 2**64 - 1
 _G = 0x9E3779B97F4A7C15
@@ -86,7 +77,6 @@ class SamplerConfig:
     mode: str = "random"  # random | filtered | biased
     bias_p: float = 0.0
     pool: Optional[tuple[int, ...]] = None  # None: all concepts except Top/Bot
-    slot_overrides: Optional[dict[str, str]] = None
     retry_limit: int = 100
 
     def __post_init__(self):
@@ -98,16 +88,6 @@ class SamplerConfig:
             raise ValueError("retry limit must be >= 1")
         if self.pool is not None and len(set(self.pool)) != len(self.pool):
             raise ValueError("duplicate concept ids in the candidate pool")
-        for tag, slot in (self.slot_overrides or {}).items():
-            if tag not in SLOT_POLICIES:
-                raise ValueError(f"no corruptible slot policy for {tag!r}")
-            if slot not in SLOT_POLICIES[tag][1]:
-                raise ValueError(f"variant {tag} cannot corrupt slot {slot!r}")
-
-    def slot_for(self, tag: str) -> str:
-        if self.slot_overrides and tag in self.slot_overrides:
-            return self.slot_overrides[tag]
-        return SLOT_POLICIES[tag][0]
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -184,13 +164,9 @@ def _corrupt_rows(
 ) -> tuple[AxiomTable, int]:
     """``count`` draws per row from the counter stream of ``seed``; returns
     (negatives, draws skipped because the pool was exhausted)."""
-    # variant code -> id-table column of its corrupted slot, -1 when it has none
-    slot_col = np.array([
-        SLOT_NAMES[tag].index(cfg.slot_for(tag)) if tag in SLOT_POLICIES else -1
-        for tag in VARIANTS
-    ])
+    cols = RIGHTMOST_COL[table.codes]
     if count > 0 and len(table):
-        fixed = slot_col[table.codes] < 0
+        fixed = cols < 0
         if fixed.any():
             raise ValueError(f"variant {VARIANTS[table.codes[fixed][0]]} is not corruptible")
         # the closure's id queries check nothing: rows and pool are checked here
@@ -220,7 +196,6 @@ def _corrupt_rows(
     # (row, draw) pairs in output order; a pair's value is final once done
     rows = np.repeat(np.arange(n_rows), count)
     draws = np.tile(np.arange(count), n_rows)
-    cols = slot_col[table.codes]
     current = table.cols[cols, np.arange(n_rows)]
     values = np.zeros(n_pairs, np.int64)
     done = np.zeros(n_pairs, bool)
@@ -228,7 +203,7 @@ def _corrupt_rows(
         codes, ids_of, col_of = table.codes.tolist(), table.cols.T.tolist(), cols.tolist()
 
         def fillers_of(i: int) -> frozenset[int]:  # the closure memoizes them
-            return dc.entailed_fillers_ids(codes[i], ids_of[i], col_of[i])
+            return dc.entailed_fillers_ids(codes[i], ids_of[i])
 
     if cfg.mode == "biased":
         coin = _words(_prefix(seed, _COIN, rows, draws), 0) >> np.uint64(11)
@@ -243,13 +218,10 @@ def _corrupt_rows(
                 done[pair] = True
 
     if cfg.mode == "filtered":
-        # each row's filler row when the corrupted column is its query's
-        # answer column; None: one point query per candidate
-        answer = {code: dc.answer_column(code) for code in set(codes)}
-        row_sets = [
-            fillers_of(i) if answer[code] == j else None
-            for i, (code, j) in enumerate(zip(codes, col_of))
-        ]
+        # each row's filler row; None for the _BOT forms, whose fillers are
+        # a scan of every concept: one point query per candidate instead
+        one_row = {code: dc.answer_column(code) is not None for code in set(codes)}
+        row_sets = [fillers_of(i) if one_row[code] else None for i, code in enumerate(codes)]
 
         def point_query(i: int, c: int) -> bool:
             ids = list(ids_of[i])

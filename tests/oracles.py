@@ -25,9 +25,11 @@ from elkbc.core import (
     GCI3Bot,
     RI0,
     RI1,
+    SLOT_NAMES,
     Signature,
     TOP_ID,
     Theory,
+    _SLOT_KINDS,
     axiom_tag,
 )
 
@@ -612,12 +614,14 @@ def counter_corrupt_loop(axioms, count, cfg, dc, seed, n_concepts, stats=None):
     ]
     negatives, skipped = [], 0
     for row, ax in enumerate(axioms):
-        slot = cfg.slot_for(axiom_tag(ax))
+        tag = axiom_tag(ax)
+        # the rightmost concept slot
+        slot = [n for n, k in zip(SLOT_NAMES[tag], _SLOT_KINDS[tag]) if k == "c"][-1]
         current = getattr(ax, slot)
         for draw in range(count):
             coin = counter_word(seed, row, draw, 0, 1) >> 11
             if cfg.mode == "biased" and coin * 2.0**-53 < cfg.bias_p:
-                entailed = [v for v in sorted(dc.entailed_fillers(ax, slot)) if v != current]
+                entailed = [v for v in sorted(dc.entailed_fillers(ax)) if v != current]
                 if entailed:
                     pick = entailed[counter_word(seed, row, draw, 0, 2) % len(entailed)]
                     negatives.append(dataclasses.replace(ax, **{slot: pick}))

@@ -1,5 +1,5 @@
 """Randomized equivalence of the closure query path against its references:
-point queries against the naive closure oracle, slot-set queries against
+point queries against the naive closure oracle, filler queries against
 point queries, and mask-filtered ranking against a per-candidate filter."""
 
 import dataclasses
@@ -32,7 +32,6 @@ from elkbc.core import (
 from elkbc.evaluation import RankingTask, score_and_rank
 from elkbc.losses import batch_losses
 from elkbc.reasoner import classify
-from elkbc.sampling import SLOT_POLICIES
 from elkbc.training import init_model
 from oracles import naive_closure, naive_rank, random_theory
 
@@ -99,6 +98,11 @@ def test_entails_matches_naive_closure_in_both_modes(seed):
         assert [dc.entails_ids(code, ids) for code, *ids in rows] == list(map(dc.entails, table))
 
 
+def _rightmost(tag):
+    """The name of the variant's rightmost concept slot."""
+    return [name for name, kind in zip(SLOT_NAMES[tag], _SLOT_KINDS[tag]) if kind == "c"][-1]
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(SEEDS, st.sampled_from(["materialized", "oracle"]))
 def test_entailed_fillers_equal_point_queries(seed, mode):
@@ -106,11 +110,9 @@ def test_entailed_fillers_equal_point_queries(seed, mode):
     dc = compute_closure(theory, index, hierarchy, mode=mode)
     values = range(theory.n_concepts)
     for ax in _every_axiom(theory.n_concepts, theory.n_roles):
-        for slot in SLOT_POLICIES[axiom_tag(ax)][1]:
-            expected = {
-                v for v in values if dc.entails(dataclasses.replace(ax, **{slot: v}))
-            }
-            assert dc.entailed_fillers(ax, slot) == expected, (theory.axioms, ax, slot)
+        slot = _rightmost(axiom_tag(ax))
+        expected = {v for v in values if dc.entails(dataclasses.replace(ax, **{slot: v}))}
+        assert dc.entailed_fillers(ax) == expected, (theory.axioms, ax)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -163,23 +165,37 @@ def test_point_and_slot_queries_reject_ids_outside_the_theory():
                 wrong = dataclasses.replace(ax, **{name: bad})
                 with pytest.raises(KeyError):
                     dc.entails(wrong)
-                for slot in SLOT_POLICIES[tag][1]:
-                    with pytest.raises(KeyError):
-                        dc.entailed_fillers(wrong, slot)
+                with pytest.raises(KeyError):
+                    dc.entailed_fillers(wrong)
 
 
 def test_slot_sets_are_memoized_per_fixed_remainder():
-    theory = parse_theory("GCI2 A r B\nGCI0 B C\nGCI1_BOT A C\n")
+    theory = parse_theory("GCI0 B C\nGCI1_BOT A C\nGCI3_BOT r C\n")
     index, hierarchy, _ = classify(theory)
     dc = compute_closure(theory, index, hierarchy, mode="oracle")
     a, b, c = (theory.signature.concepts.id_of(n) for n in "ABC")
-    subjects = dc.entailed_fillers(GCI2(a, 0, b), "sub")
+    rights = dc.entailed_fillers(GCI1Bot(a, b))
     # neither the queried slot's own value nor the path (dataclass or id row) splits the memo
-    assert dc.entailed_fillers(GCI2(c, 0, b), "sub") is subjects
-    assert dc.entailed_fillers_ids(VARIANTS.index("GCI2"), [b, 0, b], 0) is subjects
-    assert dc.entailed_fillers_ids(VARIANTS.index("GCI1_BOT"), [a, -1, -1], 1) is (
-        dc.entailed_fillers(GCI1Bot(a, a), "right")
-    )
+    assert dc.entailed_fillers(GCI1Bot(a, c)) is rights
+    assert dc.entailed_fillers_ids(VARIANTS.index("GCI1_BOT"), [a, -1, -1]) is rights
+    assert dc.entailed_fillers(GCI3Bot(0, a)) is dc.entailed_fillers(GCI3Bot(0, c))
+    assert dc.entailed_fillers(GCI0Bot(a)) is dc.entailed_fillers(GCI0Bot(c))
+
+
+def test_bot_scans_store_no_probe_rows():
+    """A _BOT form's filler query probes a row per concept; it keeps its own
+    answer but leaves the pair, existential and subject memos as they were."""
+    theory = parse_theory("GCI0 B C\nGCI1_BOT A C\nGCI3_BOT r C\nGCI1 A E D\nGCI2 D r E\n")
+    index, hierarchy, _ = classify(theory)
+    dc = compute_closure(theory, index, hierarchy, mode="oracle")
+    a, b, c, d, e = (theory.signature.concepts.id_of(n) for n in "ABCDE")
+    # one stored row in each memo
+    assert dc.entails(GCI1(a, e, d)) and dc.entails(GCI3Bot(0, c)) and dc.entails(GCI2(d, 0, e))
+    memos = (dc._pairs, dc._existentials, dc._subjects)
+    assert [len(m) for m in memos] == [1, 1, 1]
+    assert dc.entailed_fillers(GCI1Bot(a, e)) == {b, c, BOT_ID}
+    assert dc.entailed_fillers(GCI3Bot(0, a)) == {b, c, BOT_ID}
+    assert [len(m) for m in memos] == [1, 1, 1]
 
 
 def test_concurrent_queries_match_single_thread_answers():

@@ -24,7 +24,7 @@ from elkbc.core import (
     parse_theory,
 )
 from elkbc.datasets import layered_dag_benchmark
-from elkbc.reasoner import classify
+from elkbc.reasoner import _told_rows, classify
 from oracles import axiom_holds, enumerate_models, naive_classify, random_theory
 
 
@@ -102,6 +102,34 @@ def test_role_hierarchy_closure():
     r = t.signature.roles.id_of("r")
     t_id = t.signature.roles.id_of("t")
     assert t_id in hierarchy.rsup[r]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+        )
+    ),
+    st.sampled_from([(), (TOP_ID,)]),
+)
+def test_told_rows_equal_naive_reflexive_transitive_closure(graph, default):
+    """Cycles, self-loops and repeated edges; a node with no told edge takes
+    ``default`` (Top for concepts, none for roles)."""
+    n, edges = graph
+    told = defaultdict(list)
+    for a, b in edges:
+        told[a].append(b)
+    rows = _told_rows(n, dict(told), default)
+    for x in range(n):
+        seen, todo = {x}, [x]
+        while todo:
+            for w in told.get(todo.pop(), default):
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        assert rows[x] == seen, (edges, x)
 
 
 def test_role_links_respect_hierarchy_and_chains():
