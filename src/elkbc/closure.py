@@ -7,8 +7,9 @@ Three rule groups extend a classified theory:
   and its role premises from the role hierarchy (GCI0 and GCI0_BOT come
   verbatim from the reasoner);
 * GCI2 read from the saturation's link rows: a link (A, B) in R(r), which
-  the reasoner derives with role inclusions and chains applied, gives
-  ``A [= Er.B'`` for every ``B'`` above ``B``;
+  the reasoner derives with role inclusions and chains applied and whose row
+  for A it builds on first read (the own links of A's superclasses plus A's
+  per-concept links), gives ``A [= Er.B'`` for every ``B'`` above ``B``;
 * signature-level rules that hold for arbitrary concepts: anything conjoined
   with Bot (or an unsatisfiable concept) is below everything, ``A n E [= E'``
   whenever ``E [= E'``, every provably-disjoint pair is below everything,

@@ -28,46 +28,93 @@ re-scan-everything fixpoint lives in the test suite as the independent oracle.
   row is every member's starting S.  The same routine, without the edge to
   Top, closes the RI0 graph into the role hierarchy.
 * Rows by key intersection.  CR2 and CR3 fire only on the members a row
-  gains that are keys of the GCI1 and GCI2 premise indexes, and CR4 reads
-  ``S(b) & F3[r]``, F3[r] being the fillers of role r's GCI3s.  A concept
-  that gains x takes ``S(x) - S(a)`` in one set operation: S(x) holds T[x]
-  from the start and only sound members after, because x in S(a) implies
-  S(x) within S(a).
+  gains that are keys of the GCI1 and (chain role) GCI2 premise indexes, and
+  CR4 reads ``S(b) & F3[r]``, F3[r] being the fillers of role r's GCI3s.  A
+  concept that gains x takes ``S(x) - S(a)`` in one set operation: S(x) holds
+  T[x] from the start and only sound members after, because x in S(a)
+  implies S(x) within S(a).
+* Own links.  A GCI2 whose role reaches no chain role (``rsup[r]`` meets no
+  role of an RI1) is held once, as an own link at its asserted subject x for
+  every super-role, and CR4/CR5 fire on it only there.  A concept's R(r) is
+  the union of the own rows over its superclasses; no inherited link is
+  stored.
+* Holders.  Those conclusions no longer replay below x, so each increment
+  of S(x) they cause is pushed to every concept holding x, along the reverse
+  told edges and a reverse edge recorded whenever a concept takes another's
+  row; a concept pushes on what is new to it.  The other rules' increments
+  are not pushed: every holder derives them itself.
 * Bot.  S(Bot) is every concept from the start, which is the one exception
-  to that implication: a concept that gains Bot takes Bot's told row T[Bot]
-  instead, so an unsatisfiable concept records Bot (and what Bot is told to
-  be below), not every concept.
-* Held once.  A row no rule beyond CR0/CR1 grows stays its component's shared
-  frozenset; a row that grows is copied on its first write.  R is held as
-  each concept's successor rows, queued and added a list of targets at a
-  time, with predecessor rows (for CR4, CR5 and CR7) only for concepts that
-  have incoming links.
+  to that implication: a concept that gains Bot takes Bot's propagating row
+  instead.  It starts at Bot's told row T[Bot] and grows only through pushes
+  from Bot's told members and the CR4 conclusions of own links asserted at
+  Bot, not those of Bot's per-concept links, so an unsatisfiable concept
+  records Bot (and what Bot is told to be below), not every concept.
+* Chain roles.  A GCI2 whose role reaches a chain role replays at every
+  concept that holds its subject, into per-concept rows queued and added a
+  list of targets at a time, with predecessor rows (for CR4, CR5 and CR7)
+  only for concepts that have incoming links.  CR7 reads only these rows.
 
-At the end the predecessor rows are dropped and the grown rows and the
-successor rows are frozen in place, one row at a time, so each relation is
-held once: ``SubsumptionIndex`` and ``RoleLinkIndex`` share the one tuple of
-successor rows, which the closure reads its GCI2 rows from, and
-``RoleLinkIndex.pairs(r)`` builds R(r) only when asked.  ``classify`` is
-sequential and deterministic; its results are not modified after it returns
-and are safe for concurrent readers.
+A row no rule beyond CR0/CR1 grows stays its component's shared frozenset; a
+row that grows is copied on its first write and frozen at the end.
+``SubsumptionIndex.successors`` is a read-only sequence whose row for a, the
+own rows over S(a) plus a's per-concept rows, is built on its first read and
+published complete.  ``SubsumptionIndex`` and ``RoleLinkIndex`` share it, the
+closure reads its GCI2 rows from it, and ``RoleLinkIndex.pairs(r)`` builds R(r)
+only when asked.  ``classify`` is sequential and deterministic; its results
+are not modified after it returns (concurrent readers at worst build the same
+successor row twice) and are safe for concurrent readers.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import BOT_ID, TOP_ID, AxiomTable, Theory, _collector_paused
+
+
+class _LinkRows(Sequence):
+    """The saturation's link rows, ``rows[a][r]`` being every B with (a, B) in
+    R(r): the union of the own rows of a's superclasses and a's per-concept
+    row.  Row a is built on its first read and published complete."""
+
+    def __init__(self, sup, own: dict, links: dict):
+        self._sup = sup
+        self._own = own
+        self._subjects = frozenset(own)
+        self._links = links
+        self._rows: list = [None] * len(sup)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, a: int) -> dict[int, frozenset[int]]:
+        a = range(len(self._rows))[a]
+        row = self._rows[a]
+        if row is None:
+            parts = defaultdict(list)
+            for x in self._sup[a] & self._subjects:
+                for r, targets in self._own[x].items():
+                    parts[r].append(targets)
+            for r, targets in self._links.get(a, {}).items():
+                parts[r].append(targets)
+            row = {
+                r: frozenset(ts[0]) if len(ts) == 1 else frozenset().union(*ts)
+                for r, ts in sorted(parts.items())
+            }
+            self._rows[a] = row
+        return row
 
 
 @dataclass(frozen=True)
 class SubsumptionIndex:
     """All entailed superclasses per concept (reflexive, transitively closed),
     and the saturation's link rows: ``successors[a][r]`` is every B with
-    (a, B) in R(r), the row ``RoleLinkIndex`` holds too."""
+    (a, B) in R(r), the row ``RoleLinkIndex`` holds too, built on first read."""
 
     sup: tuple[frozenset[int], ...]
-    successors: tuple[dict[int, frozenset[int]], ...]
+    successors: Sequence[dict[int, frozenset[int]]]
 
     def is_subclass(self, a: int, b: int) -> bool:
         """True when a [= b is entailed; unsatisfiable a is below everything."""
@@ -93,7 +140,7 @@ class RoleLinkIndex:
     """The role-link relation R of the saturation, held as each concept's
     successor rows: ``successors[a][r]`` is every B with (a, B) in R(r)."""
 
-    successors: tuple[dict[int, frozenset[int]], ...]
+    successors: Sequence[dict[int, frozenset[int]]]
     n_roles: int
 
     def pairs(self, r: int) -> frozenset[tuple[int, int]]:
@@ -189,19 +236,18 @@ def classify(theory: Theory) -> tuple[SubsumptionIndex, RoleHierarchy, RoleLinkI
     # last slot, folded in with target Bot)
     table = theory.table
     told: dict[int, list[int]] = defaultdict(lambda: [TOP_ID])  # CR0's Top, then CR1's
+    holders: dict[int, list[int]] = defaultdict(list)  # reverse told and take edges
     for a, b, _ in table.ids_of("GCI0", "GCI0_BOT"):
-        told[a].append(BOT_ID if b < 0 else b)
+        b = BOT_ID if b < 0 else b
+        told[a].append(b)
+        holders[b].append(a)
     by_conjunct = gci1_by_conjunct(table)
-    gci2_by_sub: dict[int, dict[int, list[int]]] = defaultdict(dict)
-    for a, r, b in table.ids_of("GCI2"):
-        gci2_by_sub[a].setdefault(r, []).append(b)
     gci3_by_role_filler: dict[tuple[int, int], list[int]] = defaultdict(list)
     fillers_of_role: dict[int, set[int]] = defaultdict(set)
     for r, a, e in table.ids_of("GCI3", "GCI3_BOT"):
         gci3_by_role_filler[(r, a)].append(BOT_ID if e < 0 else e)
         fillers_of_role[r].add(a)
     conjuncts = frozenset(by_conjunct)
-    gci2_subs = frozenset(gci2_by_sub)
     fillers = {r: frozenset(f) for r, f in fillers_of_role.items()}
     no_fillers: frozenset[int] = frozenset()
 
@@ -212,22 +258,42 @@ def classify(theory: Theory) -> tuple[SubsumptionIndex, RoleHierarchy, RoleLinkI
     lifts = [[s for s in supers if s != r] for r, supers in enumerate(rsup)]
     chain_by_first: dict[int, list[tuple[int, int]]] = defaultdict(list)
     chain_by_second: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    chain_roles: set[int] = set()
     for first, second, s in table.ids_of("RI1"):
         chain_by_first[first].append((second, s))
         chain_by_second[second].append((first, s))
+        chain_roles.update((first, second, s))
+
+    # a GCI2 whose role reaches no chain role is one own link per super-role
+    # at its subject; the others replay at every concept that holds it
+    own: dict[int, dict[int, set[int]]] = defaultdict(dict)
+    gci2_by_sub: dict[int, dict[int, list[int]]] = defaultdict(dict)
+    for a, r, b in table.ids_of("GCI2"):
+        if chain_roles.isdisjoint(rsup[r]):
+            for s in rsup[r]:
+                own[a].setdefault(s, set()).add(b)
+        else:
+            gci2_by_sub[a].setdefault(r, []).append(b)
+    gci2_subs = frozenset(gci2_by_sub)
 
     sup: list[frozenset[int] | set[int]] = _told_rows(n_c, told, (TOP_ID,))
     del told
-    bot_told = sup[BOT_ID]
+    bot_row = set(sup[BOT_ID])  # what a concept that gains Bot takes
     sup[BOT_ID] = frozenset(range(n_c))
-    out_by_role: list[dict[int, set[int]]] = [{} for _ in range(n_c)]
-    in_by_role: dict[int, dict[int, list[int]]] = {}
-    pending: dict[int, set[int]] = {}  # candidate superclasses per concept
+    everyone = range(n_c)  # Top's holders
+    grown: list[int] = []  # rows copied on their first write
+    links: dict[int, dict[int, set[int]]] = defaultdict(dict)  # per-concept rows
+    in_by_role: dict[int, dict[int, list[int]]] = {}  # per-concept link subjects
+    own_in: dict[int, dict[int, list[int]]] = {}  # own link subjects
+    pending: dict[int, set[int]] = {}  # candidates from per-concept rules
+    own_pending: dict[int, set[int]] = {}  # candidates from own links
+    pushed: dict[int, list] = {}  # increments of a concept a holds
     queued_links: list = []  # (a, r, targets) for link()
+    started = 0  # concepts below it have fired their whole row
 
     def fire(a: int, new) -> None:
-        """CR2, CR3 and the CR4/CR5 re-examination of links into a, for the
-        members ``new`` just added to S(a)."""
+        """CR2, CR3 of the per-concept GCI2s and the CR4/CR5 re-examination
+        of links into a, for the members ``new`` just added to S(a)."""
         row = sup[a]
         derived = [
             e
@@ -240,82 +306,116 @@ def classify(theory: Theory) -> tuple[SubsumptionIndex, RoleHierarchy, RoleLinkI
         for x in new & gci2_subs:
             for r, bs in gci2_by_sub[x].items():
                 queued_links.append((a, r, bs))
-        preds_of = in_by_role.get(a)
-        if preds_of:
-            for r, preds in preds_of.items():
-                hits = new & fillers.get(r, no_fillers)
-                derived = [e for f in hits for e in gci3_by_role_filler[(r, f)]]
-                if BOT_ID in new:
-                    derived.append(BOT_ID)
-                if derived:
-                    for p in preds:
-                        pending.setdefault(p, set()).update(derived)
+        for preds_of, queue in ((in_by_role.get(a), pending), (own_in.get(a), own_pending)):
+            if preds_of:
+                for r, preds in preds_of.items():
+                    hits = new & fillers.get(r, no_fillers)
+                    derived = [e for f in hits for e in gci3_by_role_filler[(r, f)]]
+                    if BOT_ID in new:
+                        derived.append(BOT_ID)
+                    if derived:
+                        for p in preds:
+                            queue.setdefault(p, set()).update(derived)
 
-    def link(a: int, r: int, targets) -> None:
-        """Add (a, b) to R(r) for every b in ``targets``, an iterable that
-        no one mutates, and fire CR4-CR7 on the links that are new."""
-        row = out_by_role[a].get(r)
-        if row is None:
-            out_by_role[a][r] = row = set()
+    def conclude(a: int, r: int, targets, preds_of: dict, queue: dict) -> None:
+        """Record a as a subject of each link (a, b) in R(r), b in ``targets``,
+        and queue the links' CR4/CR5 conclusions for a."""
         fill = fillers.get(r, no_fillers)
-        new = []
         derived = []
         for b in targets:
-            if b in row:
-                continue
-            row.add(b)
-            new.append(b)
-            in_by_role.setdefault(b, {}).setdefault(r, []).append(a)
+            preds_of.setdefault(b, {}).setdefault(r, []).append(a)
             sup_b = sup[b]
             for f in sup_b & fill:
                 derived += gci3_by_role_filler[(r, f)]
             if BOT_ID in sup_b:
                 derived.append(BOT_ID)
+        if derived:
+            queue.setdefault(a, set()).update(derived)
+
+    def link(a: int, r: int, targets) -> None:
+        """Add (a, b) to a's per-concept R(r) for every b in ``targets``, an
+        iterable that no one mutates, and fire CR4-CR7 on the links that
+        are new."""
+        row = links[a].get(r)
+        if row is None:
+            links[a][r] = row = set()
+        new = []
+        for b in targets:
+            if b not in row:
+                row.add(b)
+                new.append(b)
         if not new:
             return
-        if derived:
-            pending.setdefault(a, set()).update(derived)
+        conclude(a, r, new, in_by_role, pending)
         for s in lifts[r]:
             queued_links.append((a, s, new))
         for r2, s in chain_by_first.get(r, ()):
-            ends = set().union(*(out_by_role[b].get(r2, ()) for b in new))
+            ends = set().union(*(links[b].get(r2, ()) for b in new))
             if ends:
                 queued_links.append((a, s, ends))
         for r1, s in chain_by_second.get(r, ()):
             for p in in_by_role.get(a, {}).get(r1, ()):
                 queued_links.append((p, s, new))
 
+    def take(a: int, candidates) -> set[int]:
+        """What a gains from ``candidates``: each one's row (Bot's
+        propagating row for Bot), a recorded as its holder."""
+        row = bot_row if a == BOT_ID else sup[a]
+        new: set[int] = set()
+        for x in candidates:
+            if x not in row and x not in new:
+                # x's row is sound for a; Bot's is everything, so take Bot's
+                # propagating row instead
+                new |= (bot_row if x == BOT_ID else sup[x]) - row
+                holders[x].append(a)
+        return new
+
+    def grow(a: int, new: set[int], spread: bool) -> None:
+        """Add ``new`` to S(a) (Bot's propagating row for Bot), fire it once
+        a has fired its row, and push it to a's holders when ``spread``."""
+        if a == BOT_ID:
+            bot_row.update(new)
+        else:
+            row = sup[a]
+            if type(row) is frozenset:
+                sup[a] = row = set(row)
+                grown.append(a)
+            row |= new
+            if a < started:
+                fire(a, new)
+        if spread:
+            for h in everyone if a == TOP_ID else holders.get(a, ()):
+                pushed.setdefault(h, []).append(new)
+
     for a in range(n_c):
+        started = a + 1
         fire(a, sup[a])
-        while queued_links or pending:
+        for r, targets in own.get(a, {}).items():
+            conclude(a, r, targets, own_in, own_pending)
+        while queued_links or pending or own_pending or pushed:
             while queued_links:
                 link(*queued_links.pop())
-            while pending:
-                a, candidates = pending.popitem()
-                row = sup[a]
-                new = set()
-                for x in candidates:
-                    if x not in row and x not in new:
-                        # x's row is sound for a; Bot's is everything, so take
-                        # Bot's told row instead
-                        new |= (bot_told if x == BOT_ID else sup[x]) - row
-                if not new:
-                    continue
-                if type(row) is frozenset:
-                    sup[a] = row = set(row)
-                row |= new
-                fire(a, new)
+            if pending:
+                x, candidates = pending.popitem()
+                if x != BOT_ID and (new := take(x, candidates)):  # Bot's row is every concept
+                    grow(x, new, False)
+            elif own_pending:
+                x, candidates = own_pending.popitem()
+                if new := take(x, candidates):
+                    grow(x, new, True)
+            elif pushed:
+                x, parts = pushed.popitem()
+                row = bot_row if x == BOT_ID else sup[x]
+                if new := {m for part in parts for m in part if m not in row}:
+                    grow(x, new, True)
 
-    in_by_role.clear()  # saturation's premises only
-    for a in range(n_c):
-        if type(sup[a]) is set:
-            sup[a] = frozenset(sup[a])
-        out_by_role[a] = {r: frozenset(bs) for r, bs in out_by_role[a].items()}
-
-    index = SubsumptionIndex(sup=tuple(sup), successors=tuple(out_by_role))
+    for a in grown:
+        sup[a] = frozenset(sup[a])
+    sup = tuple(sup)
+    index = SubsumptionIndex(sup=sup, successors=_LinkRows(sup, own, links))
     hierarchy = RoleHierarchy(rsup=tuple(rsup))
-    links = RoleLinkIndex(successors=index.successors, n_roles=n_r)
-    return index, hierarchy, links
+    links_index = RoleLinkIndex(successors=index.successors, n_roles=n_r)
+    return index, hierarchy, links_index
 
 
 def dump_subsumptions(theory: Theory, index: SubsumptionIndex) -> str:

@@ -18,8 +18,8 @@ Modes:
                    point query;
 * ``biased``    -- with probability ``bias_p`` the replacement is drawn
                    uniformly from the closure's ``entailed_fillers`` of the
-                   row, in ascending id order (an entailed negative on
-                   purpose), otherwise as in ``random``.
+                   row that are in the pool, in ascending id order (an
+                   entailed negative on purpose), otherwise as in ``random``.
 
 ``sample_batch`` takes axioms as an ``AxiomTable`` (or dataclasses) and returns
 the negatives as one, ordered by input row, then draw; ``corrupt`` is its
@@ -41,12 +41,12 @@ is the row's index in the input table, ``draw`` is in ``[0, count)`` and
 ``attempt`` in ``[0, retry_limit)``.  Purpose 0 is the random candidate,
 ``pool[word % len(pool)]``; purpose 1 (attempt 0) is the biased coin, heads
 when ``(word >> 11) * 2^-53 < bias_p``; purpose 2 (attempt 0) is the biased
-pick, ``entailed[word % len(entailed)]`` over the sorted entailed fillers other
-than the current value.  A biased draw with nothing entailed to pick falls
-through to random attempts.  So a draw depends on its coordinates alone, not
-on the batch around it: a batch is reproducible, a prefix of the input draws
-a prefix of the output, and draws may be generated in any order or in
-parallel.  ``sample_batch`` hashes the attempts of every pending (row, draw)
+pick, ``entailed[word % len(entailed)]`` over the sorted entailed fillers in
+the pool other than the current value.  A biased draw with nothing entailed to
+pick falls through to random attempts.  So a draw depends on its coordinates
+alone, not on the batch around it: a batch is reproducible, a prefix of the
+input draws a prefix of the output, and draws may be generated in any order
+or in parallel.  ``sample_batch`` hashes the attempts of every pending (row, draw)
 pair of a batch at once, one round per attempt; a pair still pending after
 ``retry_limit`` rounds (its pool exhausted: every candidate entailed or equal
 to the original) is skipped and counted, where ``corrupt`` raises
@@ -209,10 +209,12 @@ def _corrupt_rows(
         coin = _words(_prefix(seed, _COIN, rows, draws), 0) >> np.uint64(11)
         heads = np.flatnonzero(coin.astype(np.float64) * 2.0**-53 < cfg.bias_p)
         picks = _words(_prefix(seed, _PICK, rows[heads], draws[heads]), 0).tolist()
-        entailed: dict[int, list[int]] = {}  # row -> sorted fillers other than its value
+        in_pool = set(pool.tolist())
+        entailed: dict[int, list[int]] = {}  # row -> sorted pool fillers other than its value
         for pair, i, word in zip(heads.tolist(), rows[heads].tolist(), picks):
             if i not in entailed:
-                entailed[i] = [v for v in sorted(fillers_of(i)) if v != ids_of[i][col_of[i]]]
+                value = ids_of[i][col_of[i]]
+                entailed[i] = [v for v in sorted(fillers_of(i)) if v != value and v in in_pool]
             if entailed[i]:  # else fall through to a random draw
                 values[pair] = entailed[i][word % len(entailed[i])]
                 done[pair] = True

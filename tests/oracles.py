@@ -602,9 +602,10 @@ def counter_word(seed: int, row: int, draw: int, attempt: int, purpose: int) -> 
 
 def counter_corrupt_loop(axioms, count, cfg, dc, seed, n_concepts, stats=None):
     """Negatives and skip count of the counter-based sampler, one row, draw
-    and attempt at a time: a biased coin (purpose 1) and pick (purpose 2),
-    else random candidates (purpose 0) until one is neither the current value
-    nor, when filtered, entailed by ``dc.entails``.  ``stats`` counts the
+    and attempt at a time: a biased coin (purpose 1) and pick (purpose 2, among
+    the entailed fillers in the pool), else random candidates (purpose 0) until
+    one is neither the current value nor, when filtered, entailed by
+    ``dc.entails``.  ``stats`` counts the
     random candidates (``drawn``) and the entailed ones (``entailed_rejected``)."""
     stats = {} if stats is None else stats
     stats.setdefault("drawn", 0)
@@ -621,7 +622,9 @@ def counter_corrupt_loop(axioms, count, cfg, dc, seed, n_concepts, stats=None):
         for draw in range(count):
             coin = counter_word(seed, row, draw, 0, 1) >> 11
             if cfg.mode == "biased" and coin * 2.0**-53 < cfg.bias_p:
-                entailed = [v for v in sorted(dc.entailed_fillers(ax)) if v != current]
+                entailed = [
+                    v for v in sorted(dc.entailed_fillers(ax)) if v != current and v in pool
+                ]
                 if entailed:
                     pick = entailed[counter_word(seed, row, draw, 0, 2) % len(entailed)]
                     negatives.append(dataclasses.replace(ax, **{slot: pick}))

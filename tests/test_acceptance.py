@@ -233,16 +233,20 @@ def test_a5_sampler_guarantees():
     assert skipped == 0 and len(negatives) == 10_000
     assert all(ax == expected for ax in negatives)
 
-    golden = golden_theory()
-    g_index, g_hier, _ = classify(golden)
-    g_dc = compute_closure(golden, g_index, g_hier)
-    gci2_axioms = golden.axioms_of(GCI2)
+    # biased draws pick from the entailed fillers in the pool: here one, C,
+    # among the 62 candidates besides the value B, which a random draw also
+    # hits with probability 1/62
+    extra = "".join(f"#concept X{i}\n" for i in range(59))
+    biased = parse_theory("GCI2 A r B\nGCI0 B C\n" + extra)
+    b_index, b_hier, _ = classify(biased)
+    b_dc = compute_closure(biased, b_index, b_hier)
+    gci2_axioms = biased.axioms_of(GCI2)
     for p in (0.25, 0.5, 0.75):
         fraction, n = entailed_fraction(
-            gci2_axioms, 5_000, SamplerConfig(mode="biased", bias_p=p), g_dc, seed=3
+            gci2_axioms, 10_000, SamplerConfig(mode="biased", bias_p=p), b_dc, seed=3
         )
         assert n == 10_000
-        assert abs(fraction - p) <= 0.02, (p, fraction)
+        assert abs(fraction - (p + (1 - p) / 62)) <= 0.02, (p, fraction)
     _report("A5 sampler guarantees", time.monotonic() - start, 10.0)
 
 

@@ -127,13 +127,18 @@ def test_closure_cap_exit_code(golden_file, capsys):
     assert main(["closure", str(golden_file), "--cap", "7"]) == 2
 
 
-def test_sample_check_reports_fraction(golden_file, capsys):
+def test_sample_check_reports_fraction(golden_file, tmp_path, capsys):
     # random corruption occasionally hits provable axioms (the disjointness
     # pair has one provable corruption), so the fraction is small but real
     assert main(["sample-check", str(golden_file), "--count", "50"]) == 0
     frac = float(capsys.readouterr().out.split(":")[1].split("(")[0])
     assert 0.0 <= frac < 0.1
-    assert main(["sample-check", str(golden_file), "--count", "50", "--bias", "0.5",
+    # golden's GCI2 rows have no entailed corruption in the pool (only Top),
+    # so the biased draws run on a row with one, C, among 62 candidates
+    biased = tmp_path / "biased.nf"
+    extra = "".join(f"#concept X{i}\n" for i in range(59))
+    biased.write_text("GCI2 A r B\nGCI0 B C\n" + extra, encoding="utf-8")
+    assert main(["sample-check", str(biased), "--count", "50", "--bias", "0.5",
                  "--variant", "GCI2"]) == 0
     frac = float(capsys.readouterr().out.split(":")[1].split("(")[0])
     assert 0.3 < frac < 0.7

@@ -242,6 +242,66 @@ def test_cyclic_theories_agree_with_naive_fixpoint(theory):
     assert_agrees_with_naive(theory, index)
 
 
+@st.composite
+def deep_hierarchies(draw) -> Theory:
+    """Deep told hierarchies: GCI0 chains with cross edges between them, GCI2
+    and GCI3 on chain-free roles (r0, r1 [= r0) and on chain roles (r2, r3,
+    and r0 too when it is put below r2), and GCI0_BOT / GCI1_BOT axioms that
+    make some members unsatisfiable."""
+    n_chains = draw(st.integers(1, 3))
+    depth = draw(st.integers(2, 6))
+    sig = Signature()
+    chains = [[sig.concepts.intern(f"c{k}_{i}") for i in range(depth)] for k in range(n_chains)]
+    for i in range(4):
+        sig.roles.intern(f"r{i}")
+    members = [x for chain in chains for x in chain]
+    member = st.sampled_from(members)
+    concept = st.sampled_from(members + [TOP_ID, BOT_ID])
+    role = st.integers(0, 3)
+
+    axioms = [GCI0(x, y) for chain in chains for x, y in zip(chain, chain[1:])]
+    axioms += [RI0(1, 0), RI1(2, 3, 2)]
+    if draw(st.booleans()):
+        axioms.append(RI0(0, 2))
+    for _ in range(draw(st.integers(0, 2 * n_chains))):
+        axioms.append(GCI0(draw(member), draw(member)))
+    for _ in range(draw(st.integers(1, 2 * depth))):
+        axioms.append(GCI2(draw(concept), draw(role), draw(member)))
+    for _ in range(draw(st.integers(1, 2 * depth))):
+        axioms.append(GCI3(draw(role), draw(concept), draw(concept)))
+    for _ in range(draw(st.integers(0, 2))):
+        axioms.append(GCI1(draw(member), draw(member), draw(concept)))
+    for _ in range(draw(st.integers(0, 1))):
+        axioms.append(GCI0Bot(draw(member)))
+    for _ in range(draw(st.integers(0, 1))):
+        axioms.append(GCI1Bot(draw(member), draw(member)))
+    return Theory(sig, draw(st.permutations(axioms)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(deep_hierarchies())
+def test_deep_hierarchies_agree_with_naive_fixpoint(theory):
+    index, _, _ = classify(theory)
+    assert_agrees_with_naive(theory, index)
+
+
+def test_chain_free_link_rows_are_built_on_first_read():
+    """Layered DAG 0 has no role chains: classify stores no per-concept link
+    row and builds no successor row until one is read."""
+    theory, _, _ = layered_dag_benchmark(0)
+    assert not theory.axioms_of(RI1)
+    index, _, links = classify(theory)
+    rows = index.successors
+    assert links.successors is rows
+    assert rows._links == {}
+    assert rows._rows.count(None) == len(rows) == theory.n_concepts
+    _, R = naive_classify(theory)
+    successors = naive_successors(R)
+    a = next(a for a in range(theory.n_concepts) if a in successors and a != BOT_ID)
+    assert rows[a] == successors[a]
+    assert len(rows) - rows._rows.count(None) == 1
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_layered_dag_agrees_with_naive_fixpoint(seed):
     theory, _, _ = layered_dag_benchmark(seed)
@@ -282,6 +342,17 @@ def test_bot_row_is_every_concept_and_its_links_match_naive():
     assert index.successors[BOT_ID]
     _, R = naive_classify(t)
     assert index.successors[BOT_ID] == naive_successors(R)[BOT_ID]
+    # an unsatisfiable concept takes the CR4 conclusions of links asserted at
+    # Bot, but not those of Bot's per-concept (chain role) links
+    t = parse_theory("GCI1_BOT owl:Thing D\nGCI2 owl:Nothing r F\nGCI3 r F C\n")
+    index, _, _ = classify(t)
+    c, d = (t.signature.concepts.id_of(n) for n in "CD")
+    assert c in index.sup[d]
+    assert_agrees_with_naive(t, index)
+    t = parse_theory("GCI0_BOT owl:Thing\nRI1 p q s\nGCI2 A q A\nGCI3 q owl:Thing C\n")
+    index, _, _ = classify(t)
+    assert index.sup[TOP_ID] == {TOP_ID, BOT_ID}
+    assert_agrees_with_naive(t, index)
 
 
 def test_asserted_top_subclass_is_in_every_row():

@@ -9,7 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elkbc.closure import compute_closure
-from elkbc.core import AXIOM_TAGS, GCI0, GCI1, GCI2, TOP_ID, VARIANTS, axiom_tag, parse_theory
+from elkbc.core import (
+    AXIOM_TAGS,
+    BOT_ID,
+    GCI0,
+    GCI1,
+    GCI2,
+    RIGHTMOST_COL,
+    TOP_ID,
+    VARIANTS,
+    Theory,
+    axiom_tag,
+    parse_theory,
+    serialize_theory,
+)
 from elkbc.losses import LOSS_VARIANTS
 from elkbc.reasoner import classify
 from elkbc.sampling import (
@@ -124,24 +137,53 @@ def test_biased_draws_entailed_axioms(golden):
     theory, dc = golden["theory"], golden["materialized"]
     names = theory.signature.concepts
     p, go1 = names.id_of("{P}"), names.id_of("{GO1}")
-    ax = GCI2(p, 0, go1)
     cfg = SamplerConfig(mode="biased", bias_p=1.0)
     rng = rng_for(1)
     for _ in range(50):
-        out = corrupt(ax, cfg, dc, rng)
-        # the only other provable filler for {P} is Top
-        assert out == GCI2(p, 0, TOP_ID)
+        # the only other provable filler for {P} is Top, which is outside the
+        # pool, so the draw falls through to a random one
+        out = corrupt(GCI2(p, 0, go1), cfg, dc, rng)
+        assert out.filler not in (TOP_ID, BOT_ID, go1)
+    theory, dc = closure_of("GCI2 A r B\nGCI0 B C\n#concept D\n")
+    a, b, c = (theory.signature.concepts.id_of(n) for n in "ABC")
+    for _ in range(50):
+        out = corrupt(GCI2(a, 0, b), cfg, dc, rng)
+        assert out == GCI2(a, 0, c)
         assert dc.entails(out)
 
 
-def test_biased_fraction_tracks_probability(golden):
-    theory, dc = golden["theory"], golden["materialized"]
+def test_biased_fraction_tracks_probability():
+    # one entailed filler, C, in a pool of 62 candidates besides the value B:
+    # a biased draw picks it, a random one with probability 1/62
+    extra = "".join(f"#concept X{i}\n" for i in range(59))
+    theory, dc = closure_of("GCI2 A r B\nGCI0 B C\n" + extra)
     gci2 = theory.axioms_of(GCI2)
     for p in (0.25, 0.5, 0.75):
         cfg = SamplerConfig(mode="biased", bias_p=p)
-        fraction, n = entailed_fraction(gci2, 2000, cfg, dc, seed=5)
+        fraction, n = entailed_fraction(gci2, 4000, cfg, dc, seed=5)
         assert n == 4000
-        assert abs(fraction - p) < 0.02
+        assert abs(fraction - (p + (1 - p) / 62)) < 0.02
+
+
+@pytest.mark.parametrize("explicit_pool", [False, True])
+def test_biased_negatives_stay_in_the_pool(explicit_pool):
+    """Bot is an entailed filler of every GCI1_BOT and GCI3_BOT row, and Top
+    of every GCI0 row; neither is in a pool, and a negative naming Bot in a
+    ``_BOT`` form does not parse."""
+    text = "GCI0 A B\nGCI0 B C\nGCI1_BOT A D\nGCI3_BOT r E\nGCI0_BOT F\nGCI0 G F\n"
+    theory, dc = closure_of(text)
+    names = theory.signature.concepts
+    pool = tuple(names.id_of(n) for n in "CDEG") if explicit_pool else None
+    cfg = SamplerConfig(mode="biased", bias_p=1.0, pool=pool)
+    codes = [VARIANTS.index(t) for t in ("GCI0", "GCI1_BOT", "GCI3_BOT")]
+    rows = theory.table[np.isin(theory.table.codes, codes)]
+    negatives, skipped = sample_batch(rows, 8, cfg, dc, seed=3)
+    allowed = set(pool) if explicit_pool else set(range(theory.n_concepts)) - {TOP_ID, BOT_ID}
+    cols = RIGHTMOST_COL[negatives.codes]
+    assert len(negatives) + skipped == 8 * len(rows)
+    assert set(negatives.cols[cols, np.arange(len(negatives))].tolist()) <= allowed
+    back = parse_theory(serialize_theory(Theory(theory.signature, list(negatives))))
+    assert set(back.axioms) == set(negatives)
 
 
 def test_random_mode_requires_no_closure():
