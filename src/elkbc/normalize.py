@@ -27,13 +27,19 @@ expanded into two inclusions before rewriting, concept assertions
 ``instance(C, a)`` become ``{a} [= C``, and role assertions ``role(r, a, b)``
 become ``{a} [= Er.{b}``.  ``bot [= D`` is dropped.  Normalization is a pure
 function of its input: results carry a per-invocation fresh-name ledger.
+
+Signature ids are given by a pre-pass before any rewriting: axioms in input
+order, each axiom's operands left to right and each expression's names left
+to right, except that ``instance(C, a)`` interns ``{a}`` before ``C``.  So
+``instance(C, a)``, ``role(r, b, c)``, ``sub(some(s, D), E)`` give the concepts
+``owl:Thing, owl:Nothing, {a}, C, {b}, {c}, D, E`` and the roles ``r, s``.
+Fresh names follow, in the order the rewrite introduces them.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .core import (
     BOT_ID,
@@ -45,6 +51,7 @@ from .core import (
     GCI2,
     GCI3,
     GCI3Bot,
+    Interner,
     RI0,
     RI1,
     ParseError,
@@ -89,6 +96,7 @@ class Nominal:
 
 
 ConceptExpr = Union[Bot, Top, Name, And, Some, Nominal]
+_CONSTANT_IDS = {Bot: BOT_ID, Top: TOP_ID}
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,7 +172,6 @@ def axiom_to_str(ax: InputAxiom) -> str:
 # ---------------------------------------------------------------------------
 
 
-_TOKENS = re.compile(r"[(),]|[^\s(),]+").findall
 #: tokens that cannot be a name
 _NOT_A_NAME = frozenset("(),") | _RESERVED
 _BOT = Bot()
@@ -275,9 +282,10 @@ def _axiom(toks: list[str], names: dict[str, Name]) -> InputAxiom:
 def parse_input(text: str) -> list[InputAxiom]:
     """Parse `.elpp` text into input axioms; raises ParseError with position.
 
-    Each line is one ``re.findall`` token list read by an index-based
-    recursive descent.  A concept name read twice yields the same ``Name``
-    object within a call, and ``bot`` / ``top`` one ``Bot`` / ``Top`` each.
+    A line's tokens are its whitespace-separated words once ``(``, ``)`` and
+    ``,`` are spaced out; an index-based recursive descent reads them.  A
+    concept name read twice yields the same ``Name`` object within a call,
+    and ``bot`` / ``top`` one ``Bot`` / ``Top`` each.
     The cyclic collector is paused while it runs (see
     ``core._collector_paused``).
     """
@@ -287,8 +295,9 @@ def parse_input(text: str) -> list[InputAxiom]:
         line = raw.strip()
         if not line or line[0] == "#":
             continue
+        toks = line.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
         try:
-            axioms.append(_axiom(_TOKENS(line), names))
+            axioms.append(_axiom(toks, names))
         except IndexError:  # the reader indexes past the line's last token
             raise ParseError(line_no, "unexpected end of line") from None
         except _Unexpected as exc:
@@ -315,82 +324,68 @@ class _Normalizer:
         self.sig = Signature()
         self.out: list = []
         self.ledger: list[tuple[str, str]] = []
-        self._n_counter = 0
-        self._u_counter = 0
+        self._counters = {"_N": 0, "_u": 0}
+        # the rewrite reads ids the pre-pass interned; it interns only fresh names
+        self._concept_id, self._role_id = self.sig.concepts.id_of, self.sig.roles.id_of
 
-    def fresh_concept(self, stands_for: ConceptExpr) -> int:
+    def fresh(self, names: Interner, prefix: str, stands_for: str) -> int:
+        """Interns ``prefix<k>`` for the next k whose name is free; records it."""
         while True:
-            self._n_counter += 1
-            name = f"_N{self._n_counter}"
-            if name not in self.sig.concepts:
-                break
-        self.ledger.append((name, expr_to_str(stands_for)))
-        return self.sig.concepts.intern(name)
+            self._counters[prefix] += 1
+            name = f"{prefix}{self._counters[prefix]}"
+            if name not in names:
+                self.ledger.append((name, stands_for))
+                return names.intern(name)
 
-    def fresh_role(self, stands_for: str) -> int:
-        while True:
-            self._u_counter += 1
-            name = f"_u{self._u_counter}"
-            if name not in self.sig.roles:
-                break
-        self.ledger.append((name, stands_for))
-        return self.sig.roles.intern(name)
-
-    def concept_id(self, expr: ConceptExpr) -> int:
-        if isinstance(expr, Bot):
-            return BOT_ID
-        if isinstance(expr, Top):
-            return TOP_ID
-        if isinstance(expr, Name):
-            return self.sig.concepts.intern(expr.name)
-        if isinstance(expr, Nominal):
-            self.sig.individuals.intern(expr.individual)
-            return self.sig.concepts.intern(_nominal_name(expr.individual))
-        raise TypeError(f"not an atomic concept: {expr!r}")
+    def intern_nominal(self, individual: str) -> None:
+        self.sig.individuals.intern(individual)
+        self.sig.concepts.intern(_nominal_name(individual))
 
     def intern_names(self, expr: ConceptExpr) -> None:
-        """Pre-pass so signature ids reflect mention order, not rewrite order."""
-        if isinstance(expr, (Bot, Top)):
-            return
-        if isinstance(expr, (Name, Nominal)):
-            self.concept_id(expr)
-            return
-        if isinstance(expr, And):
+        """Pre-pass: intern the names of ``expr`` left to right."""
+        kind = type(expr)
+        if kind is Name:
+            self.sig.concepts.intern(expr.name)
+        elif kind is And:
             self.intern_names(expr.left)
             self.intern_names(expr.right)
-            return
-        if isinstance(expr, Some):
+        elif kind is Some:
             self.sig.roles.intern(expr.role)
             self.intern_names(expr.filler)
-            return
-        raise TypeError(f"not a concept expression: {expr!r}")
+        elif kind is Nominal:
+            self.intern_nominal(expr.individual)
+        elif kind is not Bot and kind is not Top:
+            raise TypeError(f"not a concept expression: {expr!r}")
 
-    @staticmethod
-    def _atomic(expr: ConceptExpr) -> bool:
-        return isinstance(expr, (Bot, Top, Name, Nominal))
+    def atom(self, expr: ConceptExpr) -> Optional[int]:
+        """The id of an atomic concept, None for ``And`` / ``Some``."""
+        kind = type(expr)
+        if kind is Name:
+            return self._concept_id(expr.name)
+        if kind is Nominal:
+            return self._concept_id(_nominal_name(expr.individual))
+        return _CONSTANT_IDS.get(kind)
 
     def name_lhs(self, expr: ConceptExpr) -> int:
         """Name a subclass-position expression; emits ``expr [= fresh``."""
-        if self._atomic(expr):
-            return self.concept_id(expr)
-        if isinstance(expr, And):
+        if (ident := self.atom(expr)) is not None:
+            return ident
+        if type(expr) is And:
             left = self.name_lhs(expr.left)
             right = self.name_lhs(expr.right)
-            fresh = self.fresh_concept(expr)
+            fresh = self.fresh(self.sig.concepts, "_N", expr_to_str(expr))
             self._emit_gci1(left, right, fresh)
             return fresh
-        if isinstance(expr, Some):
-            filler = self.name_lhs(expr.filler)
-            fresh = self.fresh_concept(expr)
-            self._emit_gci3(self.sig.roles.intern(expr.role), filler, fresh)
-            return fresh
-        raise TypeError(f"not a concept expression: {expr!r}")
+        filler = self.name_lhs(expr.filler)
+        fresh = self.fresh(self.sig.concepts, "_N", expr_to_str(expr))
+        self._emit_gci3(self._role_id(expr.role), filler, fresh)
+        return fresh
 
     def name_rhs(self, expr: ConceptExpr) -> int:
         """Name a superclass-position expression; emits ``fresh [= expr``."""
-        if self._atomic(expr):
-            return self.concept_id(expr)
-        fresh = self.fresh_concept(expr)
+        if (ident := self.atom(expr)) is not None:
+            return ident
+        fresh = self.fresh(self.sig.concepts, "_N", expr_to_str(expr))
         self.norm_sub(Name(self.sig.concepts.name_of(fresh)), expr)
         return fresh
 
@@ -419,76 +414,81 @@ class _Normalizer:
             self.out.append(GCI0(sub, sup))
 
     def norm_sub(self, sub: ConceptExpr, sup: ConceptExpr) -> None:
-        if isinstance(sub, Bot):
+        sub_kind, sup_kind = type(sub), type(sup)
+        if sub_kind is Name and sup_kind is Name:
+            self._emit_gci0(self._concept_id(sub.name), self._concept_id(sup.name))
             return
-        if isinstance(sup, And):
+        if sub_kind is Bot:
+            return
+        if sup_kind is And:
             self.norm_sub(sub, sup.left)
             self.norm_sub(sub, sup.right)
             return
-        if isinstance(sup, Some):
+        if sup_kind is Some:
             sub_id = self.name_lhs(sub)
             filler = self.name_rhs(sup.filler)
-            self.out.append(GCI2(sub_id, self.sig.roles.intern(sup.role), filler))
+            self.out.append(GCI2(sub_id, self._role_id(sup.role), filler))
             return
-        sup_id = self.concept_id(sup)
-        if isinstance(sub, And):
+        sup_id = self.atom(sup)
+        if sub_kind is And:
             left = self.name_lhs(sub.left)
             right = self.name_lhs(sub.right)
             self._emit_gci1(left, right, sup_id)
-            return
-        if isinstance(sub, Some):
+        elif sub_kind is Some:
             filler = self.name_lhs(sub.filler)
-            self._emit_gci3(self.sig.roles.intern(sub.role), filler, sup_id)
-            return
-        self._emit_gci0(self.concept_id(sub), sup_id)
+            self._emit_gci3(self._role_id(sub.role), filler, sup_id)
+        else:
+            self._emit_gci0(self.atom(sub), sup_id)
 
     def norm_chain(self, chain: tuple[str, ...], sup: str) -> None:
         # r1 o ... o rk [= s peels from the right; fully expanded that is a
         # left fold, so fresh roles emerge in emission order.
-        ids = [self.sig.roles.intern(r) for r in chain]
-        sup_id = self.sig.roles.intern(sup)
+        ids = [self._role_id(r) for r in chain]
+        sup_id = self._role_id(sup)
         if len(ids) == 1:
             self.out.append(RI0(ids[0], sup_id))
             return
         acc = ids[0]
         for i in range(1, len(ids) - 1):
-            fresh = self.fresh_role(" o ".join(chain[: i + 1]))
+            fresh = self.fresh(self.sig.roles, "_u", " o ".join(chain[: i + 1]))
             self.out.append(RI1(acc, ids[i], fresh))
             acc = fresh
         self.out.append(RI1(acc, ids[-1], sup_id))
 
     def run(self, axioms: list[InputAxiom]) -> None:
+        concept, role = self.sig.concepts.intern, self.sig.roles.intern
         for ax in axioms:
-            if isinstance(ax, Sub):
-                self.intern_names(ax.sub)
-                self.intern_names(ax.sup)
-            elif isinstance(ax, Equiv):
-                self.intern_names(ax.left)
-                self.intern_names(ax.right)
-            elif isinstance(ax, Instance):
-                self.concept_id(Nominal(ax.individual))
+            kind = type(ax)
+            if kind is Sub or kind is Equiv:
+                for expr in (ax.sub, ax.sup) if kind is Sub else (ax.left, ax.right):
+                    if type(expr) is Name:
+                        concept(expr.name)
+                    else:
+                        self.intern_names(expr)
+            elif kind is Instance:
+                self.intern_nominal(ax.individual)
                 self.intern_names(ax.concept)
-            elif isinstance(ax, RoleAssertion):
-                self.concept_id(Nominal(ax.subject))
-                self.sig.roles.intern(ax.role)
-                self.concept_id(Nominal(ax.object))
-            elif isinstance(ax, RoleChainSub):
-                for r in ax.chain:
-                    self.sig.roles.intern(r)
-                self.sig.roles.intern(ax.sup)
+            elif kind is RoleAssertion:
+                self.intern_nominal(ax.subject)
+                role(ax.role)
+                self.intern_nominal(ax.object)
+            elif kind is RoleChainSub:
+                for r in (*ax.chain, ax.sup):
+                    role(r)
             else:
                 raise TypeError(f"not an input axiom: {ax!r}")
         for ax in axioms:
-            if isinstance(ax, Sub):
+            kind = type(ax)
+            if kind is Sub:
                 self.norm_sub(ax.sub, ax.sup)
-            elif isinstance(ax, Equiv):
+            elif kind is Equiv:
                 self.norm_sub(ax.left, ax.right)
                 self.norm_sub(ax.right, ax.left)
-            elif isinstance(ax, Instance):
+            elif kind is Instance:
                 self.norm_sub(Nominal(ax.individual), ax.concept)
-            elif isinstance(ax, RoleAssertion):
+            elif kind is RoleAssertion:
                 self.norm_sub(Nominal(ax.subject), Some(ax.role, Nominal(ax.object)))
-            elif isinstance(ax, RoleChainSub):
+            else:
                 self.norm_chain(ax.chain, ax.sup)
 
 

@@ -1,5 +1,9 @@
 """Rewriting into normal forms and the `.elpp` grammar."""
 
+import hashlib
+import importlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +39,7 @@ from elkbc.normalize import (
     parse_input,
 )
 from elkbc.reasoner import classify
+from test_collector import _random_elpp
 
 
 def names_of(theory, ax_slots):
@@ -134,6 +139,47 @@ def test_output_purity_on_random_nested_inputs():
         theory, _ = normalize([Sub(random_expr(3), random_expr(3))])
         for ax in theory.axioms:
             assert axiom_tag(ax) in AXIOM_TAGS
+
+
+def test_signature_ids_follow_the_pre_pass():
+    # operands left to right, but an assertion's nominal before its concept
+    theory, _ = normalize(parse_input("instance(C, a)\nrole(r, b, c)\nsub(some(s, D), E)"))
+    sig = theory.signature
+    assert sig.concepts.names() == (
+        "owl:Thing", "owl:Nothing", "{a}", "C", "{b}", "{c}", "D", "E"
+    )
+    assert sig.roles.names() == ("r", "s")
+    assert sig.individuals.names() == ("a", "b", "c")
+
+
+_PINNED_DIGESTS = {
+    100: "2217b88e1b37ab533d175c8231b78200ec725aa1df4ba1f51f1a23927b11f9c8",
+    200: "a48e61f435ce639e14095e2963d7154e5c394d0fb485ead605eb6921492d5cc3",
+    400: "beafdf27cae745c49e5df9fd62f7e4543da48344affde39cbe154d126faefef7",
+}
+
+
+@pytest.mark.parametrize("n_lines", sorted(_PINNED_DIGESTS))
+def test_random_inputs_normalize_to_pinned_outputs(n_lines):
+    """The signature, axioms and fresh-name ledger of ``_random_elpp`` seeds
+    0-5 (role chains, nominals, nested and n-ary expressions) hash to pinned
+    digests: a change of ids, fresh-name numbering, ledger or emitted axioms
+    shows here."""
+    h = hashlib.sha256()
+    for seed in range(6):
+        theory, ledger = normalize(parse_input(_random_elpp(seed, n_lines)))
+        h.update(serialize_theory(theory).encode())
+        h.update("".join(f"{fresh}\t{expr}\n" for fresh, expr in ledger).encode())
+    assert h.hexdigest() == _PINNED_DIGESTS[n_lines]
+
+
+def test_type_errors_name_the_offending_value():
+    with pytest.raises(TypeError) as err:
+        normalize([Sub(Name("A"), "B")])
+    assert str(err.value) == "not a concept expression: 'B'"
+    with pytest.raises(TypeError) as err:
+        normalize([Sub(Name("A"), Name("B")), "sub(A, B)"])
+    assert str(err.value) == "not an input axiom: 'sub(A, B)'"
 
 
 def test_determinism_byte_identical():
@@ -266,6 +312,9 @@ _ERROR_TEXTS = [
     ("sub(one(), C)", "line 1: expected individual name, got ')' at token 5"),
     ("sub(A, and)", "line 1: expected '(', got ')' at token 6"),
     ("sub(A,B)\nsub(C", "line 2: unexpected end of line"),
+    # U+3000 is whitespace to the tokenizer
+    ("sub(A\u3000B)", "line 1: expected ',', got 'B' at token 4"),
+    ("sub(A,\u3000B\u3000C)", "line 1: expected ')', got 'C' at token 6"),
 ]
 
 
@@ -274,6 +323,24 @@ def test_parse_error_texts(line, message):
     with pytest.raises(ParseError) as err:
         parse_input(line)
     assert str(err.value) == message
+
+
+#: the reader's former tokenizer, kept as the reference of its tokens
+_REFERENCE_TOKENS = re.compile(r"[(),]|[^\s(),]+").findall
+
+
+def test_tokens_equal_the_reference_for_every_code_point(monkeypatch):
+    """For every code point c, the tokens the reader reads from ``a`` c
+    ``b(`` are the reference regex's, per line where c ends a line."""
+    read = []
+    monkeypatch.setattr(
+        importlib.import_module("elkbc.normalize"), "_axiom", lambda toks, _: read.append(toks)
+    )
+    for start in range(0, 0x110000, 0x10000):
+        text = "\n".join(f"a{chr(c)}b(" for c in range(start, start + 0x10000))
+        read.clear()
+        parse_input(text)
+        assert read == [_REFERENCE_TOKENS(line.strip()) for line in text.splitlines()]
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,20 @@
 """The benchmark harness's call surface into elkbc, checked in-process.
 
-``perfbench/workloads.py`` and ``perfbench/tracing.py`` call ``classify``,
-``compute_closure``, ``train`` and ``score_and_rank`` and patch entry points
-by name; a changed signature or a missing patch target otherwise shows only
-in a benchmark run.  This test imports both modules as they are, sets up
-the dag-train input of seed 0, runs one round under a deep probe and checks
-the harness's correctness gates.  It writes nothing under ``perfbench/``.
+``perfbench/workloads.py`` and ``perfbench/tracing.py`` call ``parse_input``,
+``normalize``, ``classify``, ``compute_closure``, ``train`` and
+``score_and_rank`` and patch entry points by name; a changed signature or a
+missing patch target otherwise shows only in a benchmark run.  These tests
+import both modules as they are, run one dag-train round under a deep probe
+and check the harness's correctness gates, and set up a layered DAG through
+the `.elpp` path galen-filtered takes.  They write nothing under
+``perfbench/``.
 """
 
 import sys
 from pathlib import Path
+
+from elkbc.core import format_axiom
+from elkbc.datasets import layered_dag_benchmark
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -18,22 +23,47 @@ def _tree():
     return sorted(str(p.relative_to(PERFBENCH)) for p in PERFBENCH.rglob("*"))
 
 
-def test_dag_train_round_passes_the_gates(monkeypatch):
-    before = _tree()
+def _harness(monkeypatch):
+    """perfbench's ``workloads`` and ``tracing`` modules, imported as they are
+    without writing bytecode."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
     import workloads
-    from tracing import Probe, Tracer
+
+    return workloads, tracing
+
+
+def test_dag_train_round_passes_the_gates(monkeypatch):
+    before = _tree()
+    workloads, tracing = _harness(monkeypatch)
 
     wl = workloads.WORKLOADS["dag-train"]
     inputs = workloads.make_inputs(wl, 0)
-    tracer = Tracer("surface")
+    tracer = tracing.Tracer("surface")
     ready = workloads.setup(wl, inputs, tracer)
     plan = workloads.prepare(wl, ready, inputs, 0)
-    probe = Probe(tracer, deep=True)
+    probe = tracing.Probe(tracer, deep=True)
     probe.keep_negatives = True
     with probe:
         rnd, model = workloads.run_round(plan, tracer)
     assert probe.negatives
     assert workloads.check_gates(wl, plan, [rnd], model, probe.negatives, 0) == []
+    assert _tree() == before
+
+
+def test_elpp_setup_gives_back_the_rendered_axioms(monkeypatch):
+    before = _tree()
+    workloads, tracing = _harness(monkeypatch)
+
+    dag, _, _ = layered_dag_benchmark(0)
+    inputs = workloads.Inputs(workloads.render_elpp(dag), [], [])
+    wl = workloads.WORKLOADS["galen-filtered"]
+    assert wl.input_format == "elpp"
+    ready = workloads.setup(wl, inputs, tracing.Tracer("surface"))
+
+    def lines(theory):
+        return {format_axiom(theory.signature, ax) for ax in theory.axioms}
+
+    assert lines(ready.theory) == lines(dag)
     assert _tree() == before
