@@ -2,28 +2,29 @@
 
 Each test axiom (``A [= B`` or ``A [= Er.B``) is scored against every
 candidate replacement of its rightmost concept with the positive loss of its
-variant (lower score = more true in the model).  Test axioms of one variant
-are scored together through the ranking form of ``batch_losses``, in
-cache-sized passes whose operands all have the same full shape (see there).
-A block of test axioms holds at most about ``_SCORE_BLOCK`` scores, so a full
-test set never needs |test| x |candidates| floats; a non-finite score in a
-pool is an error.  A block's raw ranks come from whole-array comparisons
-against each axiom's true score.  Ranks use the unbiased mid-rank tie
-convention::
+variant (lower score = more true in the model).  Score and filter rows depend
+only on an axiom's key, its variant and the ids before the ranked slot, so
+each distinct key is scored once, by the ranking form of ``batch_losses``
+(see there).  A block of keys, or a chunk of the axioms reading a block's
+rows, holds at most about ``_SCORE_BLOCK`` scores, so a full test set never
+needs |test| x |candidates| floats; a non-finite score is an error.  Raw
+ranks compare each axiom's key row with its true score, under the unbiased
+mid-rank tie convention::
 
     rank = 1 + #{strictly better candidates} + floor(#{equal, non-true} / 2)
 
 Filtered ranks additionally drop every non-true candidate whose axiom occurs
 in the train set or is entailed by any supplied deductive closure; the true
-axiom itself is never dropped.  Per block, the dropped fillers of every axiom,
-read off the task's train-set filler index (built once) and each closure's
-``entailed_fillers_ids``, are gathered into one flat id array with an owner
-row per id, mapped to pool positions at once through a sorted copy of the
-pool (the task builds the pool's id array and that copy once), and set in
-one (axioms x pool) drop mask; the filtered rank and pool size are row
-counts of that mask over the raw comparisons.  A closure is
-asked only about test ids inside its theory (``KeyError`` otherwise).
-Per-axiom AUC is the rank-derived ROC AUC ``1 - (rank - 1) / (pool - 1)``.
+axiom itself is never dropped.  Per block, the dropped fillers of every key
+(the task's train-set filler index, built once, and each closure's
+``entailed_fillers_ids``) are gathered into one flat id array with an owner
+row per id, mapped to pool positions through the task's sorted copy of the
+pool and set in one (keys x pool) drop mask; each axiom clears its own true
+position and counts its filtered rank and pool size over the raw
+comparisons.  A closure is asked only about test ids inside its theory
+(``KeyError`` otherwise); errors name the first offending axiom in test
+order within the first variant that has one.  Per-axiom AUC is the
+rank-derived ROC AUC ``1 - (rank - 1) / (pool - 1)``.
 
 Macro aggregates average over test axioms; micro aggregates first average per
 subject class, then over subject classes (by default only classes that occur
@@ -53,8 +54,8 @@ from .losses import GeometricModel, batch_losses
 _BASE_METRICS = ("H@10", "H@100", "macro_MR", "micro_MR", "macro_AUC", "micro_AUC")
 #: rankable variant -> id-table column of its ranked slot, the rightmost concept
 _RANKED = {tag: int(RIGHTMOST_COL[VARIANTS.index(tag)]) for tag in ("GCI0", "GCI2")}
-#: most test-axiom scores held at once (one row per axiom of a block; a
-#: single axiom's row may exceed it), so a full test set is never one block
+#: most scores held at once (one row per key of a block, or per axiom of a
+#: chunk; a single row may exceed it), so a full test set is never one block
 _SCORE_BLOCK = 1 << 20
 
 
@@ -139,9 +140,7 @@ def score_and_rank(model: GeometricModel, task: RankingTask) -> RankingReport:
 
     tests = task._tests
     groups = [(c, np.flatnonzero(tests.codes == c)) for c in np.unique(tests.codes).tolist()]
-    true_idx = np.empty(len(tests), dtype=np.int64)
-    for code, rows in groups:
-        true_idx[rows] = position(tests.cols[_RANKED[VARIANTS[code]], rows])
+    true_idx = position(tests.cols[RIGHTMOST_COL[tests.codes], np.arange(len(tests))])
     if (true_idx < 0).any():
         ax = task.axioms[np.argmax(true_idx < 0)]
         raise ValueError(f"true candidate of {ax!r} is not in the pool")
@@ -152,48 +151,69 @@ def score_and_rank(model: GeometricModel, task: RankingTask) -> RankingReport:
     block_rows = max(1, _SCORE_BLOCK // n_pool)
     for code, rows in groups:
         tag, slot = VARIANTS[code], _RANKED[VARIANTS[code]]
-        for lo in range(0, len(rows), block_rows):
-            block = rows[lo : lo + block_rows]
+        for dc in task.closures:
+            outside = tests[rows].outside(dc.theory.n_concepts, dc.theory.n_roles)
+            if outside.any():
+                ax = task.axioms[rows[np.argmax(outside)]]
+                raise KeyError(f"{ax!r} has an id outside the closure's theory")
+        # the keys by first occurrence (``first`` rows); rows by key, key j's from starts[j]
+        keys = tests.cols[:slot, rows]
+        _, first, key_of = np.unique(keys, axis=1, return_index=True, return_inverse=True)
+        by_first = np.argsort(first)
+        first, key_of = first[by_first], np.argsort(by_first)[key_of]
+        members = np.argsort(key_of, kind="stable")
+        starts = np.concatenate(([0], np.cumsum(np.bincount(key_of))))
+        single = len(first) == len(rows)  # one axiom per key: read the key rows in place
+        for lo in range(0, len(first), block_rows):
+            block = rows[first[lo : lo + block_rows]]
+            k, hi = len(block), lo + len(block)
             scores = batch_losses(model, tag, "positive", tests[block], candidates=candidates)
             finite = np.isfinite(scores).all(axis=1)
             if not finite.all():
                 ax = task.axioms[block[np.argmin(finite)]]
                 raise ValueError(f"non-finite score in the candidate pool of {ax!r}")
-            # raw ranks of the whole block; the true entry ties with itself
-            k, t = len(block), true_idx[block]
-            true = scores[np.arange(k), t][:, None]
-            better, equal = scores < true, scores == true
-            raw_better = np.count_nonzero(better, axis=1)
-            raw_ties = np.count_nonzero(equal, axis=1) - 1
-            ranks[:, block] = 1 + raw_better + raw_ties // 2
-            # the dropped candidates: known from the train set or entailed by
-            # a closure, one flat id array with the block row owning each id
-            ids = tests.cols[:, block].T.tolist()
-            sources = [task._train_fillers.get((tag, tuple(row[:slot])), ()) for row in ids]
+            # each key's dropped candidates: known from the train set or
+            # entailed by a closure, one flat id array with the key owning each id
+            ids = keys[:, first[lo:hi]].T.tolist()
+            sources = [task._train_fillers.get((tag, tuple(key)), ()) for key in ids]
             for dc in task.closures:
-                outside = tests[block].outside(dc.theory.n_concepts, dc.theory.n_roles)
-                if outside.any():
-                    ax = task.axioms[block[np.argmax(outside)]]
-                    raise KeyError(f"{ax!r} has an id outside the closure's theory")
-                sources += [dc.entailed_fillers_ids(code, row) for row in ids]
+                sources += [dc.entailed_fillers_ids(code, key) for key in ids]
             sizes = np.fromiter(map(len, sources), np.int64, len(sources))
-            if not sizes.any():
-                continue
-            at = position(np.fromiter(chain.from_iterable(sources), np.int64, sizes.sum()))
-            owner = np.repeat(np.arange(len(sources)) % k, sizes)
-            drop = np.zeros(scores.shape, dtype=bool)
-            drop[owner[at >= 0], at[at >= 0]] = True
-            drop[np.arange(k), t] = False
-            f_better = raw_better - np.count_nonzero(np.logical_and(better, drop, out=better), axis=1)
-            f_ties = raw_ties - np.count_nonzero(np.logical_and(equal, drop, out=equal), axis=1)
-            ranks[1, block] = 1 + f_better + f_ties // 2
-            pools[1, block] = n_pool - np.count_nonzero(drop, axis=1)
+            drop = None
+            if sizes.any():
+                at = position(np.fromiter(chain.from_iterable(sources), np.int64, sizes.sum()))
+                owner = np.repeat(np.arange(len(sources)) % k, sizes)
+                drop = np.zeros(scores.shape, dtype=bool)
+                drop[owner[at >= 0], at[at >= 0]] = True
+            # the keys' axioms in chunks of at most a block, each with a copy of its key row
+            for c in range(starts[lo], starts[hi], block_rows):
+                chunk = members[c : min(c + block_rows, starts[hi])]
+                own, axioms = slice(None) if single else key_of[chunk] - lo, rows[chunk]
+                counts = _ranks(scores[own], true_idx[axioms], None if drop is None else drop[own])
+                ranks[0, axioms], ranks[1, axioms], pools[1, axioms] = counts
 
     rankings = [
         AxiomRanking(ax, raw, filtered, n_pool, f_pool)
         for ax, raw, filtered, f_pool in zip(task.axioms, *ranks.tolist(), pools[1].tolist())
     ]
     return RankingReport(rankings, _aggregate(ranks, pools, task, model))
+
+
+def _ranks(scores: np.ndarray, true: np.ndarray, drop: Optional[np.ndarray]):
+    """Raw and filtered ranks and filtered pool sizes; ``drop`` is cleared at ``true``.
+    A function, so that a chunk's copies are freed before the next chunk's."""
+    rows = np.arange(len(scores))
+    true_score = scores[rows, true][:, None]
+    better, equal = scores < true_score, scores == true_score
+    raw_better = np.count_nonzero(better, axis=1)
+    raw_ties = np.count_nonzero(equal, axis=1) - 1  # the true entry ties with itself
+    raw = 1 + raw_better + raw_ties // 2
+    if drop is None:
+        return raw, raw, scores.shape[1]
+    drop[rows, true] = False
+    f_better = raw_better - np.count_nonzero(np.logical_and(better, drop, out=better), axis=1)
+    f_ties = raw_ties - np.count_nonzero(np.logical_and(equal, drop, out=equal), axis=1)
+    return raw, 1 + f_better + f_ties // 2, scores.shape[1] - np.count_nonzero(drop, axis=1)
 
 
 def _subject_means(subjects: np.ndarray):

@@ -3,7 +3,9 @@
 Everything here is deliberately naive and structurally different from the
 library code it checks: fixpoints re-scan every rule instantiation each pass,
 the model checker enumerates finite interpretations exhaustively, and the
-ranking oracle sorts and scans.  None of it imports the engines under test.
+ranking oracle sorts and scans.  None of it imports the engines under test:
+the ranking reference scores written-out axioms with the plain form of
+``batch_losses``, not the ranking form that ``score_and_rank`` uses.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from elkbc.core import (
     _SLOT_KINDS,
     axiom_tag,
 )
+from elkbc.losses import batch_losses
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +491,24 @@ def naive_rank(scores: list[float], true_idx: int, keep: list[bool]) -> tuple[in
             break
     rank = (first + 1) + (group - 1) // 2
     return rank, len(kept)
+
+
+def written_out_ranks(model, ax, pool, train_axioms=frozenset(), closures=()):
+    """(raw rank, pool, filtered rank, filtered pool) of a GCI0 or GCI2 test
+    axiom: one written-out axiom per candidate, scored by the plain form of
+    ``batch_losses`` and ranked by ``naive_rank``; a written-out axiom other
+    than the test axiom's own is dropped when it is in the train set or
+    entailed by a closure."""
+    slot = "sup" if isinstance(ax, GCI0) else "filler"
+    written = [dataclasses.replace(ax, **{slot: c}) for c in pool]
+    scores = list(batch_losses(model, axiom_tag(ax), "positive", written))
+    true_idx = list(pool).index(getattr(ax, slot))
+    keep = [
+        c == getattr(ax, slot)
+        or not (w in train_axioms or any(dc.entails(w) for dc in closures))
+        for c, w in zip(pool, written)
+    ]
+    return (*naive_rank(scores, true_idx, [True] * len(pool)), *naive_rank(scores, true_idx, keep))
 
 
 def naive_metrics(entries: list[dict], micro_denominator: int | None = None) -> dict:

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +13,9 @@ from hypothesis import strategies as st
 
 from elkbc import classify, compute_closure, evaluation, losses
 from elkbc.core import GCI0, GCI2, TOP_ID, AxiomTable, Signature, Theory, parse_theory
+from elkbc.datasets import layered_dag_benchmark
 from elkbc.evaluation import (
+    AxiomRanking,
     RankingReport,
     RankingTask,
     filter_test_set,
@@ -20,7 +24,7 @@ from elkbc.evaluation import (
 )
 from elkbc.losses import MODEL_TAGS, batch_losses
 from elkbc.training import init_model
-from oracles import naive_metrics, naive_rank
+from oracles import naive_metrics, naive_rank, written_out_ranks
 
 
 def _model(n_concepts, seed=0, quantize=None, tag="elem"):
@@ -262,22 +266,6 @@ def test_micro_over_signature_denominator():
     assert wide.metrics["micro_MR"] == pytest.approx(default.metrics["micro_MR"] * 2 / 8)
 
 
-def _reference_ranks(m, ax, pool, train_axioms, closures=()):
-    """(raw rank, pool, filtered rank, filtered pool) from per-candidate
-    losses of the written-out axioms and the sorting oracle; a written-out
-    axiom in the train set or entailed by a closure is dropped."""
-    slot = "sup" if isinstance(ax, GCI0) else "filler"
-    written = [dataclasses.replace(ax, **{slot: c}) for c in pool]
-    scores = list(batch_losses(m, "GCI0" if isinstance(ax, GCI0) else "GCI2", "positive", written))
-    true_idx = pool.index(getattr(ax, slot))
-    keep = [
-        c == getattr(ax, slot)
-        or not (w in train_axioms or any(dc.entails(w) for dc in closures))
-        for c, w in zip(pool, written)
-    ]
-    return (*naive_rank(scores, true_idx, [True] * len(pool)), *naive_rank(scores, true_idx, keep))
-
-
 @pytest.mark.parametrize("tag", MODEL_TAGS)
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(data=st.data())
@@ -337,7 +325,7 @@ def test_blocked_ranking_equals_per_candidate_reference(tag, data):
         for ax, r in zip(axioms, report.rankings):
             assert r.axiom == ax
             got = (r.raw_rank, r.pool_size, r.filtered_rank, r.filtered_pool_size)
-            assert got == _reference_ranks(m, ax, pool, t, closures)
+            assert got == written_out_ranks(m, ax, pool, t, closures)
 
 
 def _random_closure(rng, n_c, axioms):
@@ -381,24 +369,15 @@ def test_ranking_never_writes_parameters(golden, tag, contiguous):
     assert {name: arr.tobytes() for name, arr in m.params.items()} == before
 
 
-@pytest.mark.parametrize(
-    "n_pool, n_test, n_blocks", [(1023, 3, 2), (1024, 3, 2), (1025, 3, 2), (2100, 1000, 4)]
-)
-def test_blocked_ranking_at_full_chunk_and_score_block(monkeypatch, n_pool, n_test, n_blocks):
-    """At the module's own pass size and score-block bound: at dim 64 a pass
-    holds 1,024 candidate rows, so the pools fall just below, on and just
-    above one pass; 500 GCI0 and 500 GCI2 test axioms against 2,100
-    candidates are more than 2**20 scores per variant, scored in two blocks
-    each, none of which exceeds the bound; ranks equal the reference."""
-    rng = np.random.default_rng(n_pool)
-    m = init_model("elbe", n_pool + 2, 1, 64, seed=1)
-    assert losses._RANK_ENTRIES // m.dim == 1024
-    pool = [int(c) for c in rng.permutation(n_pool + 2)[:n_pool]]
-    axioms = [
-        GCI0(int(rng.integers(n_pool + 2)), int(rng.choice(pool))) if i % 2
-        else GCI2(int(rng.integers(n_pool + 2)), 0, int(rng.choice(pool)))
-        for i in range(n_test)
-    ]
+def _key(ax):
+    """The ranking key of a test axiom: its variant and the ids before its
+    ranked slot."""
+    return (type(ax), ax.sub) if isinstance(ax, GCI0) else (type(ax), ax.sub, ax.role)
+
+
+def _spy_blocks(monkeypatch):
+    """The number of scores of each ranking-form ``batch_losses`` call that
+    ``score_and_rank`` makes."""
     blocks = []
 
     def spy(model, tag, polarity, axioms, **kwargs):
@@ -406,19 +385,138 @@ def test_blocked_ranking_at_full_chunk_and_score_block(monkeypatch, n_pool, n_te
         return batch_losses(model, tag, polarity, axioms, **kwargs)
 
     monkeypatch.setattr(evaluation, "batch_losses", spy)
-    report = score_and_rank(m, RankingTask(axioms, pool))
-    assert max(blocks) <= max(evaluation._SCORE_BLOCK, n_pool)
-    assert sum(blocks) == n_test * n_pool
-    assert len(blocks) == n_blocks
+    return blocks
+
+
+def _reference_raw_ranks(m, axioms, pool):
+    """Raw (rank, pool) of each axiom from its written-out block: the
+    axiom's id row repeated, its ranked column set to the pool."""
     tests = AxiomTable.from_axioms(axioms)
-    for i, (ax, r) in enumerate(zip(axioms, report.rankings)):
-        # the reference block: the axiom's id row repeated, its ranked column set to the pool
+    out = []
+    for i, ax in enumerate(axioms):
         tag, slot = ("GCI0", 1) if isinstance(ax, GCI0) else ("GCI2", 2)
-        block = tests[np.full(n_pool, i)]
+        block = tests[np.full(len(pool), i)]
         block.cols[slot] = pool
         scores = batch_losses(m, tag, "positive", block)
-        true_idx = pool.index(tests.cols[slot, i])
-        assert (r.raw_rank, r.pool_size) == naive_rank(list(scores), true_idx, [True] * n_pool)
+        out.append(naive_rank(list(scores), pool.index(tests.cols[slot, i]), [True] * len(pool)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_pool, n_test, n_blocks", [(1023, 3, 2), (1024, 3, 2), (1025, 3, 2), (2100, 1000, 4)]
+)
+def test_blocked_ranking_at_full_chunk_and_score_block(monkeypatch, n_pool, n_test, n_blocks):
+    """At the module's own pass size and score-block bound: at dim 64 a pass
+    holds 1,024 candidate rows, so the pools fall just below, on and just
+    above one pass; 500 GCI0 and 500 GCI2 test axioms with distinct subjects
+    against 2,100 candidates are 500 keys per variant, more than the 499
+    score rows of a block, so each variant is scored in two blocks, none of
+    which exceeds the bound; each distinct key is scored once, and ranks
+    equal the reference."""
+    rng = np.random.default_rng(n_pool)
+    m = init_model("elbe", n_pool + 2, 1, 64, seed=1)
+    assert losses._RANK_ENTRIES // m.dim == 1024
+    pool = [int(c) for c in rng.permutation(n_pool + 2)[:n_pool]]
+    subjects = rng.permutation(n_pool + 2)[: (n_test + 1) // 2].tolist()
+    axioms = [
+        GCI0(subjects[i // 2], int(rng.choice(pool))) if i % 2
+        else GCI2(subjects[i // 2], 0, int(rng.choice(pool)))
+        for i in range(n_test)
+    ]
+    assert len(set(map(_key, axioms))) == n_test
+    blocks = _spy_blocks(monkeypatch)
+    report = score_and_rank(m, RankingTask(axioms, pool))
+    assert max(blocks) <= max(evaluation._SCORE_BLOCK, n_pool)
+    assert sum(blocks) == len(set(map(_key, axioms))) * n_pool
+    assert len(blocks) == n_blocks
+    want = _reference_raw_ranks(m, axioms, pool)
+    assert [(r.raw_rank, r.pool_size) for r in report.rankings] == want
+
+
+def test_key_shared_by_more_axioms_than_a_block_holds(monkeypatch):
+    """1,200 GCI0 axioms of one subject against 2,100 candidates: the key is
+    scored once, its axioms are ranked in chunks of the 499 rows a block
+    holds, so the peak traced memory stays near one block of scores, not
+    the 1,200 rows of the whole key; ranks equal the reference."""
+    n_pool, n_test = 2100, 1200
+    rng = np.random.default_rng(3)
+    m = init_model("elbe", n_pool + 2, 1, 64, seed=1)
+    pool = [int(c) for c in rng.permutation(n_pool + 2)[:n_pool]]
+    axioms = [GCI0(7, int(c)) for c in rng.choice(pool, size=n_test)]
+    task = RankingTask(axioms, pool)
+    block_bytes = evaluation._SCORE_BLOCK * 8
+    assert n_test * n_pool * 8 > 2 * block_bytes
+    blocks = _spy_blocks(monkeypatch)
+    tracemalloc.start()
+    try:
+        report = score_and_rank(m, task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks == [n_pool]
+    assert peak < 1.75 * block_bytes
+    scores = batch_losses(m, "GCI0", "positive", [GCI0(7, c) for c in pool])
+    for ax, r in zip(axioms, report.rankings):
+        want = naive_rank(list(scores), pool.index(ax.sup), [True] * n_pool)
+        assert (r.raw_rank, r.pool_size, r.filtered_rank, r.filtered_pool_size) == want * 2
+
+
+@pytest.fixture(scope="module")
+def dag0():
+    """DAG 0's train theory and its closure."""
+    theory, _, _ = layered_dag_benchmark(0)
+    return theory, compute_closure(theory, *classify(theory)[:2])
+
+
+@pytest.mark.parametrize("source", ["golden", "dag0"])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_ranking_per_key_equals_per_axiom_reference(golden, dag0, source, data):
+    """Test sets with repeated keys: subjects from a small range, exact
+    duplicates, GCI2 axioms of one subject under different roles and of one
+    (subject, role) with different fillers, GCI0 and GCI2 mixed, against a
+    shuffled subset pool, ranked raw, by the train set, by the closure or
+    by both (the golden theory or DAG 0), with one key per block, a few, or
+    all: every ranking and metric equals the per-axiom reference, and the
+    scores computed are the distinct keys times the pool."""
+    theory, dc = (golden["theory"], golden["materialized"]) if source == "golden" else dag0
+    n_c, n_r = theory.n_concepts, theory.n_roles
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = init_model(data.draw(st.sampled_from(MODEL_TAGS)), n_c, n_r, 4, seed=int(rng.integers(100)))
+    if data.draw(st.booleans()):  # coarse parameters tie many scores
+        for name in m.params:
+            m.params[name] = np.round(m.params[name], 1)
+    n_pool = data.draw(st.integers(1, min(n_c, 40)))
+    pool = [int(c) for c in rng.permutation(n_c)[:n_pool]]
+    first = int(rng.integers(n_c - 2))
+    subjects = range(first, first + data.draw(st.integers(1, 3)))
+    axioms = []
+    for _ in range(data.draw(st.integers(1, 30))):
+        sub, obj, pick = int(rng.choice(subjects)), int(rng.choice(pool)), rng.random()
+        if axioms and pick < 0.2:
+            axioms.append(axioms[int(rng.integers(len(axioms)))])
+        elif pick < 0.6:
+            axioms.append(GCI0(sub, obj))
+        else:
+            axioms.append(GCI2(sub, int(rng.integers(n_r)), obj))
+    train, closures = data.draw(st.sampled_from(
+        [(frozenset(), ()), (frozenset(theory.axioms), ()), (frozenset(), (dc,)),
+         (frozenset(theory.axioms), (dc,))]
+    ))
+    over_signature = data.draw(st.booleans())
+    score_block = data.draw(st.sampled_from([n_pool, 3 * n_pool + 1, 1 << 20]))
+    task = RankingTask(axioms, pool, train, closures, over_signature)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        blocks = _spy_blocks(monkeypatch)
+        monkeypatch.setattr(evaluation, "_SCORE_BLOCK", score_block)
+        report = score_and_rank(m, task)
+    assert sum(blocks) == len(set(map(_key, axioms))) * n_pool
+    want = []
+    for ax in axioms:
+        raw, size, filtered, f_size = written_out_ranks(m, ax, pool, train, closures)
+        want.append(AxiomRanking(ax, raw, filtered, size, f_size))
+    assert report.rankings == want
+    assert report.metrics == _reference_metrics(want, n_c, over_signature)
 
 
 @pytest.mark.parametrize("poisoned", ["true", "competitor"])
@@ -471,6 +569,49 @@ def test_ids_outside_the_model_raise_key_error(golden, filtered, axiom, candidat
         return
     with pytest.raises(KeyError):
         score_and_rank(m, task)
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+def test_non_finite_error_names_the_first_poisoned_axiom_of_its_variant(
+    golden, filtered, one_row_blocks
+):
+    """Two poisoned GCI0 subjects whose sorted order differs from their test
+    order, behind a poisoned GCI2 that comes first in the test set: the
+    error names the first poisoned axiom in test order within the first
+    variant ranked (GCI0), with one block or with one score row per block."""
+    theory, dc = golden["theory"], golden["materialized"]
+    m = _model(theory.n_concepts, seed=3)
+    for sub in (6, 7, 5):
+        m.params["class_center"][sub] = np.nan
+    axioms = [GCI2(6, 0, 3), GCI0(2, 3), GCI0(7, 1), GCI0(5, 3), GCI0(7, 2), GCI0(5, 2)]
+    task = RankingTask(
+        axioms, [1, 2, 3],
+        train_axioms=frozenset(theory.axioms) if filtered else frozenset(),
+        closures=(dc,) if filtered else (),
+    )
+    score_block = 3 if one_row_blocks else evaluation._SCORE_BLOCK
+    with mock.patch.object(evaluation, "_SCORE_BLOCK", score_block):
+        with pytest.raises(ValueError, match=re.escape(f"pool of {GCI0(7, 1)!r}")):
+            score_and_rank(m, task)
+
+
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+def test_closure_key_error_names_the_first_outside_axiom_of_its_variant(golden, one_row_blocks):
+    """Ids inside the model but outside the closure's theory, in the subject
+    of a later key and in the ranked slot of a later axiom of an earlier key,
+    behind an outside GCI2 that comes first in the test set: the
+    ``KeyError`` names the first such axiom in test order within the first
+    variant ranked (GCI0)."""
+    theory, dc = golden["theory"], golden["materialized"]
+    assert theory.n_concepts < 97
+    m = _model(100, seed=2)
+    axioms = [GCI2(99, 0, 3), GCI0(5, 3), GCI0(99, 3), GCI0(5, 97), GCI0(2, 3), GCI0(98, 97)]
+    task = RankingTask(axioms, [2, 3, 97], frozenset(theory.axioms), (dc,))
+    score_block = 3 if one_row_blocks else evaluation._SCORE_BLOCK
+    with mock.patch.object(evaluation, "_SCORE_BLOCK", score_block):
+        with pytest.raises(KeyError, match=re.escape(f"{GCI0(99, 3)!r} has an id outside")):
+            score_and_rank(m, task)
 
 
 def _np_mean_per_subject(rankings, values):

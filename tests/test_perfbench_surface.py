@@ -5,7 +5,8 @@
 ``score_and_rank`` and patch entry points by name; a changed signature or a
 missing patch target otherwise shows only in a benchmark run.  These tests
 import both modules as they are, run one dag-train round under a deep probe
-and check the harness's correctness gates, and set up a layered DAG through
+and check the harness's correctness gates and every ranking of the round
+against the per-axiom reference, and set up a layered DAG through
 the `.elpp` path galen-filtered takes.  They write nothing under
 ``perfbench/``.
 """
@@ -15,6 +16,7 @@ from pathlib import Path
 
 from elkbc.core import format_axiom
 from elkbc.datasets import layered_dag_benchmark
+from oracles import written_out_ranks
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -49,6 +51,17 @@ def test_dag_train_round_passes_the_gates(monkeypatch):
         rnd, model = workloads.run_round(plan, tracer)
     assert probe.negatives
     assert workloads.check_gates(wl, plan, [rnd], model, probe.negatives, 0) == []
+    # every ranking of the round, not only gate (a)'s few, equals the reference
+    for task, report in ((plan.raw_task, rnd.raw), (plan.filtered_task, rnd.filtered)):
+        got = [
+            (r.raw_rank, r.pool_size, r.filtered_rank, r.filtered_pool_size)
+            for r in report.rankings
+        ]
+        want = [
+            written_out_ranks(model, ax, task.candidates, task.train_axioms, task.closures)
+            for ax in task.axioms
+        ]
+        assert got == want
     assert _tree() == before
 
 
