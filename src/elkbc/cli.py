@@ -60,25 +60,19 @@ class CliError(Exception):
 # config files
 # ---------------------------------------------------------------------------
 
+_SCALARS = {"int": int, "float": float, "str": str}
+#: sampler config key -> ``SamplerConfig`` field
+_SAMPLER_KEYS = {"negative_mode": "mode", "bias_p": "bias_p", "retry_limit": "retry_limit"}
+
+
+def _scalar_fields(cls) -> dict:
+    """Field name -> type of the int, float and str fields of dataclass ``cls``."""
+    return {f.name: _SCALARS[f.type] for f in dataclasses.fields(cls) if f.type in _SCALARS}
+
+
 _TRAIN_KEYS = {
-    "model": str,
-    "dim": int,
-    "learning_rate": float,
-    "margin": float,
-    "epsilon": float,
-    "delta": float,
-    "reg_lambda": float,
-    "epochs": int,
-    "batch_size": int,
-    "seed": int,
-    "negative_scope": str,
-    "negatives_per_positive": int,
-    "negative_mode": str,
-    "bias_p": float,
-    "retry_limit": int,
-    "patience": int,
-    "early_stop": int,
-    "lr_floor": float,
+    **_scalar_fields(TrainConfig),
+    **{key: _scalar_fields(SamplerConfig)[name] for key, name in _SAMPLER_KEYS.items()},
     "train_file": "in_path",
     "validation_file": "in_path",
     "checkpoint": "out_path",
@@ -242,11 +236,8 @@ def cmd_closure(args) -> int:
 
 
 def _sampler_from_cfg(cfg: dict) -> SamplerConfig:
-    return SamplerConfig(
-        mode=cfg.get("negative_mode", "random"),
-        bias_p=cfg.get("bias_p", 0.0),
-        retry_limit=cfg.get("retry_limit", 100),
-    )
+    # the sampler keys a config sets; the rest keep SamplerConfig's defaults
+    return SamplerConfig(**{name: cfg[key] for key, name in _SAMPLER_KEYS.items() if key in cfg})
 
 
 def cmd_train(args) -> int:
@@ -259,11 +250,12 @@ def cmd_train(args) -> int:
     validation = None
     if "validation_file" in cfg:
         validation = list(_load_matching(cfg["validation_file"], theory, "validation_file").axioms)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     sampler = _sampler_from_cfg(cfg)
     # config keys named like TrainConfig fields set them; the rest keep its defaults
     given = {f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig) if f.name in cfg}
-    given.update(seed=seed, sampler=sampler, validation=validation)
+    if args.seed is not None:
+        given["seed"] = args.seed
+    given.update(sampler=sampler, validation=validation)
     train_cfg = TrainConfig(**given)
     dc = None
     if sampler.mode in ("filtered", "biased"):

@@ -8,7 +8,7 @@ Three rule groups extend a classified theory:
   verbatim from the reasoner);
 * GCI2 read from the saturation's link rows: a link (A, B) in R(r), which
   the reasoner derives with role inclusions and chains applied and whose row
-  for A it builds on first read (the own links of A's superclasses plus A's
+  for A it builds on each read (the own links of A's superclasses plus A's
   per-concept links), gives ``A [= Er.B'`` for every ``B'`` above ``B``;
 * signature-level rules that hold for arbitrary concepts: anything conjoined
   with Bot (or an unsatisfiable concept) is below everything, ``A n E [= E'``
@@ -28,8 +28,8 @@ canonicalized to (lower id, higher id).
 
 Every question goes through one query path: premise indexes over the asserted
 axioms (GCI1/GCI1_BOT by conjunct, GCI3/GCI3_BOT by filler, each built on
-first use from the id columns of ``Theory.table``) and the link rows feed a
-per-key memo of filler rows:
+first use from the id columns of ``Theory.table``) and the link rows feed the
+filler rows of a key:
 
 * concept A: every E with ``A [= E`` (every concept when A is unsatisfiable);
 * pair {A, B}: every E with ``A n B [= E`` (Bot included when the pair is
@@ -38,16 +38,24 @@ per-key memo of filler rows:
   role when A is unsatisfiable);
 * (r, A): every E with ``Er.A [= E`` (Bot included for ``Er.A [= Bot``).
 
-One query table maps each GCI variant to its key (its leading id columns), its
-row and its answer column: the rightmost concept (``core.RIGHTMOST_COL``), or
-Bot for the three ``_BOT`` variants.  ``entails_ids(code, ids)`` asks whether
+One query table maps each GCI variant to its key, its row and its answer
+column.  The answer is the rightmost concept (``core.RIGHTMOST_COL``) and the
+key the id columns before it; a ``_BOT`` variant's key runs through that
+concept and its answer is Bot.  ``entails_ids(code, ids)`` asks whether
 the answer is in the row of the key.  ``entailed_fillers_ids(code, ids)``
 answers the rightmost concept: it is the row of the key for GCI0-GCI3; for a
-``_BOT`` form, whose rightmost concept is part of the key, it asks every
-concept once, memoized per (variant, remainder), without storing the rows it
-probes.  The id queries check nothing (the sampler asks them with ids it
-holds); ``entails`` and ``entailed_fillers`` take a dataclass, check its ids
-(``KeyError``) and ask them.
+``_BOT`` form, whose rightmost concept is part of the key, it asks
+``entails_ids`` once per concept and memoizes the answer per (variant,
+remainder).
+
+Each row lives in one memo, under a key that a later query can ask again:
+the pair, subject and (r, A) rows of GCI1-GCI3 queries and of enumeration,
+and the ``_BOT`` filler answers.  A ``_BOT`` point query stores nothing: its
+key holds the probed concept, a sampler's random draw, so its row is built
+and dropped.  Concept rows are the index's own.  The id queries check nothing
+(the sampler asks them with ids it holds); ``entails`` and
+``entailed_fillers`` take a dataclass, check its ids (``KeyError``) and ask
+them.
 
 The two modes answer identically; ``materialized`` additionally
 enumerates the closure (``counts``, ``iter_variant`` and the per-variant
@@ -59,7 +67,7 @@ complete, so concurrent readers at worst build the same row twice.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -188,20 +196,21 @@ class DeductiveClosure:
         return row
 
     #: GCI variant code -> (key columns, row of the key, answer column); the
-    #: key is the leading id columns, the answer column the rightmost concept,
-    #: and None (the _BOT forms) asks for Bot
+    #: key is the id columns before the rightmost concept, and the answer
+    #: column that concept; a _BOT form's key runs through it, and its answer
+    #: (None) is Bot
     _QUERIES = {
-        VARIANTS.index(tag): (keys, row, None if tag.endswith("_BOT") else col)
-        for tag, keys, row in (
-            ("GCI0", 1, _sup_row),
-            ("GCI1", 2, _pair_row),
-            ("GCI2", 2, _role_row),
-            ("GCI3", 2, _existential_row),
-            ("GCI0_BOT", 1, _sup_row),
-            ("GCI1_BOT", 2, _pair_row),
-            ("GCI3_BOT", 2, _existential_row),
+        VARIANTS.index(tag): (col + bot, row, None if bot else col)
+        for tag, row in (
+            ("GCI0", _sup_row),
+            ("GCI1", _pair_row),
+            ("GCI2", _role_row),
+            ("GCI3", _existential_row),
+            ("GCI0_BOT", _sup_row),
+            ("GCI1_BOT", _pair_row),
+            ("GCI3_BOT", _existential_row),
         )
-        for col in [int(RIGHTMOST_COL[VARIANTS.index(tag)])]
+        for col, bot in [(int(RIGHTMOST_COL[VARIANTS.index(tag)]), tag.endswith("_BOT"))]
     }
 
     # -- queries ----------------------------------------------------------------
@@ -210,8 +219,9 @@ class DeductiveClosure:
         """Whether the GCI with variant code ``code`` and the id row ``ids``
         (`.nf` slot order) is entailed; the ids are not checked."""
         keys, row, answer = self._QUERIES[code]
-        value = BOT_ID if answer is None else ids[answer]
-        return value in row(self, *ids[:keys])
+        if answer is None:  # a _BOT form: its key holds the probed concept
+            return BOT_ID in row(self, *ids[:keys], store=False)
+        return ids[answer] in row(self, *ids[:keys])
 
     def entailed_fillers_ids(self, code: int, ids: Sequence[int]) -> frozenset[int]:
         """Every concept v such that the id row with its rightmost concept set
@@ -220,12 +230,12 @@ class DeductiveClosure:
         if answer is not None:
             return row(self, *ids[:keys])
         # a _BOT form: its rightmost concept is the key's last column, so
-        # every concept is asked once; the probes' rows are not stored
+        # every concept is asked once
         fixed = tuple(ids[: keys - 1])
         hit = self._slot_sets.get((code, *fixed))
         if hit is None:
             n_c = self.theory.n_concepts
-            hit = frozenset(v for v in range(n_c) if BOT_ID in row(self, *fixed, v, store=False))
+            hit = frozenset(v for v in range(n_c) if self.entails_ids(code, (*fixed, v)))
             self._slot_sets[(code, *fixed)] = hit
         return hit
 
@@ -263,29 +273,24 @@ class DeductiveClosure:
         if not self.materialized:
             raise ValueError("enumeration requires a materialized closure")
 
-    @cached_property
-    def _all_pair_rows(self) -> dict[tuple[int, int], frozenset[int]]:
+    def _all_pair_rows(self) -> Iterator[tuple[tuple[int, int], frozenset[int]]]:
         self._enumerable()
         n_c = self.theory.n_concepts
-        return {(a, b): self._pair_row(a, b) for a in range(n_c) for b in range(a, n_c)}
+        return (((a, b), self._pair_row(a, b)) for a in range(n_c) for b in range(a, n_c))
 
-    @cached_property
-    def _all_existential_rows(self) -> dict[tuple[int, int], frozenset[int]]:
+    def _all_existential_rows(self) -> Iterator[tuple[tuple[int, int], frozenset[int]]]:
         self._enumerable()
-        return {
-            (r, a): self._existential_row(r, a)
-            for r in range(self.theory.n_roles)
-            for a in range(self.theory.n_concepts)
-        }
+        roles, concepts = range(self.theory.n_roles), range(self.theory.n_concepts)
+        return (((r, a), self._existential_row(r, a)) for r in roles for a in concepts)
 
     @cached_property
     def gci1(self) -> dict[tuple[int, int], frozenset[int]]:
-        rows = self._all_pair_rows.items()
+        rows = self._all_pair_rows()
         return {pair: rest for pair, row in rows if (rest := row - {BOT_ID})}
 
     @cached_property
     def gci1_bot(self) -> set[tuple[int, int]]:
-        return {pair for pair, row in self._all_pair_rows.items() if BOT_ID in row}
+        return {pair for pair, row in self._all_pair_rows() if BOT_ID in row}
 
     @cached_property
     def gci2(self) -> dict[tuple[int, int], frozenset[int]]:
@@ -299,12 +304,12 @@ class DeductiveClosure:
 
     @cached_property
     def gci3(self) -> dict[tuple[int, int], frozenset[int]]:
-        rows = self._all_existential_rows.items()
+        rows = self._all_existential_rows()
         return {key: rest for key, row in rows if (rest := row - {BOT_ID})}
 
     @cached_property
     def gci3_bot(self) -> set[tuple[int, int]]:
-        return {key for key, row in self._all_existential_rows.items() if BOT_ID in row}
+        return {key for key, row in self._all_existential_rows() if BOT_ID in row}
 
     def counts(self) -> dict[str, int]:
         """Materialized axiom count per variant (GCI0 family from the index)."""

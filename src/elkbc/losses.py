@@ -68,7 +68,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .core import _SLOT_KINDS, VARIANTS, AxiomTable, NormalizedAxiom
+from .core import _SLOT_KINDS, RIGHTMOST_COL, VARIANTS, AxiomTable, NormalizedAxiom
 
 MODEL_TAGS = ("elem", "elbe", "box2el")
 
@@ -656,12 +656,11 @@ def batch_losses(
 ) -> np.ndarray:
     """Per-axiom losses for one (variant, polarity) group of axioms, an
     ``AxiomTable`` or a list of dataclasses; optionally adds ``weight`` times
-    the gradient of their sum into ``grad`` (a ``Gradient``, or a dict of
-    arrays), settled before the call returns.
+    the gradient of their sum into ``grad``, settled before the call returns.
 
     With ``candidates`` (concept ids) this is the ranking form: row i of the
-    result holds the losses of axiom i with its concept column 1 (the
-    rightmost concept of GCI0 and GCI2) set to each candidate in turn.  A pass
+    result holds the losses of axiom i with its rightmost concept
+    (``core.RIGHTMOST_COL``) set to each candidate in turn.  A pass
     scores about ``_RANK_ENTRIES`` entries: a chunk of candidates against one
     axiom, whose other columns are gathered once as rows repeated to the
     chunk's length and kept across its chunks, or, when the pool is smaller,
@@ -669,16 +668,10 @@ def batch_losses(
     are gathered once per call (a view when the pool is a run of consecutive
     ids), and every operand of a pass has its full shape, so no numpy call
     broadcasts.  The values equal the losses of the axioms written out."""
-    scatter = _as_gradient(grad)
-    losses = _group_losses(model, tag, polarity, axioms, scatter, weight, candidates)
-    if scatter is not None:
-        scatter.settle()
+    losses = _group_losses(model, tag, polarity, axioms, grad, weight, candidates)
+    if grad is not None:
+        grad.settle()
     return losses
-
-
-def _as_gradient(grad: dict | None) -> Gradient | None:
-    # a plain dict is wrapped: the wrapper shares its arrays, so settling writes into them
-    return grad if grad is None or isinstance(grad, Gradient) else Gradient(grad)
 
 
 def _group_losses(model, tag, polarity, axioms, grad, weight, candidates=None) -> np.ndarray:
@@ -706,7 +699,9 @@ def _group_losses(model, tag, polarity, axioms, grad, weight, candidates=None) -
             raise ValueError("the ranking form computes no gradient")
         if kinds.count("c") < 2:
             raise ValueError(f"the ranking form needs two concept slots, {tag} has one")
-        return _ranked_losses(model, terms, cols, np.asarray(candidates, dtype=np.int64))
+        # the rightmost concept's place among the concept columns
+        ranked = kinds[: RIGHTMOST_COL[VARIANTS.index(tag)]].count("c")
+        return _ranked_losses(model, terms, cols, ranked, np.asarray(candidates, dtype=np.int64))
     batch = _Batch(model, cols, grad, weight)
     total = _sum_terms(term(batch) for term in terms)
     if grad is not None:
@@ -721,8 +716,9 @@ def _sum_terms(values: Iterable[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _ranked_losses(model, terms, cols, candidates: np.ndarray) -> np.ndarray:
-    """The ranking form of ``batch_losses``: one row of losses per axiom."""
+def _ranked_losses(model, terms, cols, ranked: int, candidates: np.ndarray) -> np.ndarray:
+    """The ranking form of ``batch_losses``: one row of losses per axiom, the
+    candidates in concept column ``ranked`` of ``cols``."""
     if ((candidates < 0) | (candidates >= model.n_concepts)).any():
         raise KeyError("candidate id outside the model")
     n_pool = len(candidates)
@@ -747,7 +743,7 @@ def _ranked_losses(model, terms, cols, candidates: np.ndarray) -> np.ndarray:
         for lo in range(0, n_pool, width):
             n = min(width, n_pool - lo)
             rows = [f if f is None or n == width else _Rows(f, slice(0, n)) for f in fixed]
-            rows[1] = _Rows(pool, slice(lo, lo + k * n))
+            rows[ranked] = _Rows(pool, slice(lo, lo + k * n))
             batch = _Batch(model, None, None, 1.0, rows, scratch[: k * n])
             total = _sum_terms(term(batch) for term in terms)
             out[ids, lo : lo + n] = total.reshape(k, n)
@@ -790,7 +786,7 @@ def bump_regularizer(model: GeometricModel, grad: Gradient | None = None) -> flo
     if grad is not None:
         d = _unit(bumps, nrm)
         d *= model.reg_lambda / len(bumps)
-        _as_gradient(grad).add_dense("class_bump", d)
+        grad.add_dense("class_bump", d)
     return float(model.reg_lambda * nrm.mean())
 
 
@@ -809,7 +805,6 @@ def total_loss(
     for req in requests:
         for tag, rows in req.groups:
             groups.setdefault((tag, req.polarity), []).append(rows)
-    scatter = _as_gradient(grad)
     total = 0.0
     means: dict[str, float] = {}
     active: dict[str, float] = {}
@@ -817,14 +812,13 @@ def total_loss(
         axioms = parts[0] if len(parts) == 1 else AxiomTable(
             np.concatenate([p.codes for p in parts]), np.concatenate([p.cols for p in parts], 1)
         )
-        losses = _group_losses(model, tag, polarity, axioms, scatter, 1.0 / len(axioms))
+        losses = _group_losses(model, tag, polarity, axioms, grad, 1.0 / len(axioms))
         key = f"{tag}/{polarity}"
         mean = means[key] = float(losses.mean())
         active[key] = int(np.count_nonzero(losses)) / len(losses)
         total += mean
-    if scatter is not None:
-        scatter.settle()
-    total += bump_regularizer(model, scatter)
-    if isinstance(grad, Gradient):
+    if grad is not None:
+        grad.settle()
         grad.group_means, grad.group_active = means, active
+    total += bump_regularizer(model, grad)
     return total

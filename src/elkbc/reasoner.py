@@ -57,12 +57,12 @@ re-scan-everything fixpoint lives in the test suite as the independent oracle.
 A row no rule beyond CR0/CR1 grows stays its component's shared frozenset; a
 row that grows is copied on its first write and frozen at the end.
 ``SubsumptionIndex.successors`` is a read-only sequence whose row for a, the
-own rows over S(a) plus a's per-concept rows, is built on its first read and
-published complete.  ``SubsumptionIndex`` and ``RoleLinkIndex`` share it, the
-closure reads its GCI2 rows from it, and ``RoleLinkIndex.pairs(r)`` builds R(r)
-only when asked.  ``classify`` is sequential and deterministic; its results
-are not modified after it returns (concurrent readers at worst build the same
-successor row twice) and are safe for concurrent readers.
+own rows over S(a) plus a's per-concept rows, is built on each read.
+``SubsumptionIndex`` and ``RoleLinkIndex`` share it, the closure reads its
+GCI2 rows from it (and keeps the one memo over them), and
+``RoleLinkIndex.pairs(r)`` builds R(r) only when asked.  ``classify`` is
+sequential and deterministic; no read modifies its results, so they are
+safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -77,41 +77,36 @@ from .core import BOT_ID, TOP_ID, AxiomTable, Theory, _collector_paused
 class _LinkRows(Sequence):
     """The saturation's link rows, ``rows[a][r]`` being every B with (a, B) in
     R(r): the union of the own rows of a's superclasses and a's per-concept
-    row.  Row a is built on its first read and published complete."""
+    row.  Row a is built on each read."""
 
     def __init__(self, sup, own: dict, links: dict):
         self._sup = sup
         self._own = own
         self._subjects = frozenset(own)
         self._links = links
-        self._rows: list = [None] * len(sup)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._sup)
 
     def __getitem__(self, a: int) -> dict[int, frozenset[int]]:
-        a = range(len(self._rows))[a]
-        row = self._rows[a]
-        if row is None:
-            parts = defaultdict(list)
-            for x in self._sup[a] & self._subjects:
-                for r, targets in self._own[x].items():
-                    parts[r].append(targets)
-            for r, targets in self._links.get(a, {}).items():
+        a = range(len(self._sup))[a]
+        parts = defaultdict(list)
+        for x in self._sup[a] & self._subjects:
+            for r, targets in self._own[x].items():
                 parts[r].append(targets)
-            row = {
-                r: frozenset(ts[0]) if len(ts) == 1 else frozenset().union(*ts)
-                for r, ts in sorted(parts.items())
-            }
-            self._rows[a] = row
-        return row
+        for r, targets in self._links.get(a, {}).items():
+            parts[r].append(targets)
+        return {
+            r: frozenset(ts[0]) if len(ts) == 1 else frozenset().union(*ts)
+            for r, ts in sorted(parts.items())
+        }
 
 
 @dataclass(frozen=True)
 class SubsumptionIndex:
     """All entailed superclasses per concept (reflexive, transitively closed),
     and the saturation's link rows: ``successors[a][r]`` is every B with
-    (a, B) in R(r), the row ``RoleLinkIndex`` holds too, built on first read."""
+    (a, B) in R(r), the row ``RoleLinkIndex`` holds too, built on each read."""
 
     sup: tuple[frozenset[int], ...]
     successors: Sequence[dict[int, frozenset[int]]]

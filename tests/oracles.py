@@ -34,7 +34,7 @@ from elkbc.core import (
     _SLOT_KINDS,
     axiom_tag,
 )
-from elkbc.losses import batch_losses
+from elkbc.losses import batch_losses, total_loss
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +576,31 @@ class DenseAdam:
         for name, arr in params.items():
             if name.endswith("_radius") or name.endswith("_offset"):
                 np.maximum(arr, 0.0, out=arr)
+
+
+# ---------------------------------------------------------------------------
+# finite differences
+# ---------------------------------------------------------------------------
+
+
+def fd_gradient(model, requests, h):
+    """Central differences of ``total_loss`` at step ``h``, one parameter
+    entry at a time, as arrays shaped like the model's parameter blocks."""
+    grad = {}
+    for name, arr in model.params.items():
+        g = np.zeros_like(arr)
+        it = np.nditer(arr, flags=["multi_index"])
+        for _ in it:
+            ix = it.multi_index
+            orig = arr[ix]
+            arr[ix] = orig + h
+            lp = total_loss(model, requests)
+            arr[ix] = orig - h
+            lm = total_loss(model, requests)
+            arr[ix] = orig
+            g[ix] = (lp - lm) / (2 * h)
+        grad[name] = g
+    return grad
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from elkbc.core import (
 )
 from elkbc.datasets import BENCHMARK_SHAPES, layered_dag_benchmark, synthesize_shape
 from elkbc.evaluation import RankingTask, score_and_rank
-from elkbc.losses import LOSS_VARIANTS, LossRequest, batch_losses, total_loss
+from elkbc.losses import LOSS_VARIANTS, LossRequest, batch_losses
 from elkbc.reasoner import classify
 from elkbc.sampling import SamplerConfig, corrupt, entailed_fraction, sample_batch
 from elkbc.toy import (
@@ -39,7 +39,9 @@ from elkbc.toy import (
     train_regime,
 )
 from elkbc.training import TrainConfig, gradient, init_model, train
-from oracles import VectorModels, naive_closure, naive_metrics, naive_rank, random_theory
+from oracles import (
+    VectorModels, fd_gradient, naive_closure, naive_metrics, naive_rank, random_theory,
+)
 from test_closure import GOLDEN_GCI1, GOLDEN_GCI2, GOLDEN_GCI3
 from test_reasoner import GOLDEN_HIERARCHY
 
@@ -156,24 +158,6 @@ AXIOM_OF = {
 }
 
 
-def _fd_grad(model, requests, h):
-    grad = {}
-    for name, arr in model.params.items():
-        g = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            ix = it.multi_index
-            orig = arr[ix]
-            arr[ix] = orig + h
-            lp = total_loss(model, requests)
-            arr[ix] = orig - h
-            lm = total_loss(model, requests)
-            arr[ix] = orig
-            g[ix] = (lp - lm) / (2 * h)
-        grad[name] = g
-    return grad
-
-
 def test_a4_gradient_correctness():
     start = time.monotonic()
     rng = np.random.default_rng(77)
@@ -193,7 +177,7 @@ def test_a4_gradient_correctness():
                     for name in m.params:
                         m.params[name] = m.params[name] + rng.normal(0, 0.3, m.params[name].shape)
                     analytic = gradient(m, requests)
-                    fd1 = _fd_grad(m, requests, 1e-5)
+                    fd1 = fd_gradient(m, requests, 1e-5)
                     mismatch = any(
                         np.any(
                             np.abs(analytic[k] - fd1[k]) / np.maximum(1.0, np.abs(fd1[k]))
@@ -205,7 +189,7 @@ def test_a4_gradient_correctness():
                         # distinguish a kink inside the stencil from a wrong
                         # derivative: shrinking the step moves the estimate
                         # only at a kink
-                        fd2 = _fd_grad(m, requests, 5e-6)
+                        fd2 = fd_gradient(m, requests, 5e-6)
                         if not all(
                             np.allclose(fd1[k], fd2[k], rtol=1e-6, atol=1e-7) for k in fd1
                         ):

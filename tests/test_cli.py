@@ -5,9 +5,12 @@ import struct
 
 import pytest
 
+from elkbc import cli
 from elkbc.cli import main
 from elkbc.core import load_theory, parse_theory, serialize_theory
+from elkbc.sampling import SamplerConfig
 from elkbc.toy import golden_theory
+from elkbc.training import TrainConfig
 
 GOLDEN_NF = serialize_theory(golden_theory())
 
@@ -331,6 +334,27 @@ def test_json_config_accepted(tmp_path, golden_file):
     path = tmp_path / "train.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["train", "--config", str(path)]) == 0
+
+
+def test_train_config_keys_reach_the_config_fields(tmp_path, golden_file, monkeypatch):
+    """A config without sampler keys trains with ``SamplerConfig()`` and
+    TrainConfig's default seed; each sampler key a config sets reaches its
+    field, and ``--seed`` overrides the configured seed."""
+    seen = []
+    real_train = cli.train
+    monkeypatch.setattr(
+        cli, "train", lambda theory, cfg, dc: seen.append(cfg) or real_train(theory, cfg, dc)
+    )
+    cfg_path = tmp_path / "train.cfg"
+    base = f"dim=3\nepochs=1\ntrain_file={golden_file}\ncheckpoint={tmp_path / 'm.ckpt'}\n"
+    cfg_path.write_text(base, encoding="utf-8")
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    cfg_path.write_text(base + "seed=4\nnegative_mode=biased\nbias_p=0.5\nretry_limit=7\n")
+    assert main(["--seed", "9", "train", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert seen[0].sampler == SamplerConfig() and seen[0].seed == TrainConfig().seed
+    assert seen[1].sampler == SamplerConfig(mode="biased", bias_p=0.5, retry_limit=7)
+    assert [c.seed for c in seen[1:]] == [9, 4]
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

@@ -32,6 +32,7 @@ from elkbc.core import (
 from elkbc.evaluation import RankingTask, score_and_rank
 from elkbc.losses import batch_losses
 from elkbc.reasoner import classify
+from elkbc.sampling import SamplerConfig, sample_batch
 from elkbc.training import init_model
 from oracles import naive_closure, naive_rank, random_theory
 
@@ -184,18 +185,46 @@ def test_slot_sets_are_memoized_per_fixed_remainder():
 
 def test_bot_scans_store_no_probe_rows():
     """A _BOT form's filler query probes a row per concept; it keeps its own
-    answer but leaves the pair, existential and subject memos as they were."""
+    answer but leaves the pair, existential and subject memos as they were.
+    A _BOT point query stores no row either: its key holds the probed concept."""
     theory = parse_theory("GCI0 B C\nGCI1_BOT A C\nGCI3_BOT r C\nGCI1 A E D\nGCI2 D r E\n")
     index, hierarchy, _ = classify(theory)
     dc = compute_closure(theory, index, hierarchy, mode="oracle")
     a, b, c, d, e = (theory.signature.concepts.id_of(n) for n in "ABCDE")
-    # one stored row in each memo
+    # one stored row in the pair and subject memos, none for the _BOT probe
     assert dc.entails(GCI1(a, e, d)) and dc.entails(GCI3Bot(0, c)) and dc.entails(GCI2(d, 0, e))
     memos = (dc._pairs, dc._existentials, dc._subjects)
-    assert [len(m) for m in memos] == [1, 1, 1]
+    assert [len(m) for m in memos] == [1, 0, 1]
     assert dc.entailed_fillers(GCI1Bot(a, e)) == {b, c, BOT_ID}
     assert dc.entailed_fillers(GCI3Bot(0, a)) == {b, c, BOT_ID}
-    assert [len(m) for m in memos] == [1, 1, 1]
+    assert [len(m) for m in memos] == [1, 0, 1]
+
+
+def test_filtered_bot_draws_store_no_probe_rows():
+    """Filtered draws for GCI1_BOT and GCI3_BOT rows ask the closure once per
+    candidate, a pair or (r, A) key that holds the random draw.  Two calls
+    with different seeds leave the pair and existential memos as they were,
+    and no negative they emit is entailed."""
+    extra = "".join(f"#concept X{i}\n" for i in range(24))
+    theory = parse_theory(
+        "GCI1_BOT A B\nGCI3_BOT r C\nGCI0 D B\nGCI0 E C\nGCI1 A D F\nGCI3 r F E\n"
+        "GCI1_BOT B G\nGCI3_BOT s G\n" + extra
+    )
+    index, hierarchy, _ = classify(theory)
+    dc = compute_closure(theory, index, hierarchy, mode="oracle")
+    a, d, e, f = (theory.signature.concepts.id_of(n) for n in "ADEF")
+    # one row in each memo, under keys a fixed-id query asks again
+    assert dc.entails(GCI1(a, d, f)) and dc.entails(GCI3(0, f, e))
+    sizes = (len(dc._pairs), len(dc._existentials))
+    assert sizes == (1, 1)
+    rows = theory.axioms_of(GCI1Bot) + theory.axioms_of(GCI3Bot)
+    cfg = SamplerConfig(mode="filtered")
+    for seed in (0, 1):
+        stats = {}
+        negatives, skipped = sample_batch(rows, 40, cfg, dc, seed=seed, stats=stats)
+        assert skipped == 0 and stats["entailed_rejected"] > 0
+        assert (len(dc._pairs), len(dc._existentials)) == sizes
+        assert not any(dc.entails(ax) for ax in negatives)
 
 
 def test_concurrent_queries_match_single_thread_answers():

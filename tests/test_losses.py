@@ -13,8 +13,8 @@ from oracles import sequential_scatter
 
 from elkbc import losses
 from elkbc.core import (
-    _SLOT_KINDS, AXIOM_TAGS, SLOT_NAMES, GCI0, GCI0Bot, GCI1, GCI1Bot, GCI2, GCI3, GCI3Bot, RI0,
-    RI1, AxiomTable,
+    _SLOT_KINDS, AXIOM_TAGS, RIGHTMOST_COL, SLOT_NAMES, VARIANTS, GCI0, GCI0Bot, GCI1, GCI1Bot,
+    GCI2, GCI3, GCI3Bot, RI0, RI1, AxiomTable,
 )
 from elkbc.geometry import AABox, box_intersection, containment_measure_mu
 from elkbc.losses import (
@@ -604,7 +604,7 @@ def _assert_ranking_form_written_out(m, variant, polarity, axioms, pool, rows):
         got = batch_losses(m, variant, polarity, axioms, candidates=pool)
     assert {name: arr.tobytes() for name, arr in m.params.items()} == before
     assert got.shape == (len(axioms), len(pool))
-    ranked = [n for n, k in zip(SLOT_NAMES[variant], _SLOT_KINDS[variant]) if k == "c"][1]
+    ranked = SLOT_NAMES[variant][RIGHTMOST_COL[VARIANTS.index(variant)]]
     for ax, row in zip(axioms, got):
         written = [dataclasses.replace(ax, **{ranked: int(c)}) for c in pool]
         assert row.tobytes() == batch_losses(m, variant, polarity, written).tobytes()
@@ -619,7 +619,7 @@ def _assert_ranking_form_written_out(m, variant, polarity, axioms, pool, rows):
 @given(data=st.data())
 def test_ranking_form_equals_written_out_axioms(tag, variant, data):
     """Row i of the ranking form equals, bit for bit, the losses of axiom i
-    written out with its concept column 1 set to each candidate: pools of 1,
+    written out with its rightmost concept set to each candidate: pools of 1,
     2, chunk - 1, chunk, chunk + 1 and several chunks, so one or several
     axioms per pass with a partial last pass, contiguous and shuffled pools,
     dims below and above numpy's 8-way pairwise sum, signed zeros among the

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import DenseAdam, random_theory
+from oracles import DenseAdam, fd_gradient, random_theory
 
 from elkbc.core import (
     VARIANTS,
@@ -64,24 +64,6 @@ def _random_point(tag, rng):
     return m
 
 
-def _fd(model, requests, h):
-    grad = {}
-    for name, arr in model.params.items():
-        g = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            ix = it.multi_index
-            orig = arr[ix]
-            arr[ix] = orig + h
-            lp = total_loss(model, requests)
-            arr[ix] = orig - h
-            lm = total_loss(model, requests)
-            arr[ix] = orig
-            g[ix] = (lp - lm) / (2 * h)
-        grad[name] = g
-    return grad
-
-
 #: three axioms per variant sharing concept and role ids, in mixed polarity;
 #: an id repeated within a (variant, polarity) group makes the gradient
 #: scatter accumulate several contributions onto one parameter row
@@ -119,8 +101,8 @@ def test_gradients_match_central_differences(tag):
             while checked < 100 and attempts < 300:
                 attempts += 1
                 m = _random_point(tag, rng)
-                fd1 = _fd(m, requests, 1e-5)
-                fd2 = _fd(m, requests, 5e-6)
+                fd1 = fd_gradient(m, requests, 1e-5)
+                fd2 = fd_gradient(m, requests, 5e-6)
                 smooth = all(
                     np.allclose(fd1[k], fd2[k], rtol=1e-6, atol=1e-7) for k in fd1
                 )
