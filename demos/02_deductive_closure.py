@@ -22,14 +22,12 @@ print("\nclosure sizes per variant:", dc.counts())
 
 p = names.id_of("{P}")
 print("\nprovable existential superclasses of {P}:")
-for (a, r), fillers in sorted(dc.gci2.items()):
-    if a == p:
-        for b in sorted(fillers):
-            print("  {P} [= Ehas_function." + names.name_of(b))
+for ax in dc.iter_variant("GCI2"):
+    if ax.sub == p:
+        print("  {P} [= Ehas_function." + names.name_of(ax.filler))
 
 print("\nprovable superclasses of the conjunction {P} n {GO1}:")
-pair = tuple(sorted((p, names.id_of("{GO1}"))))
-for e in sorted(dc.gci1[pair]):
+for e in sorted(dc.entailed_fillers(GCI1(p, names.id_of("{GO1}"), p))):
     print("  " + names.name_of(e))
 
 print("\nspot entailment queries:")

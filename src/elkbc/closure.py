@@ -58,10 +58,11 @@ and dropped.  Concept rows are the index's own.  The id queries check nothing
 them.
 
 The two modes answer identically; ``materialized`` additionally
-enumerates the closure (``counts``, ``iter_variant`` and the per-variant
-``gci1`` .. ``gci3_bot`` views, built from the rows on first access) and is
-refused above a |C|^3 cap.  Rows are built lazily and published only when
-complete, so concurrent readers at worst build the same row twice.
+enumerates the closure (``iter_variant`` and ``counts``) and is refused
+above a |C|^3 cap.  Enumeration walks every key of a variant in id order and
+reads its row through the same memos, so no second copy of a row exists.
+Rows are built lazily and published only when complete, so concurrent
+readers at worst build the same row twice.
 """
 
 from __future__ import annotations
@@ -76,8 +77,6 @@ from .core import (
     _SLOT_KINDS,
     AXIOM_TAGS,
     BOT_ID,
-    GCI0,
-    GCI0Bot,
     RIGHTMOST_COL,
     SLOT_NAMES,
     TOP_ID,
@@ -90,6 +89,12 @@ from .reasoner import RoleHierarchy, SubsumptionIndex, gci1_by_conjunct
 
 class ClosureCapError(RuntimeError):
     """Materialization refused: the GCI1 bound |C|^3 exceeds the cap."""
+
+
+#: the enumerated variants, in ``counts`` order
+_ENUMERATED = ("GCI0", "GCI1", "GCI2", "GCI3", "GCI0_BOT", "GCI1_BOT", "GCI3_BOT")
+#: the variants whose Bot answers their ``_BOT`` form lists instead
+_BOT_APART = ("GCI1", "GCI3")
 
 
 def _canon(a: int, b: int) -> tuple[int, int]:
@@ -269,82 +274,50 @@ class DeductiveClosure:
 
     # -- enumeration (materialized mode) ---------------------------------------
 
-    def _enumerable(self) -> None:
+    def _key_rows(self, tag: str) -> Iterator[tuple[tuple[int, ...], frozenset[int]]]:
+        """Every (key, row) of variant ``tag`` in id order, pairs canonical;
+        the rows are the memoized ones, a concept's its classified S(a)."""
         if not self.materialized:
             raise ValueError("enumeration requires a materialized closure")
-
-    def _all_pair_rows(self) -> Iterator[tuple[tuple[int, int], frozenset[int]]]:
-        self._enumerable()
-        n_c = self.theory.n_concepts
-        return (((a, b), self._pair_row(a, b)) for a in range(n_c) for b in range(a, n_c))
-
-    def _all_existential_rows(self) -> Iterator[tuple[tuple[int, int], frozenset[int]]]:
-        self._enumerable()
-        roles, concepts = range(self.theory.n_roles), range(self.theory.n_concepts)
-        return (((r, a), self._existential_row(r, a)) for r in roles for a in concepts)
-
-    @cached_property
-    def gci1(self) -> dict[tuple[int, int], frozenset[int]]:
-        rows = self._all_pair_rows()
-        return {pair: rest for pair, row in rows if (rest := row - {BOT_ID})}
-
-    @cached_property
-    def gci1_bot(self) -> set[tuple[int, int]]:
-        return {pair for pair, row in self._all_pair_rows() if BOT_ID in row}
-
-    @cached_property
-    def gci2(self) -> dict[tuple[int, int], frozenset[int]]:
-        self._enumerable()
-        return {
-            (a, r): fillers
-            for a in range(self.theory.n_concepts)
-            for r, fillers in self._subject_row(a).items()
-            if fillers
-        }
-
-    @cached_property
-    def gci3(self) -> dict[tuple[int, int], frozenset[int]]:
-        rows = self._all_existential_rows()
-        return {key: rest for key, row in rows if (rest := row - {BOT_ID})}
-
-    @cached_property
-    def gci3_bot(self) -> set[tuple[int, int]]:
-        return {key for key, row in self._all_existential_rows() if BOT_ID in row}
+        concepts, roles = range(self.theory.n_concepts), range(self.theory.n_roles)
+        if tag in ("GCI0", "GCI0_BOT"):
+            return (((a,), self.index.sup[a]) for a in concepts)
+        if tag in ("GCI1", "GCI1_BOT"):
+            return (((a, b), self._pair_row(a, b)) for a in concepts for b in concepts[a:])
+        if tag == "GCI2":
+            return (
+                ((a, r), row) for a in concepts for r, row in sorted(self._subject_row(a).items())
+            )
+        if tag in ("GCI3", "GCI3_BOT"):
+            return (((r, a), self._existential_row(r, a)) for r in roles for a in concepts)
+        raise ValueError(f"unknown variant {tag!r}")
 
     def counts(self) -> dict[str, int]:
-        """Materialized axiom count per variant (GCI0 family from the index)."""
-        self._enumerable()
-        return {
-            "GCI0": sum(len(s) for s in self.index.sup),
-            "GCI1": sum(len(s) for s in self.gci1.values()),
-            "GCI2": sum(len(s) for s in self.gci2.values()),
-            "GCI3": sum(len(s) for s in self.gci3.values()),
-            "GCI0_BOT": sum(1 for a in range(self.theory.n_concepts) if self._unsat(a)),
-            "GCI1_BOT": len(self.gci1_bot),
-            "GCI3_BOT": len(self.gci3_bot),
-        }
+        """Axioms per variant as ``iter_variant`` lists them, from the rows."""
+        counts = {}
+        for tag in _ENUMERATED:
+            rows = (row for _, row in self._key_rows(tag))
+            if tag.endswith("_BOT"):
+                counts[tag] = sum(BOT_ID in row for row in rows)
+            else:  # less Bot where the _BOT form lists it
+                counts[tag] = sum(len(row) - (tag in _BOT_APART and BOT_ID in row) for row in rows)
+        return counts
 
-    def iter_variant(self, tag: str):
-        """Materialized axioms of one variant, id-sorted, pairs canonical."""
-        self._enumerable()
-        if tag == "GCI0":
-            for a in range(self.theory.n_concepts):
-                for b in sorted(self.index.sup[a]):
-                    yield GCI0(a, b)
-        elif tag == "GCI0_BOT":
-            for a in range(self.theory.n_concepts):
-                if self._unsat(a):
-                    yield GCI0Bot(a)
-        elif tag in ("GCI1", "GCI2", "GCI3"):
-            view = getattr(self, tag.lower())
-            for key in sorted(view):
-                for v in sorted(view[key]):
-                    yield AXIOM_TAGS[tag](*key, v)
-        elif tag in ("GCI1_BOT", "GCI3_BOT"):
-            for key in sorted(getattr(self, tag.lower())):
-                yield AXIOM_TAGS[tag](*key)
+    def iter_variant(self, tag: str) -> Iterator[NormalizedAxiom]:
+        """Materialized axioms of one variant, id-sorted, pairs canonical.
+
+        A ``_BOT`` form lists each key whose row holds Bot; every other
+        variant one axiom per member of each row.  GCI1 and GCI3 leave Bot
+        out, which their ``_BOT`` forms list; GCI0 and GCI2 keep it.  GCI0
+        lists S(a) as classified, so for an unsatisfiable ``a`` it lists
+        fewer superclasses than ``entails`` grants (every concept)."""
+        rows, axiom = self._key_rows(tag), AXIOM_TAGS[tag]
+        if tag.endswith("_BOT"):
+            yield from (axiom(*key) for key, row in rows if BOT_ID in row)
         else:
-            raise ValueError(f"unknown variant {tag!r}")
+            drop = BOT_ID if tag in _BOT_APART else None
+            for key, row in rows:
+                yield from (axiom(*key, v) for v in sorted(row) if v != drop)
 
 
 def compute_closure(

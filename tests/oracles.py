@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from elkbc.core import (
+    AXIOM_TAGS,
     BOT_ID,
     GCI0,
     GCI0Bot,
@@ -252,6 +253,19 @@ def naive_closure(theory: Theory):
         "GCI3": gci3,
         "GCI3_BOT": gci3_bot,
     }
+
+
+def closure_axioms(ref: dict) -> dict[str, set]:
+    """``naive_closure``'s result written out as axioms, per variant: a
+    keyed row gives one axiom per member, a set of keys one axiom per key."""
+    out = {}
+    for tag, rows in ref.items():
+        cls = AXIOM_TAGS[tag]
+        if isinstance(rows, dict):
+            out[tag] = {cls(*key, v) for key, members in rows.items() for v in members}
+        else:
+            out[tag] = {cls(*key) if isinstance(key, tuple) else cls(key) for key in rows}
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line surface, end to end on small fixtures."""
 
+import hashlib
 import json
 import struct
 
@@ -8,6 +9,7 @@ import pytest
 from elkbc import cli
 from elkbc.cli import main
 from elkbc.core import load_theory, parse_theory, serialize_theory
+from elkbc.datasets import layered_dag_benchmark
 from elkbc.sampling import SamplerConfig
 from elkbc.toy import golden_theory
 from elkbc.training import TrainConfig
@@ -102,6 +104,46 @@ def test_closure_writes_variant_files_and_counts(tmp_path, golden_file, capsys):
     assert len([l for l in gci2_lines if l.startswith("GCI2 {P} ")]) == 2
     # the per-variant files parse as theories over the same names
     parse_theory(GOLDEN_NF + (out_dir / "gci1_bot.nf").read_text())
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+#: sha256 of each file ``elkbc closure --out`` writes, and of the counts it prints
+CLOSURE_DIGESTS = {
+    "golden": {
+        "gci0.nf": "ea70f2ca7374317ab3df297afe4bf99cb6efedf67031d3f171330eb042e6acb7",
+        "gci0_bot.nf": EMPTY,
+        "gci1.nf": "5ed53d904dfada4da15f7a8d8781df12d5daf46ca7019f9bbf9312a6d44e5c39",
+        "gci1_bot.nf": "7ad213248b9665219c407c1c0e86f0c3aadec02e857215ceabe716a63163d256",
+        "gci2.nf": "e8ba06fdee4c6ef4eb0e08ad8bf0b4c65fc9567c75f59a666f0c80f9d91710cb",
+        "gci3.nf": "3fa74a8d4a3667e2393a9042c29ca6623496b4385b44805009f510c3879ece58",
+        "gci3_bot.nf": EMPTY,
+        "counts": "8e91f0433ede4904c9b1478a6c024bb5231fcf5e937d90517ef48ada801627ba",
+    },
+    "dag0": {
+        "gci0.nf": "2f64e4104e81e963c0f5d4b1ad4eb19cc3ecd8de8d6da543801c843f2ca839a6",
+        "gci0_bot.nf": EMPTY,
+        "gci1.nf": "4af99bff01e549cba8e47d3e29633a50aff7468ac5ea2fdeb2c7b8e304060f58",
+        "gci1_bot.nf": EMPTY,
+        "gci2.nf": "cbdf48e2f7e5eab4ce636b66ff004c19f608e87317481c59ab9b3e8224924973",
+        "gci3.nf": "f4b6d8eebcc14f9ba1e10edde0f44c12563eaa63f117dd87dde563797554e5eb",
+        "gci3_bot.nf": EMPTY,
+        "counts": "f543ce64c73ab8146000f317e5b61bcf3945c628edb7690b94e60e9cbcf463ae",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_DIGESTS))
+def test_closure_output_is_pinned(tmp_path, capsys, name):
+    """``elkbc closure`` writes the same seven files and counts, byte for
+    byte, on the golden theory and a 60-class layered DAG."""
+    theory = golden_theory() if name == "golden" else layered_dag_benchmark(0, n_concepts=60)[0]
+    src, out_dir = tmp_path / "theory.nf", tmp_path / "closure"
+    src.write_text(serialize_theory(theory), encoding="utf-8")
+    assert main(["closure", str(src), "--out", str(out_dir)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+    digests["counts"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == CLOSURE_DIGESTS[name]
 
 
 def test_closure_query(golden_file, capsys):

@@ -1,5 +1,7 @@
 """Per-variant closure: golden tables, mode agreement, rule properties."""
 
+import collections
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,14 +15,15 @@ from elkbc.core import (
     GCI1Bot,
     GCI2,
     GCI3,
-    GCI3Bot,
     RI0,
     RI1,
     TOP_ID,
     parse_theory,
 )
+from elkbc.datasets import layered_dag_benchmark
+from elkbc.losses import LOSS_VARIANTS
 from elkbc.reasoner import classify
-from oracles import axiom_holds, enumerate_models, naive_closure, random_theory
+from oracles import axiom_holds, closure_axioms, enumerate_models, naive_closure, random_theory
 
 ALL = {"owl:Nothing", "{P}", "{Q}", "A", "B", "{GO1}", "{GO2}", "owl:Thing"}
 T = "owl:Thing"
@@ -90,10 +93,11 @@ def test_golden_gci1_table(golden):
     theory, dc = golden["theory"], golden["materialized"]
     names = theory.signature.concepts
     computed: dict[tuple[str, str], set[str]] = {}
-    for pair, sups in dc.gci1.items():
-        computed[_name_pair(names, pair)] = {names.name_of(e) for e in sups}
-    for pair in dc.gci1_bot:
-        computed.setdefault(_name_pair(names, pair), set()).add("owl:Nothing")
+    for ax in dc.iter_variant("GCI1"):
+        sups = computed.setdefault(_name_pair(names, (ax.left, ax.right)), set())
+        sups.add(names.name_of(ax.sup))
+    for ax in dc.iter_variant("GCI1_BOT"):
+        computed.setdefault(_name_pair(names, (ax.left, ax.right)), set()).add("owl:Nothing")
     golden_keyed = {tuple(sorted(k)): v for k, v in GOLDEN_GCI1.items()}
     assert computed == golden_keyed
 
@@ -102,9 +106,9 @@ def test_golden_gci2_table(golden):
     theory, dc = golden["theory"], golden["materialized"]
     names = theory.signature.concepts
     computed: dict[str, set[str]] = {}
-    for (a, r), fillers in dc.gci2.items():
-        assert r == 0
-        computed[names.name_of(a)] = {names.name_of(b) for b in fillers}
+    for ax in dc.iter_variant("GCI2"):
+        assert ax.role == 0
+        computed.setdefault(names.name_of(ax.sub), set()).add(names.name_of(ax.filler))
     assert computed == GOLDEN_GCI2
 
 
@@ -112,13 +116,13 @@ def test_golden_gci3_table(golden):
     theory, dc = golden["theory"], golden["materialized"]
     names = theory.signature.concepts
     computed: dict[str, set[str]] = {}
-    for (r, a), sups in dc.gci3.items():
-        assert r == 0
-        if a == BOT_ID:
+    for ax in dc.iter_variant("GCI3"):
+        assert ax.role == 0
+        if ax.filler == BOT_ID:
             continue  # the table lists satisfiable fillers only
-        computed[names.name_of(a)] = {names.name_of(b) for b in sups}
+        computed.setdefault(names.name_of(ax.filler), set()).add(names.name_of(ax.sup))
     assert computed == GOLDEN_GCI3
-    assert not dc.gci3_bot
+    assert not list(dc.iter_variant("GCI3_BOT"))
 
 
 def test_gci2_membership_examples(golden):
@@ -170,13 +174,36 @@ def test_matches_naive_closure_oracle():
         theory = random_theory(rng)
         index, hierarchy, _ = classify(theory)
         dc = compute_closure(theory, index, hierarchy)
-        ref = naive_closure(theory)
-        assert {(a, b) for a in range(theory.n_concepts) for b in index.sup[a]} == ref["GCI0"]
-        assert dc.gci1 == ref["GCI1"]
-        assert dc.gci1_bot == ref["GCI1_BOT"]
-        assert dc.gci2 == ref["GCI2"]
-        assert dc.gci3 == ref["GCI3"]
-        assert dc.gci3_bot == ref["GCI3_BOT"]
+        for tag, axioms in closure_axioms(naive_closure(theory)).items():
+            assert set(dc.iter_variant(tag)) == axioms, (tag, theory.axioms)
+
+
+def test_enumeration_copies_no_row():
+    """Listing the closure reads the rows its queries memoize: after every
+    variant and ``counts``, the closure holds its fields, its four memos and
+    its premise indexes, and no per-variant copy of the rows."""
+    theory = layered_dag_benchmark(0)[0]
+    index, hierarchy, _ = classify(theory)
+    dc = compute_closure(theory, index, hierarchy)
+    for tag in LOSS_VARIANTS:
+        collections.deque(dc.iter_variant(tag), maxlen=0)
+    dc.counts()
+    n = theory.n_concepts
+    assert len(dc._pairs) == n * (n + 1) // 2 and len(dc._subjects) == n
+    fields = {f.name for f in dataclasses.fields(dc)}
+    memos = {"_pairs", "_subjects", "_existentials", "_slot_sets"}
+    premises = {"_gci1_by_conjunct", "_gci3_by_filler", "_everything"}
+    assert set(vars(dc)) <= fields | memos | premises
+
+
+def test_enumeration_refuses_oracle_closures_and_unknown_variants(golden):
+    with pytest.raises(ValueError, match="materialized"):
+        golden["oracle"].counts()
+    with pytest.raises(ValueError, match="materialized"):
+        next(golden["oracle"].iter_variant("GCI0"))
+    for tag in ("RI0", "GCI2_BOT", "gci1"):
+        with pytest.raises(ValueError, match="unknown variant"):
+            next(golden["materialized"].iter_variant(tag))
 
 
 def test_two_axiom_corruption_pool():
@@ -185,7 +212,8 @@ def test_two_axiom_corruption_pool():
     dc = compute_closure(theory, index, hierarchy)
     names = theory.signature.concepts
     a, b, e, f = (names.id_of(x) for x in "ABEF")
-    sups = dc.gci1[(a, b) if a <= b else (b, a)]
+    pair = (a, b) if a <= b else (b, a)
+    sups = {ax.sup for ax in dc.iter_variant("GCI1") if (ax.left, ax.right) == pair}
     assert {a, b, e} <= sups
     assert f not in sups
 
@@ -213,8 +241,8 @@ def test_unconditional_rules_on_empty_theory():
     x = theory.signature.concepts.id_of("X")
     assert dc.entails(GCI2(BOT_ID, 0, x))
     assert dc.entails(GCI3(0, x, TOP_ID))
-    assert x in dc.gci2[(BOT_ID, 0)]
-    assert TOP_ID in dc.gci3[(0, x)]
+    assert GCI2(BOT_ID, 0, x) in set(dc.iter_variant("GCI2"))
+    assert GCI3(0, x, TOP_ID) in set(dc.iter_variant("GCI3"))
 
 
 @pytest.mark.parametrize("mode", ["materialized", "oracle"])
@@ -288,14 +316,8 @@ def test_closure_soundness_on_tiny_theories():
         index, hierarchy, _ = classify(theory)
         dc = compute_closure(theory, index, hierarchy)
         models = enumerate_models(theory, max_domain=3)
-        members = []
-        for a in range(theory.n_concepts):
-            members += [GCI0(a, b) for b in index.sup[a]]
-        members += [GCI1(p[0], p[1], e) for p, es in dc.gci1.items() for e in es]
-        members += [GCI1Bot(*p) for p in dc.gci1_bot]
-        members += [GCI2(a, r, b) for (a, r), bs in dc.gci2.items() for b in bs]
-        members += [GCI3(r, a, b) for (r, a), bs in dc.gci3.items() for b in bs]
-        members += [GCI3Bot(r, a) for (r, a) in dc.gci3_bot]
+        tags = ("GCI0", "GCI1", "GCI1_BOT", "GCI2", "GCI3", "GCI3_BOT")
+        members = [ax for tag in tags for ax in dc.iter_variant(tag)]
         for ax in members:
             for concepts, roles, domain in models:
                 assert axiom_holds(ax, concepts, roles, domain), (theory.axioms, ax)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from elkbc.closure import compute_closure
 from elkbc.core import (
+    AXIOM_TAGS,
     BOT_ID,
     GCI0,
     GCI0Bot,
@@ -30,7 +31,7 @@ from elkbc.core import (
     parse_theory,
 )
 from elkbc.evaluation import RankingTask, score_and_rank
-from elkbc.losses import batch_losses
+from elkbc.losses import LOSS_VARIANTS, batch_losses
 from elkbc.reasoner import classify
 from elkbc.sampling import SamplerConfig, sample_batch
 from elkbc.training import init_model
@@ -97,6 +98,43 @@ def test_entails_matches_naive_closure_in_both_modes(seed):
         # the id path answers as the dataclass path on the table's rows
         rows = zip(table.codes.tolist(), *table.cols.tolist())
         assert [dc.entails_ids(code, ids) for code, *ids in rows] == list(map(dc.entails, table))
+
+
+def _check_enumeration_matches_queries(theory, index, dc):
+    """Every enumerated axiom is entailed; every entailed axiom with its pair
+    canonical is enumerated, but for GCI0(a, x) with an unsatisfiable a
+    (enumeration lists S(a) as classified) and a GCI1 or GCI3 axiom whose
+    answer is Bot (enumerated as its _BOT form)."""
+    entailed = {tag: set() for tag in LOSS_VARIANTS}
+    for ax in _every_axiom(theory.n_concepts, theory.n_roles):
+        if not (isinstance(ax, (GCI1, GCI1Bot)) and ax.left > ax.right) and dc.entails(ax):
+            entailed[axiom_tag(ax)].add(ax)
+    counts = dc.counts()
+    for tag, expected in entailed.items():
+        listed = list(dc.iter_variant(tag))
+        rows = [dataclasses.astuple(ax) for ax in listed]
+        assert rows == sorted(set(rows)) and counts[tag] == len(rows), tag
+        assert set(listed) <= expected, (tag, theory.axioms)
+        missing = expected - set(listed)
+        if tag == "GCI0":
+            assert all(BOT_ID in index.sup[ax.sub] for ax in missing), theory.axioms
+        elif tag in ("GCI1", "GCI3"):
+            assert missing == {ax for ax in expected if ax.sup == BOT_ID}, theory.axioms
+            bot_forms = {AXIOM_TAGS[tag + "_BOT"](*dataclasses.astuple(ax)[:-1]) for ax in missing}
+            assert bot_forms <= set(dc.iter_variant(tag + "_BOT")), theory.axioms
+        else:
+            assert not missing, (tag, theory.axioms)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(SEEDS)
+def test_enumeration_matches_queries(seed):
+    theory, index, hierarchy = _theory(seed, max_concepts=6, max_roles=2, max_axioms=12)
+    _check_enumeration_matches_queries(theory, index, compute_closure(theory, index, hierarchy))
+
+
+def test_golden_enumeration_matches_queries(golden):
+    _check_enumeration_matches_queries(golden["theory"], golden["index"], golden["materialized"])
 
 
 def _rightmost(tag):
