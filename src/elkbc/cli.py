@@ -219,17 +219,15 @@ def cmd_closure(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     sig = theory.signature
     for tag in LOSS_VARIANTS:
-        lines = []
-        for ax in dc.iter_variant(tag):
-            if tag.endswith("_BOT") and BOT_ID in axiom_slots(ax):
-                # Bot-conjunct disjointness members are trivially true and
-                # have no line form (the tag already implies Bot); counts
-                # still include them
-                continue
-            lines.append(format_axiom(sig, ax))
-        (out_dir / f"{tag.lower()}.nf").write_text(
-            "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
-        )
+        # each line is written as it is produced, so no file is held in memory
+        with (out_dir / f"{tag.lower()}.nf").open("w", encoding="utf-8") as f:
+            for ax in dc.iter_variant(tag):
+                if tag.endswith("_BOT") and BOT_ID in axiom_slots(ax):
+                    # Bot-conjunct disjointness members are trivially true and
+                    # have no line form (the tag already implies Bot); counts
+                    # still include them
+                    continue
+                print(format_axiom(sig, ax), file=f)
     for tag, count in dc.counts().items():
         print(f"{tag}\t{count}")
     return 0

@@ -60,10 +60,14 @@ parameter mutation happens only in the trainer.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
+import os
 import re
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -664,10 +668,13 @@ def batch_losses(
     scores about ``_RANK_ENTRIES`` entries: a chunk of candidates against one
     axiom, whose other columns are gathered once as rows repeated to the
     chunk's length and kept across its chunks, or, when the pool is smaller,
-    several axioms written out against the whole pool.  The candidates' rows
-    are gathered once per call (a view when the pool is a run of consecutive
-    ids), and every operand of a pass has its full shape, so no numpy call
-    broadcasts.  The values equal the losses of the axioms written out."""
+    several axioms written out against the whole pool.  The passes run in
+    one contiguous share per CPU of the process's affinity mask, each share
+    on its own thread and in the caller's ``np.errstate`` (``_in_shares``).
+    A share gathers the candidates' rows once (a view when the pool is a run
+    of consecutive ids), and every operand of a pass has its full shape, so
+    no numpy call broadcasts.  The values equal the losses of the axioms
+    written out, at any CPU count."""
     losses = _group_losses(model, tag, polarity, axioms, grad, weight, candidates)
     if grad is not None:
         grad.settle()
@@ -718,7 +725,10 @@ def _sum_terms(values: Iterable[np.ndarray]) -> np.ndarray:
 
 def _ranked_losses(model, terms, cols, ranked: int, candidates: np.ndarray) -> np.ndarray:
     """The ranking form of ``batch_losses``: one row of losses per axiom, the
-    candidates in concept column ``ranked`` of ``cols``."""
+    candidates in concept column ``ranked`` of ``cols``.  The passes split
+    into one contiguous share per CPU (``_in_shares``); a share gathers its
+    own rows and computes in its own scratch buffer, and each pass writes its
+    own slice of the result, so the values do not depend on the split."""
     if ((candidates < 0) | (candidates >= model.n_concepts)).any():
         raise KeyError("candidate id outside the model")
     n_pool = len(candidates)
@@ -733,21 +743,74 @@ def _ranked_losses(model, terms, cols, ranked: int, candidates: np.ndarray) -> n
     index = np.tile(candidates, min(per, len(out)))
     if per == 1 and (np.diff(candidates) == 1).all():
         index = slice(candidates[0], candidates[-1] + 1)
-    pool = _Rows(_read_only(model.params), index)
-    scratch = np.empty((min(per, len(out)) * width, model.dim))
-    for a in range(0, len(out), per):
-        ids = slice(a, a + per)
-        k = len(out[ids])
-        # the other columns: each axiom's ids repeated `width` times
-        fixed = [None if c is None else _Rows(model.params, np.repeat(c[ids], width)) for c in cols]
-        for lo in range(0, n_pool, width):
-            n = min(width, n_pool - lo)
-            rows = [f if f is None or n == width else _Rows(f, slice(0, n)) for f in fixed]
-            rows[ranked] = _Rows(pool, slice(lo, lo + k * n))
-            batch = _Batch(model, None, None, 1.0, rows, scratch[: k * n])
-            total = _sum_terms(term(batch) for term in terms)
-            out[ids, lo : lo + n] = total.reshape(k, n)
+    params = _read_only(model.params)
+
+    def score(passes: list[tuple[int, int]]) -> None:
+        pool = _Rows(params, index)
+        scratch = np.empty((min(per, len(out)) * width, model.dim))
+        for a, los in groupby(passes, key=lambda p: p[0]):
+            ids = slice(a, a + per)
+            k = len(out[ids])
+            # the other columns: each axiom's ids repeated `width` times
+            fixed = [
+                None if c is None else _Rows(model.params, np.repeat(c[ids], width)) for c in cols
+            ]
+            for _, lo in los:
+                n = min(width, n_pool - lo)
+                rows = [f if f is None or n == width else _Rows(f, slice(0, n)) for f in fixed]
+                rows[ranked] = _Rows(pool, slice(lo, lo + k * n))
+                batch = _Batch(model, None, None, 1.0, rows, scratch[: k * n])
+                total = _sum_terms(term(batch) for term in terms)
+                out[ids, lo : lo + n] = total.reshape(k, n)
+
+    _in_shares(score, [(a, lo) for a in range(0, len(out), per) for lo in range(0, n_pool, width)])
     return out
+
+
+def _workers() -> int:
+    """The CPUs this process may run on: its affinity mask, or the CPU count
+    where the platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _new_executor() -> None:
+    """Make ``_EXECUTOR``, which scores every share of a ranking call but
+    the caller's own; its threads start on first use and idle between
+    calls."""
+    global _EXECUTOR
+    _EXECUTOR = ThreadPoolExecutor(thread_name_prefix="elkbc-rank")
+
+
+_new_executor()
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of its parent's threads, so it needs its own pool
+    os.register_at_fork(after_in_child=_new_executor)
+
+
+def _in_shares(score: Callable[[list], None], passes: list) -> None:
+    """Call ``score`` on one contiguous share of ``passes`` per worker
+    (``_workers``), at most one share per pass.  The calling thread scores
+    the first share and ``_EXECUTOR`` the others, each in a copy of the
+    caller's context, so its ``np.errstate`` holds there too.  One share
+    runs inline.  Returns once every share has stopped, then raises the
+    error of the first share that raised, if any."""
+    n = min(_workers(), len(passes))
+    if n <= 1:
+        score(passes)
+        return
+    bounds = [len(passes) * i // n for i in range(n + 1)]
+    shares = [passes[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    futures = []
+    try:
+        for share in shares[1:]:
+            futures.append(_EXECUTOR.submit(contextvars.copy_context().run, score, share))
+        score(shares[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _read_only(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

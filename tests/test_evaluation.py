@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
 import re
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -459,6 +463,206 @@ def test_key_shared_by_more_axioms_than_a_block_holds(monkeypatch):
     for ax, r in zip(axioms, report.rankings):
         want = naive_rank(list(scores), pool.index(ax.sup), [True] * n_pool)
         assert (r.raw_rank, r.pool_size, r.filtered_rank, r.filtered_pool_size) == want * 2
+
+
+@pytest.mark.parametrize("tag", MODEL_TAGS)
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_ranking_shares_equal_one_worker(tag, data):
+    """The ranking form's passes split into one share per worker: at 2 and
+    3 workers every score, and the raw report, equals byte for byte the
+    one-worker one, for GCI0 and GCI2 keys, a consecutive and a shuffled
+    pool, pools smaller than a pass (several axioms per pass) and pools of
+    several passes, signed zeros among the parameters; a NaN candidate row
+    still makes ``score_and_rank`` raise at every worker count."""
+    chunk = data.draw(st.sampled_from([1, 2, 3, 5]))
+    n_pool = data.draw(st.sampled_from([1, 2, chunk, 2 * chunk + 1, 4 * chunk + 1]))
+    n_c = n_pool + 3
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = init_model(tag, n_c, 2, data.draw(st.sampled_from([2, 9])), seed=int(rng.integers(100)))
+    for name, arr in m.params.items():
+        m.params[name] = np.where(rng.random(arr.shape) < 0.2, -0.0, arr)
+    if data.draw(st.booleans()):
+        start = int(rng.integers(4))
+        pool = list(range(start, start + n_pool))
+    else:
+        pool = [int(c) for c in rng.permutation(n_c)[:n_pool]]
+    variant = data.draw(st.sampled_from(["GCI0", "GCI2"]))
+    axioms = [
+        GCI0(int(rng.integers(n_c)), int(rng.choice(pool))) if variant == "GCI0"
+        else GCI2(int(rng.integers(n_c)), int(rng.integers(2)), int(rng.choice(pool)))
+        for _ in range(data.draw(st.integers(1, 7)))
+    ]
+    poisoned = m.copy()
+    poisoned.params["class_center"][rng.choice(pool), rng.integers(m.dim)] = np.nan
+    task = RankingTask(axioms, pool)
+    scores, reports = {}, {}
+    with mock.patch.object(losses, "_RANK_ENTRIES", chunk * m.dim):
+        for workers in (1, 2, 3):
+            with mock.patch.object(losses, "_workers", lambda: workers):
+                scores[workers] = batch_losses(
+                    m, variant, "positive", axioms, candidates=pool
+                ).tobytes()
+                reports[workers] = score_and_rank(m, task).to_json()
+                with pytest.raises(ValueError, match="non-finite"):
+                    score_and_rank(poisoned, task)
+    assert scores[2] == scores[1] and scores[3] == scores[1]
+    assert reports[2] == reports[1] and reports[3] == reports[1]
+
+
+def _share_probe(raising, slow):
+    """A ranking term over 1-row passes that records each pass it finished
+    and how many passes are running, sleeps in the passes ``slow`` names and
+    raises in those ``raising`` names, by candidate position."""
+    lock = threading.Lock()
+    done, running = set(), [0]
+
+    def term(b):
+        lo = b._rows[1].index.start  # the pass's candidate position
+        with lock:
+            running[0] += 1
+        try:
+            if lo in slow:
+                time.sleep(0.05)
+            if lo in raising:
+                raise raising[lo]
+            with lock:
+                done.add(lo)
+            return b.gather("class_center", 1)[:, 0].copy()
+        finally:
+            with lock:
+                running[0] -= 1
+
+    return term, done, running
+
+
+@pytest.mark.parametrize(
+    "raising, slow, first, finished",
+    [
+        # shares 1 and 2 raise; share 2 raises first, share 1's error is raised
+        ({3: ValueError("share 1"), 6: KeyError("share 2")}, {0, 1, 2, 3}, "share 1", {0, 1, 2}),
+        # the caller's own share raises at once; the others still finish
+        ({0: ValueError("share 0")}, {3, 4, 5, 6, 7, 8}, "share 0", {3, 4, 5, 6, 7, 8}),
+    ],
+)
+def test_ranking_share_error_is_raised_after_every_share_stopped(raising, slow, first, finished):
+    """Nine 1-row passes in three shares of three: the error raised is that
+    of the first share that raised, and only once every other share has
+    stopped, having finished each pass before its own error."""
+    m = init_model("elbe", 9, 1, 4, seed=0)
+    term, done, running = _share_probe(raising, slow)
+    with mock.patch.dict(losses._TABLES["elbe"], {("GCI0", "positive"): [term]}), \
+            mock.patch.object(losses, "_RANK_ENTRIES", m.dim), \
+            mock.patch.object(losses, "_workers", lambda: 3):
+        with pytest.raises((ValueError, KeyError)) as err:
+            batch_losses(m, "GCI0", "positive", [GCI0(0, 1)], candidates=range(9))
+    assert running == [0]
+    assert first in str(err.value)
+    assert done == finished
+
+
+def test_ranking_shares_keep_the_callers_errstate():
+    """A caller's ``np.errstate`` holds in the passes a pool thread scores:
+    an overflow in the last candidate's row, scored by the second of two
+    shares, raises ``FloatingPointError`` as it does inline."""
+    m = init_model("elbe", 8, 1, 4, seed=0)
+    m.params["class_center"][7] = 1e200
+    with mock.patch.object(losses, "_RANK_ENTRIES", m.dim):
+        for workers in (1, 2):
+            with mock.patch.object(losses, "_workers", lambda: workers), \
+                    np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                batch_losses(m, "GCI0", "positive", [GCI0(0, 1)], candidates=np.arange(8))
+
+
+def test_worker_count_follows_the_affinity_mask(monkeypatch):
+    """One worker per CPU of the affinity mask; the CPU count where the
+    platform has no affinity call."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert losses._workers() == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
+    assert losses._workers() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert losses._workers() == 5
+
+
+@pytest.mark.parametrize(
+    "workers, n_pool, submits",
+    [(1, 9, 0), (3, 1, 0), (2, 9, 1), (3, 9, 2), (4, 2, 1)],
+)
+def test_ranking_runs_inline_with_one_worker_or_one_pass(workers, n_pool, submits):
+    """1-row passes: one worker, or one pass, submits nothing to the pool;
+    otherwise one share per worker, at most one per pass, is submitted
+    beside the caller's own, and the scores equal the inline ones."""
+    m = init_model("elbe", 9, 1, 4, seed=0)
+    pool = np.arange(n_pool)
+    with mock.patch.object(losses, "_RANK_ENTRIES", m.dim):
+        with mock.patch.object(losses, "_workers", lambda: 1):
+            want = batch_losses(m, "GCI0", "positive", [GCI0(0, 1)], candidates=pool)
+        with mock.patch.object(losses, "_workers", lambda: workers), \
+                mock.patch.object(losses._EXECUTOR, "submit", wraps=losses._EXECUTOR.submit) as submit:
+            got = batch_losses(m, "GCI0", "positive", [GCI0(0, 1)], candidates=pool)
+    assert submit.call_count == submits
+    assert got.tobytes() == want.tobytes()
+
+
+def test_concurrent_ranking_calls_share_the_pool():
+    """Four threads rank at once, each call split into more shares than the
+    host has CPUs, under a short switch interval: every call returns the
+    one-worker scores, and every caller finishes within its deadline."""
+    m = init_model("box2el", 40, 2, 4, seed=3)
+    pool = np.arange(40)
+    axioms = [GCI2(i, i % 2, 0) for i in range(5)]
+    got = []
+
+    def caller():
+        for _ in range(10):
+            got.append(batch_losses(m, "GCI2", "positive", axioms, candidates=pool).tobytes())
+
+    with mock.patch.object(losses, "_RANK_ENTRIES", 3 * m.dim):
+        with mock.patch.object(losses, "_workers", lambda: 1):
+            want = batch_losses(m, "GCI2", "positive", axioms, candidates=pool).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(losses, "_workers", lambda: 6):
+                threads = [threading.Thread(target=caller) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 40
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_ranks_on_its_own_pool():
+    """A child forked after a threaded ranking call, whose pool thread does
+    not exist in the child, still ranks on threads and gets the same
+    scores, well within a deadline."""
+    m = init_model("elbe", 9, 1, 4, seed=0)
+    pool = np.arange(9)
+    with mock.patch.object(losses, "_RANK_ENTRIES", m.dim), \
+            mock.patch.object(losses, "_workers", lambda: 2):
+        want = batch_losses(m, "GCI0", "positive", [GCI0(0, 1)], candidates=pool).tobytes()
+        pid = os.fork()
+        if pid == 0:  # the child: exit status 0 on equal scores
+            code = 1
+            try:
+                got = batch_losses(m, "GCI0", "positive", [GCI0(0, 1)], candidates=pool)
+                code = 0 if got.tobytes() == want else 1
+            finally:
+                os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if status[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's ranking call did not return")
+    assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 @pytest.fixture(scope="module")
