@@ -7,6 +7,7 @@ axioms were asserted.
 
 from elkbc import GCI1, GCI2, classify, compute_closure
 from elkbc.core import format_axiom
+from elkbc.losses import LOSS_VARIANTS
 from elkbc.toy import golden_theory
 
 theory = golden_theory()
@@ -18,7 +19,8 @@ for ax in theory.axioms:
 index, hierarchy, _ = classify(theory)
 dc = compute_closure(theory, index, hierarchy)
 
-print("\nclosure sizes per variant:", dc.counts())
+sizes = {tag: sum(1 for _ in dc.iter_variant(tag)) for tag in LOSS_VARIANTS}
+print("\nclosure sizes per variant:", sizes)
 
 p = names.id_of("{P}")
 print("\nprovable existential superclasses of {P}:")

@@ -49,18 +49,18 @@ answers the rightmost concept: it is the row of the key for GCI0-GCI3; for a
 remainder).
 
 Each row lives in one memo, under a key that a later query can ask again:
-the pair, subject and (r, A) rows of GCI1-GCI3 queries and of enumeration,
-and the ``_BOT`` filler answers.  A ``_BOT`` point query stores nothing: its
-key holds the probed concept, a sampler's random draw, so its row is built
-and dropped.  Concept rows are the index's own.  The id queries check nothing
-(the sampler asks them with ids it holds); ``entails`` and
-``entailed_fillers`` take a dataclass, check its ids (``KeyError``) and ask
-them.
+the pair, subject and (r, A) rows of GCI1-GCI3 queries, and the ``_BOT``
+filler answers.  A ``_BOT`` point query stores nothing: its key holds the
+probed concept, a sampler's random draw, so its row is built and dropped.
+Concept rows are the index's own.  The id queries check nothing (the
+sampler asks them with ids it holds); ``entails`` and ``entailed_fillers``
+take a dataclass, check its ids (``KeyError``) and ask them.
 
 The two modes answer identically; ``materialized`` additionally
-enumerates the closure (``iter_variant`` and ``counts``) and is refused
-above a |C|^3 cap.  Enumeration walks every key of a variant in id order and
-reads its row through the same memos, so no second copy of a row exists.
+enumerates the closure (``iter_variant``) and is refused above a |C|^3 cap.
+Enumeration walks every key of a variant in id order and reads a row
+memoized by an earlier query, or builds it and drops it: a walk keeps no
+pair or existential row, only the |C| subject rows that queries ask again.
 Rows are built lazily and published only when complete, so concurrent
 readers at worst build the same row twice.
 """
@@ -91,8 +91,6 @@ class ClosureCapError(RuntimeError):
     """Materialization refused: the GCI1 bound |C|^3 exceeds the cap."""
 
 
-#: the enumerated variants, in ``counts`` order
-_ENUMERATED = ("GCI0", "GCI1", "GCI2", "GCI3", "GCI0_BOT", "GCI1_BOT", "GCI3_BOT")
 #: the variants whose Bot answers their ``_BOT`` form lists instead
 _BOT_APART = ("GCI1", "GCI3")
 
@@ -148,17 +146,17 @@ class DeductiveClosure:
         row = self._pairs.get(key)
         if row is None:
             # every E with A n B [= E, to a fixpoint: an asserted l n r [= s
-            # whose conjuncts are both in the row adds s's superclasses
-            sup, by_conjunct = self.index.sup, self._gci1_by_conjunct
+            # whose conjuncts are both in the row adds s's superclasses; only
+            # the members that are conjuncts of an asserted GCI1 are visited
+            sup, conjuncts = self.index.sup, self._gci1_by_conjunct
             found = set(sup[a]) | sup[b]
-            todo = list(found)
+            todo = list(found & conjuncts.keys())
             while todo and BOT_ID not in found:
-                x = todo.pop()
-                for other, s in by_conjunct.get(x, ()):
+                for other, s in conjuncts[todo.pop()]:
                     if other in found:
                         new = sup[s] - found
                         found |= new
-                        todo.extend(new)
+                        todo.extend(new & conjuncts.keys())
             row = self._everything if BOT_ID in found else frozenset(found)
             if store:
                 self._pairs[key] = row
@@ -276,35 +274,30 @@ class DeductiveClosure:
 
     def _key_rows(self, tag: str) -> Iterator[tuple[tuple[int, ...], frozenset[int]]]:
         """Every (key, row) of variant ``tag`` in id order, pairs canonical;
-        the rows are the memoized ones, a concept's its classified S(a)."""
+        a pair or existential row not yet memoized is built and not stored,
+        a concept's row is its classified S(a)."""
         if not self.materialized:
             raise ValueError("enumeration requires a materialized closure")
         concepts, roles = range(self.theory.n_concepts), range(self.theory.n_roles)
         if tag in ("GCI0", "GCI0_BOT"):
             return (((a,), self.index.sup[a]) for a in concepts)
         if tag in ("GCI1", "GCI1_BOT"):
-            return (((a, b), self._pair_row(a, b)) for a in concepts for b in concepts[a:])
+            return (
+                ((a, b), self._pair_row(a, b, store=False)) for a in concepts for b in concepts[a:]
+            )
         if tag == "GCI2":
             return (
                 ((a, r), row) for a in concepts for r, row in sorted(self._subject_row(a).items())
             )
         if tag in ("GCI3", "GCI3_BOT"):
-            return (((r, a), self._existential_row(r, a)) for r in roles for a in concepts)
+            return (
+                ((r, a), self._existential_row(r, a, store=False)) for r in roles for a in concepts
+            )
         raise ValueError(f"unknown variant {tag!r}")
-
-    def counts(self) -> dict[str, int]:
-        """Axioms per variant as ``iter_variant`` lists them, from the rows."""
-        counts = {}
-        for tag in _ENUMERATED:
-            rows = (row for _, row in self._key_rows(tag))
-            if tag.endswith("_BOT"):
-                counts[tag] = sum(BOT_ID in row for row in rows)
-            else:  # less Bot where the _BOT form lists it
-                counts[tag] = sum(len(row) - (tag in _BOT_APART and BOT_ID in row) for row in rows)
-        return counts
 
     def iter_variant(self, tag: str) -> Iterator[NormalizedAxiom]:
         """Materialized axioms of one variant, id-sorted, pairs canonical.
+        The walk stores no pair or existential row.
 
         A ``_BOT`` form lists each key whose row holds Bot; every other
         variant one axiom per member of each row.  GCI1 and GCI3 leave Bot

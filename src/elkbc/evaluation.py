@@ -163,7 +163,6 @@ def score_and_rank(model: GeometricModel, task: RankingTask) -> RankingReport:
         first, key_of = first[by_first], np.argsort(by_first)[key_of]
         members = np.argsort(key_of, kind="stable")
         starts = np.concatenate(([0], np.cumsum(np.bincount(key_of))))
-        single = len(first) == len(rows)  # one axiom per key: read the key rows in place
         for lo in range(0, len(first), block_rows):
             block = rows[first[lo : lo + block_rows]]
             k, hi = len(block), lo + len(block)
@@ -188,7 +187,7 @@ def score_and_rank(model: GeometricModel, task: RankingTask) -> RankingReport:
             # the keys' axioms in chunks of at most a block, each with a copy of its key row
             for c in range(starts[lo], starts[hi], block_rows):
                 chunk = members[c : min(c + block_rows, starts[hi])]
-                own, axioms = slice(None) if single else key_of[chunk] - lo, rows[chunk]
+                own, axioms = key_of[chunk] - lo, rows[chunk]
                 counts = _ranks(scores[own], true_idx[axioms], None if drop is None else drop[own])
                 ranks[0, axioms], ranks[1, axioms], pools[1, axioms] = counts
 

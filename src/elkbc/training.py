@@ -310,8 +310,12 @@ def train(
     lr = cfg.learning_rate
     if cfg.validation is None:
         validation = table[np.concatenate(list(rows_of.values()))]
-    else:
+    else:  # scored as the train theory is: role inclusions carry no loss
         validation = AxiomTable.from_axioms(cfg.validation)
+        loss_codes = [VARIANTS.index(tag) for tag in LOSS_VARIANTS]
+        validation = validation[np.isin(validation.codes, loss_codes)]
+        if not len(validation):
+            raise TrainingError("validation set has no loss-bearing axioms")
     val_requests = [LossRequest(validation, "positive")]
 
     log: list[dict] = []

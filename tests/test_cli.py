@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import pytest
 
@@ -327,6 +328,44 @@ def test_train_rejects_validation_file_with_other_signature(tmp_path, capsys):
     assert not (tmp_path / "model.ckpt").exists()
     validation.write_text("#concept A\n#concept B\n#concept C\nGCI0 C A\n")
     assert main(["train", "--config", str(cfg_path)]) == 0
+
+
+def test_validation_file_skips_role_inclusions(tmp_path, capsys):
+    """A validation theory is scored as the train theory is: its role
+    inclusions carry no loss, so an RI0 line leaves the epoch log as it was,
+    and a validation file of role inclusions alone has nothing to score."""
+    header = "#concept A\n#concept B\n#concept C\n#role r\n#role s\n"
+    train_file, validation = tmp_path / "train.nf", tmp_path / "validation.nf"
+    train_file.write_text(header + "GCI0 A B\nGCI2 A r C\nRI0 r s\n")
+    cfg_path, _ = _write_train_config(tmp_path, train_file, epochs=3,
+                                      validation_file=validation)
+    logs = []
+    for lines in ("GCI0 B C\n", "GCI0 B C\nRI0 r s\n"):
+        validation.write_text(header + lines)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        logs.append((tmp_path / "train.log.json").read_text())
+    assert logs[0] == logs[1]
+    (tmp_path / "model.ckpt").unlink()
+    validation.write_text(header + "RI0 r s\n")
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    assert "no loss-bearing axioms" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_closure_listing_keeps_no_row(tmp_path, capsys):
+    """``elkbc closure`` walks each variant once and stores no pair or
+    existential row, so listing a 60-class layered DAG (1,830 pair rows)
+    allocates under 2 MiB at its peak; memoizing every pair row peaks at
+    about 5 MiB."""
+    src = tmp_path / "theory.nf"
+    src.write_text(serialize_theory(layered_dag_benchmark(0, n_concepts=60)[0]))
+    tracemalloc.start()
+    try:
+        assert main(["closure", str(src), "--out", str(tmp_path / "closure")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_eval_rejects_test_file_with_other_roles(tmp_path, capsys):
